@@ -30,6 +30,7 @@ from .semigroup import (
     SemigroupPredicate,
     enumerate_levels,
     okounkov_body,
+    require_body_dimension,
     semigroup_limit_check,
 )
 from .svg import normalized_points, polygon_svg, regions_svg, sequence_svg, staircase_svg
@@ -334,6 +335,7 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     N = job.n_value()
     c = job.args.c or _opt_int(job._lookup("params", "c"))
     pred = SemigroupPredicate.from_family(fam, c=c)
+    require_body_dimension(pred.point_dim)
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
     body = okounkov_body(levels)

@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
+from operator import add, itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -64,7 +66,7 @@ def dominates(a: Exponent, b: Exponent) -> bool:
     return all(ai <= bi for ai, bi in zip(a, b))
 
 
-def _minimalize_2d(points: list[Exponent]) -> list[Exponent]:
+def _minimalize_2d(points) -> list[Exponent]:
     # Sweep in x order; an antichain in the plane has strictly decreasing y.
     pts = sorted(set(points))
     kept: list[Exponent] = []
@@ -76,7 +78,38 @@ def _minimalize_2d(points: list[Exponent]) -> list[Exponent]:
     return kept
 
 
-def _minimalize_general(points: list[Exponent]) -> list[Exponent]:
+def _staircase_insert(xs: list[int], ys: list[int], x: int, y: int) -> bool:
+    """Add the corner (x, y) to a 2-D staircase unless a kept corner divides it.
+
+    ``xs`` increase and ``ys`` strictly decrease.  Kept corners that (x, y)
+    divides form one run starting at the first ``xs`` >= x; they are spliced
+    out.  Returns whether (x, y) was added.
+    """
+    i = bisect_right(xs, x)
+    if i and ys[i - 1] <= y:
+        return False
+    k = j = bisect_left(xs, x, 0, i)
+    while j < len(ys) and ys[j] >= y:
+        j += 1
+    xs[k:j] = (x,)
+    ys[k:j] = (y,)
+    return True
+
+
+def _minimalize_3d(points) -> list[Exponent]:
+    # Kung-Luccio-Preparata sweep: in (z, x, y) order no point divides an
+    # earlier one, so a point is kept iff no kept (x, y) projection divides
+    # its own; the kept projections form a 2-D staircase.
+    xs: list[int] = []
+    ys: list[int] = []
+    kept: list[Exponent] = []
+    for z, x, y in sorted({(z, x, y) for x, y, z in points}):
+        if _staircase_insert(xs, ys, x, y):
+            kept.append((x, y, z))
+    return kept
+
+
+def _minimalize_general(points) -> list[Exponent]:
     pts = sorted(set(points), key=_gradedlex_key)
     kept: list[Exponent] = []
     for p in pts:
@@ -85,14 +118,19 @@ def _minimalize_general(points: list[Exponent]) -> list[Exponent]:
     return kept
 
 
-def _minimal_antichain(points: list[Exponent], d: int) -> tuple[Exponent, ...]:
+def _antichain(points, d: int) -> list[Exponent]:
+    """Minimal elements of ``points`` (any iterable), in no fixed order."""
+    if d == 2:
+        return _minimalize_2d(points)
+    if d == 3:
+        return _minimalize_3d(points)
+    return _minimalize_general(points)
+
+
+def _minimal_antichain(points, d: int) -> tuple[Exponent, ...]:
     if not points:
         return ()
-    if d == 2:
-        kept = _minimalize_2d(points)
-    else:
-        kept = _minimalize_general(points)
-    return tuple(sorted(kept, key=_gradedlex_key))
+    return tuple(sorted(_antichain(points, d), key=_gradedlex_key))
 
 
 @dataclass(frozen=True)
@@ -166,19 +204,28 @@ class MonomialIdeal:
         self._check_ring(other)
         return all(other.contains(g) for g in self.gens)
 
+    def pure_powers(self) -> tuple:
+        """Least e_j with x_j^e_j in the ideal for every axis j (None if none)."""
+        d = self.ring.d
+        best = [None] * d
+        for g in self.gens:
+            if g.count(0) < d - 1:
+                continue
+            if not any(g):
+                return (0,) * d
+            j = next(j for j, c in enumerate(g) if c)
+            if best[j] is None or g[j] < best[j]:
+                best[j] = g[j]
+        return tuple(best)
+
     def pure_power(self, axis: int):
         """Least e with x_axis^e in the ideal, or None."""
-        best = None
-        for g in self.gens:
-            if all(c == 0 for j, c in enumerate(g) if j != axis):
-                e = g[axis]
-                best = e if best is None else min(best, e)
-        return best
+        return self.pure_powers()[axis]
 
     @property
     def is_primary(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
-        return all(self.pure_power(j) is not None for j in range(self.ring.d))
+        return None not in self.pure_powers()
 
     def _check_ring(self, other: "MonomialIdeal") -> None:
         if self.ring != other.ring:
@@ -188,9 +235,8 @@ class MonomialIdeal:
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
-        sums = {tuple(a + b for a, b in zip(g, h))
-                for g in self.gens for h in other.gens}
-        return MonomialIdeal(self.ring, _minimal_antichain(list(sums), self.ring.d))
+        sums = {tuple(map(add, g, h)) for g in self.gens for h in other.gens}
+        return MonomialIdeal(self.ring, _minimal_antichain(sums, self.ring.d))
 
     __mul__ = multiply
 
@@ -221,28 +267,10 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
-        if self.ring.d == 2 and len(self.gens) * len(other.gens) > 64:
-            return self._intersect_2d(other)
-        maxes = {tuple(max(a, b) for a, b in zip(g, h))
-                 for g in self.gens for h in other.gens}
-        return MonomialIdeal(self.ring, _minimal_antichain(list(maxes), self.ring.d))
+        maxes = {tuple(map(max, g, h)) for g in self.gens for h in other.gens}
+        return MonomialIdeal(self.ring, _minimal_antichain(maxes, self.ring.d))
 
     __and__ = intersect
-
-    def _intersect_2d(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        # Staircase merge: the intersection staircase is the pointwise max of
-        # the two column functions, so its corners come from a linear walk.
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.ring)
-        xs = sorted({g[0] for g in self.gens} | {g[0] for g in other.gens})
-        pts = []
-        for x in xs:
-            ya = _column_min(self.gens, x)
-            yb = _column_min(other.gens, x)
-            if ya is None or yb is None:
-                continue
-            pts.append((x, max(ya, yb)))
-        return MonomialIdeal(self.ring, _minimal_antichain(pts, 2))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """I : J, the exponents a with a + g in I for every generator g of J."""
@@ -288,18 +316,13 @@ class MonomialIdeal:
 
     def colength(self):
         """Number of exponents outside the staircase; INFINITE if not primary."""
-        if self.is_zero:
+        if not self.is_primary:
             return INFINITE
-        if self.is_unit:
-            return 0
         d = self.ring.d
-        pure = [self.pure_power(j) for j in range(d)]
-        if any(p is None for p in pure):
-            return INFINITE
         b = _maximal_power_degree(self.gens, d)
         if b is not None:
             return comb(b + d - 1, d)
-        return _colength_primary(self.gens, d, pure)
+        return _standard_monomials(self.gens, d)[0]
 
     def dim_quotient(self) -> int:
         """Krull dimension of R/I (0 for primary, d for the zero ideal)."""
@@ -338,65 +361,45 @@ def _maximal_power_degree(gens: tuple[Exponent, ...], d: int):
     if not gens:
         return None
     b = sum(gens[0])
-    if any(sum(g) != b for g in gens):
-        return None
-    if len(gens) != comb(b + d - 1, d - 1):
+    if len(gens) != comb(b + d - 1, d - 1) or any(sum(g) != b for g in gens):
         return None
     return b
 
 
-def _column_min(gens: tuple[Exponent, ...], x: int):
-    """Least y with (x, y) in the staircase, or None if the column is empty."""
-    best = None
-    for g in gens:
-        if g[0] <= x:
-            best = g[1] if best is None else min(best, g[1])
-    return best
+def _standard_monomials(gens, d: int) -> tuple[int, int]:
+    """(count, top) of the exponents outside a primary staircase.
 
-
-def _column_profile(gens: tuple[Exponent, ...], width: int) -> list:
-    """Column function values y_min(x) for x in [0, width); None = empty column."""
-    order = sorted(gens)
-    out = []
-    best = None
-    k = 0
-    for x in range(width):
-        while k < len(order) and order[k][0] <= x:
-            y = order[k][1]
-            best = y if best is None else min(best, y)
-            k += 1
-        out.append(best)
-    return out
-
-
-def _colength_2d(gens: tuple[Exponent, ...], px: int) -> int:
-    profile = _column_profile(gens, px)
-    return sum(y for y in profile if y is not None)
-
-
-def _colength_primary(gens, d: int, pure) -> int:
-    """Colength of a primary staircase by slicing off the last coordinate."""
+    ``top`` is their largest total degree, -1 if there are none.  ``gens``
+    must be a minimal antichain holding a pure power of every variable.  The
+    staircase is cut along the last axis only at the distinct last
+    coordinates z_0 = 0 < z_1 < ... of the generators: every slice with
+    z_i <= z < z_{i+1} is the same (d-1)-dimensional staircase, so a slice
+    is counted once and weighted by z_{i+1} - z_i.  This is the pivot
+    l(R/I) = l(R/(I + (p))) + l(R/(I : p)) with p = x_d^{z_i}; the last
+    level is the pure power of x_d, whose slice is the unit ideal.
+    """
     if d == 1:
-        return pure[0]
+        return gens[0][0], gens[0][0] - 1
+    count, top = 0, -1
     if d == 2:
-        return _colength_2d(gens, pure[0])
-    by_last = sorted(gens, key=lambda g: g[-1])
-    total = 0
-    active: list[Exponent] = []
-    k = 0
-    for z in range(pure[-1]):
-        changed = False
-        while k < len(by_last) and by_last[k][-1] <= z:
-            active.append(by_last[k][:-1])
-            k += 1
-            changed = True
-        if changed:
-            slice_gens = _minimal_antichain(active, d - 1)
-            slice_pure = [min(g[j] for g in slice_gens
-                              if all(c == 0 for i, c in enumerate(g) if i != j))
-                          for j in range(d - 1)]
-        total += _colength_primary(slice_gens, d - 1, slice_pure)
-    return total
+        # Corners by x: column heights y_i on [x_i, x_{i+1}).
+        corners = sorted(gens)
+        for (x, y), (nx, _) in zip(corners, corners[1:]):
+            count += (nx - x) * y
+            if nx + y - 2 > top:
+                top = nx + y - 2
+        return count, top
+    last = itemgetter(-1)
+    levels = [(z, [g[:-1] for g in grp])
+              for z, grp in itertools.groupby(sorted(gens, key=last), key=last)]
+    slice_gens: list[Exponent] = []
+    for (z, new), (nz, _) in zip(levels, levels[1:]):
+        slice_gens = _antichain(slice_gens + new, d - 1)
+        c, t = _standard_monomials(slice_gens, d - 1)
+        count += (nz - z) * c
+        if nz - 1 + t > top:
+            top = nz - 1 + t
+    return count, top
 
 
 def minimalize(ring: AmbientRing, gens) -> MonomialIdeal:
@@ -418,29 +421,19 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
     co, ci = outer.colength(), inner.colength()
     if co != INFINITE and ci != INFINITE:
         return ci - co
-    ann = inner.colon(outer)
-    if not ann.is_primary:
+    pure = inner.colon(outer).pure_powers()
+    if None in pure:
         return INFINITE
+    # With B_j = max_g g_j + p_j (p_j the pure power of inner : outer), an
+    # exponent a of outer with a_j >= B_j is a - p_j e_j (still in outer)
+    # times x_j^{p_j}, so it lies in inner.  Hence outer \ inner sits inside
+    # the box [0, B) and truncating both ideals by the box loses none of it.
     d = outer.ring.d
-    if d == 2:
-        width = max(g[0] for g in outer.gens + inner.gens) + 1
-        po = _column_profile(outer.gens, width)
-        pi = _column_profile(inner.gens, width)
-        total = 0
-        for yo, yi in zip(po, pi):
-            if yo is None:
-                continue
-            if yi is None:
-                return INFINITE
-            total += yi - yo
-        return total
-    pure = [ann.pure_power(j) for j in range(d)]
     bounds = [max(g[j] for g in outer.gens) + pure[j] for j in range(d)]
-    total = 0
-    for a in itertools.product(*[range(b) for b in bounds]):
-        if outer.contains(a) and not inner.contains(a):
-            total += 1
-    return total
+    box = MonomialIdeal.from_gens(
+        outer.ring, [tuple(b if i == j else 0 for i in range(d))
+                     for j, b in enumerate(bounds)])
+    return (inner + box).colength() - (outer + box).colength()
 
 
 def length_mod_power(outer: MonomialIdeal, inner: MonomialIdeal, k: int) -> int:
@@ -464,17 +457,7 @@ def containment_order(ideal: MonomialIdeal) -> int:
     b = _maximal_power_degree(ideal.gens, d)
     if b is not None:
         return b
-    pure = [ideal.pure_power(j) for j in range(d)]
-    if d == 1:
-        return pure[0]
-    if d == 2:
-        profile = _column_profile(ideal.gens, pure[0])
-        return max(x + y for x, y in enumerate(profile) if y)
-    best = 0
-    for a in itertools.product(*[range(p) for p in pure]):
-        if not ideal.contains(a):
-            best = max(best, sum(a) + 1)
-    return best
+    return _standard_monomials(ideal.gens, d)[1] + 1
 
 
 @dataclass(frozen=True)

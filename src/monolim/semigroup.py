@@ -19,7 +19,7 @@ from typing import Callable
 from .convex import _shoelace
 from .errors import GeometryError, MonolimError, SemigroupError
 from .families import GradedFamily
-from .lattice import _column_profile, containment_order
+from .lattice import containment_order
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,27 @@ class SemigroupPredicate:
         if d == 2:
             def count_hook(i):
                 cap = beta * i
-                profile = _column_profile(F.member_ideal(i).gens, cap + 1)
-                total = 0
-                for x, y in enumerate(profile):
-                    if y is None:
-                        continue
-                    total += max(0, cap - x - y + 1)
-                return total
+                return sum(max(0, cap - x - y + 1) for x, y in
+                           _column_floors(F.member_ideal(i).gens, cap + 1))
 
             def points_hook(i):
                 cap = beta * i
-                profile = _column_profile(F.member_ideal(i).gens, cap + 1)
                 pts = []
-                for x, y in enumerate(profile):
-                    if y is None:
-                        continue
+                for x, y in _column_floors(F.member_ideal(i).gens, cap + 1):
                     pts.extend((x, yy) for yy in range(y, cap - x + 1))
                 return pts
 
         return SemigroupPredicate(d, beta, member, f"family({F.label()})",
                                   count_hook, points_hook)
+
+
+def _column_floors(gens, width: int):
+    """Yield (x, y_min(x)) for each nonempty column x < width of a 2-D
+    staircase; ``gens`` must be its minimal generators."""
+    corners = sorted(gens)
+    for (x, y), (nx, _) in zip(corners, corners[1:] + [(width, 0)]):
+        for col in range(x, min(nx, width)):
+            yield col, y
 
 
 def _simplex_points(p: int, cap: int):
@@ -300,12 +301,19 @@ def convex_hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
+def require_body_dimension(point_dim: int) -> None:
+    """Raise GeometryError unless :func:`okounkov_body` handles ``point_dim``."""
+    if not 1 <= point_dim <= 2:
+        raise GeometryError("exact bodies are limited to point dimension <= 2")
+
+
 def okounkov_body(L: SemigroupLevels):
     """Convex hull of the normalized points {point / level} (point dim <= 2).
 
     Each level is hulled on raw integer coordinates first (scaling commutes
     with hulls), so only the extreme points are normalized.
     """
+    require_body_dimension(L.point_dim)
     if L.max_level < 3:
         raise MonolimError("enumerate at least 3 levels first")
     pts = []
@@ -322,9 +330,7 @@ def okounkov_body(L: SemigroupLevels):
         xs = [p[0] for p in pts]
         lo, hi = min(xs), max(xs)
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    if L.point_dim == 2:
-        return convex_hull_2d(pts)
-    raise GeometryError("exact bodies are limited to point dimension <= 2")
+    return convex_hull_2d(pts)
 
 
 def body_volume(vertices, q: int) -> Fraction:

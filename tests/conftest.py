@@ -61,6 +61,14 @@ def oracle_colength(I: MonomialIdeal):
     return int((~membership(I.gens, pts)).sum())
 
 
+def oracle_containment_order(I: MonomialIdeal) -> int:
+    """Least c with m^c inside a primary ideal: one plus the largest degree of
+    a non-member of the generator box (0 for the unit ideal)."""
+    pts = box_points(joint_box(I))
+    outside = pts[~membership(I.gens, pts)]
+    return int(outside.sum(axis=1).max()) + 1 if len(outside) else 0
+
+
 def oracle_colon_members(I, J, pts: np.ndarray) -> np.ndarray:
     """a is a member of I : J iff a + g lies in I for every generator g of J."""
     out = np.ones(len(pts), dtype=bool)

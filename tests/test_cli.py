@@ -1,6 +1,7 @@
 """CLI surface: artifact emission, golden stability, cache identity, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -230,6 +231,15 @@ def test_cli_okounkov(tmp_path):
     doc = json.loads(Path(f"{out}.json").read_text())
     assert doc["results"]["expected"] == "3/2"
     assert doc["results"]["invariants"]["m"] == 1
+
+
+def test_cli_okounkov_rejects_point_dimension_3_before_enumerating(tmp_path, capsys):
+    t0 = time.perf_counter()
+    code, _ = run_cli(tmp_path, "okounkov", "--ring", "x,y,z", "--family",
+                      "power(x^2, y^3, z^2, x*y*z)", "--N", "60")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert "exact bodies are limited to point dimension <= 2" in capsys.readouterr().err
 
 
 def test_cli_diff(tmp_path):

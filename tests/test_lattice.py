@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import (
     membership,
     oracle_colength,
     oracle_colon_members,
+    oracle_containment_order,
     random_ideal,
     random_primary_ideal,
 )
@@ -314,3 +316,138 @@ def test_rel_length_matches_counting(R2):
             assert not ann.is_primary
         else:
             assert value == diff
+
+
+# -- staircase kernels against the box oracles in d = 2, 3, 4 -----------------
+
+
+_MAX_EXP = {2: 8, 3: 5, 4: 3}
+
+
+@st.composite
+def _rings_and_gens(draw, count: int, primary: bool = False):
+    """A ring of dimension 2, 3 or 4 and ``count`` generator lists in it.
+
+    With ``primary`` every list also holds a pure power of each variable.
+    """
+    d = draw(st.sampled_from((2, 3, 4)))
+    top = _MAX_EXP[d]
+    exps = st.tuples(*[st.integers(0, top)] * d)
+    lists = []
+    for _ in range(count):
+        gens = draw(st.lists(exps, min_size=1, max_size=7))
+        if primary:
+            gens += [tuple(draw(st.integers(1, top)) if i == j else 0
+                           for i in range(d)) for j in range(d)]
+        lists.append(gens)
+    return AmbientRing.default(d), lists
+
+
+def _outer_minus_inner(outer, inner, bounds) -> int:
+    pts = box_points(bounds)
+    return int((membership(outer.gens, pts) & ~membership(inner.gens, pts)).sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(1))
+def test_from_gens_is_minimal_antichain_with_same_members(case):
+    ring, (gens,) = case
+    ideal = minimalize(ring, gens)
+    assert list(ideal.gens) == sorted(set(ideal.gens), key=lambda g: (sum(g), g))
+    for g in ideal.gens:
+        assert not any(h != g and all(a <= b for a, b in zip(h, g))
+                       for h in ideal.gens)
+    pts = box_points([max(col) + 2 for col in zip(*gens)])
+    assert (membership(ideal.gens, pts) == membership(gens, pts)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(1), st.booleans())
+def test_colength_matches_box_oracle(case, make_primary):
+    ring, (gens,) = case
+    if make_primary:
+        gens = gens + [tuple(_MAX_EXP[ring.d] if i == j else 0
+                             for i in range(ring.d)) for j in range(ring.d)]
+    ideal = minimalize(ring, gens)
+    expected = oracle_colength(ideal)
+    assert ideal.colength() == (INFINITE if expected is None else expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(1, primary=True))
+def test_containment_order_matches_box_oracle(case):
+    ring, (gens,) = case
+    ideal = minimalize(ring, gens)
+    assert containment_order(ideal) == oracle_containment_order(ideal)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(2))
+def test_intersect_matches_box_oracle(case):
+    ring, (g1, g2) = case
+    I1, I2 = minimalize(ring, g1), minimalize(ring, g2)
+    result = I1 & I2
+    assert minimalize(ring, result.gens) == result
+    pts = box_points(joint_box(I1, I2))
+    expected = membership(I1.gens, pts) & membership(I2.gens, pts)
+    assert (membership(result.gens, pts) == expected).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(3), st.booleans())
+def test_rel_length_matches_box_oracle(case, primary_multiplier):
+    # inner = outer * P + (outer & J) lies in outer, and outer / inner is
+    # finite when P is primary, however far from primary outer is.
+    ring, (go, gp, gj) = case
+    if primary_multiplier:
+        gp = gp + [tuple(_MAX_EXP[ring.d] if i == j else 0
+                         for i in range(ring.d)) for j in range(ring.d)]
+    outer, P, J = (minimalize(ring, g) for g in (go, gp, gj))
+    inner = outer * P + (outer & J)
+    value = rel_length(outer, inner)
+    # Finite: outer \ inner lies below max_j(outer) + max_j(P) in each axis.
+    bounds = [a + b for a, b in zip(joint_box(outer, inner), joint_box(P))]
+    counted = _outer_minus_inner(outer, inner, bounds)
+    if value == INFINITE:
+        assert not primary_multiplier
+        assert _outer_minus_inner(outer, inner, [b + 1 for b in bounds]) > counted
+    else:
+        assert value == counted
+
+
+# -- huge exponents: cost follows the generator count, not the exponents ------
+
+
+E = 10 ** 7
+
+
+def _timed(fn, budget_s: float = 1.0):
+    t0 = time.perf_counter()
+    value = fn()
+    assert time.perf_counter() - t0 < budget_s
+    return value
+
+
+def test_colength_huge_exponent_2d(R2):
+    assert _timed(I(R2, f"x^{E}, y").colength) == E
+
+
+def test_colength_huge_exponents_3d(R3):
+    ideal = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
+    assert _timed(ideal.colength) == E ** 3 - (E - 1) ** 3
+
+
+def test_containment_order_huge_exponents_3d(R3):
+    ideal = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
+    assert _timed(lambda: containment_order(ideal)) == 2 * E - 1
+
+
+def test_rel_length_huge_exponents_3d(R3):
+    outer = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
+    inner = I(R3, f"x^{E}, y^{E}, z^{E}, x^2*y*z")
+    assert _timed(lambda: rel_length(outer, inner)) == (E - 1) ** 2
+    # outer is not primary here; the truncation path counts
+    # outer / inner = R / (x^(E-1), y^(E-1), z^(E-1), x*y*z).
+    outer = I(R3, "x*y*z")
+    inner = I(R3, f"x^{E}*y*z, x*y^{E}*z, x*y*z^{E}, x^2*y^2*z^2")
+    assert _timed(lambda: rel_length(outer, inner)) == (E - 1) ** 3 - (E - 2) ** 3
