@@ -1,5 +1,7 @@
 """Exact asymptotic length and multiplicity limits for monomial ideal families."""
 
+__version__ = "0.1.0"
+
 from .asymptotics import (
     EpsilonReport,
     LengthSequence,
@@ -70,4 +72,3 @@ from .semigroup import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

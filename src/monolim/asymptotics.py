@@ -7,7 +7,6 @@ decided by integer bracketing, never floating point.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -117,8 +116,8 @@ def estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
                          verdict, (tail[0][0], tail[-1][0]))
 
 
-def length_sequence(F: GradedFamily, ns, saturation_mode: bool = False,
-                    threads: int = 1) -> LengthSequence:
+def length_sequence(F: GradedFamily, ns,
+                    saturation_mode: bool = False) -> LengthSequence:
     """Exact lengths of R/I_n (or of I_n^sat / I_n in saturation mode).
 
     ``ns`` is either an upper bound N (samples 1..N) or an iterable of
@@ -136,12 +135,7 @@ def length_sequence(F: GradedFamily, ns, saturation_mode: bool = False,
             v = F.saturation_gap(n)
         return v
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(value, indices))
-    else:
-        values = [value(n) for n in indices]
-    return LengthSequence(tuple(zip(indices, values)), F.ring.d)
+    return LengthSequence(tuple((n, value(n)) for n in indices), F.ring.d)
 
 
 @dataclass(frozen=True)
@@ -289,8 +283,7 @@ def epsilon_ideal(I: MonomialIdeal, N: int) -> EpsilonReport:
     fam = build_family(PowerSpec(I))
     entries = []
     for n in range(1, N + 1):
-        member = fam.member_ideal(n)
-        gap = rel_length(member.saturation(), member)
+        gap = fam.saturation_gap(n)
         if gap == INFINITE:
             raise MonolimError(f"saturation gap of member {n} is unbounded")
         entries.append((n, gap))

@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--svg", action="store_true")
         p.add_argument("--cache-dir", dest="cache_dir", default=None)
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -179,8 +178,7 @@ def _cmd_family(job: Job) -> tuple[int, dict, str]:
 def _cmd_limits(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
     N = job.n_value()
-    seq = asy.length_sequence(fam, N, saturation_mode=False,
-                              threads=job.args.threads)
+    seq = asy.length_sequence(fam, N, saturation_mode=False)
     est = asy.estimate_limit(seq, job.tol())
     rows = [[n, v, Fraction(v, n ** seq.degree)] for n, v in seq.entries]
     csv = rio.render_csv(["n", "raw", "normalized"], rows)
@@ -200,7 +198,7 @@ def _cmd_limits(job: Job) -> tuple[int, dict, str]:
 def _cmd_diff(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
     N = job.n_value()
-    seq = asy.length_sequence(fam, N + 1, threads=job.args.threads)
+    seq = asy.length_sequence(fam, N + 1)
     profile = asy.difference_profile(seq)
     rows = [[r.n, r.increase, r.decrease] for r in profile]
     csv = rio.render_csv(["n", "increase", "decrease"], rows)

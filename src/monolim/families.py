@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -70,14 +69,39 @@ def log_exponent(n: int) -> int:
 
 
 class FamilySpec:
-    """Base class: a spec provides ``ring``, ``member(n)`` and a label."""
+    """Base class: a spec provides ``ring``, ``member(n)`` and a label; it
+    overrides the defaults below where it knows a shortcut.  A ``member``
+    argument is the memoized lookup ``GradedFamily.member_ideal``."""
 
     def member(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
 
-    def length(self, n: int):
-        """Colength of I_n; overridden where a closed form is available."""
-        return self.member(n).colength()
+    def next_member(self, prev: MonomialIdeal | None, n: int) -> MonomialIdeal:
+        """I_n, given the memoized I_(n-1) when there is one."""
+        return self.member(n)
+
+    def length(self, n: int, member):
+        """Colength of I_n (n >= 1)."""
+        return member(n).colength()
+
+    def graded_violation(self, member, N: int):
+        """((m, n), detail) for the first I_m * I_n not inside I_{m+n}, else None."""
+        for m in range(1, N + 1):
+            for n in range(m, N - m + 1):
+                Im, In, Imn = member(m), member(n), member(m + n)
+                for g in Im.gens:
+                    for h in In.gens:
+                        s = tuple(a + b for a, b in zip(g, h))
+                        if not Imn.contains(s):
+                            return (m, n), f"generator product {s} escapes I_{m + n}"
+        return None
+
+    def filtration_violation(self, member, N: int):
+        """((n, n + 1), detail) for the first I_{n+1} not inside I_n, else None."""
+        for n in range(N):
+            if not member(n + 1).issubset(member(n)):
+                return (n, n + 1), f"I_{n + 1} is not inside I_{n}"
+        return None
 
     def label(self) -> str:
         raise NotImplementedError
@@ -99,6 +123,10 @@ class PowerSpec(FamilySpec):
 
     def member(self, n):
         return self.ideal.power(n)
+
+    def next_member(self, prev, n):
+        """I^(n-1) * I: one product instead of a fresh power."""
+        return self.member(n) if prev is None else prev * self.ideal
 
     def label(self):
         return f"power({format_ideal(self.ideal)})"
@@ -136,9 +164,24 @@ class MaxPowerSpec(FamilySpec):
     def member(self, n):
         return MonomialIdeal.maximal_power(self.ring, self.exponent(n))
 
-    def length(self, n):
+    def length(self, n, member):
         b, d = self.exponent(n), self.ring.d
         return comb(b + d - 1, d)
+
+    def graded_violation(self, member, N):
+        exps = [self.exponent(n) for n in range(N + 1)]
+        for m in range(1, N + 1):
+            for n in range(m, N - m + 1):
+                if exps[m] + exps[n] < exps[m + n]:
+                    return (m, n), f"exponent {exps[m]}+{exps[n]} < {exps[m + n]}"
+        return None
+
+    def filtration_violation(self, member, N):
+        for n in range(N):
+            if self.exponent(n + 1) < self.exponent(n):
+                return (n, n + 1), \
+                    f"exponent drops {self.exponent(n)} -> {self.exponent(n + 1)}"
+        return None
 
     def label(self):
         if self.kind == "table":
@@ -219,14 +262,12 @@ class ValuationSpec(FamilySpec):
         return all(sum(w * c for w, c in zip(weights, a)) >= t * n
                    for weights, t in self.constraints)
 
-    def length(self, n):
-        if n == 0:
-            return 0
+    def length(self, n, member):
         if self.ring.d != 2:
-            return self.member(n).colength()
+            return super().length(n, member)
         width = 0
         for (w1, w2), t in self.constraints:
-            if t > 0 and n > 0:
+            if t > 0:
                 if w1 == 0:
                     return INFINITE
                 width = max(width, math.ceil(t * n / w1))
@@ -345,12 +386,11 @@ class TableSpec(FamilySpec):
 
 @dataclass
 class GradedFamily:
-    """Lazily evaluated family with a thread-safe memo of canonical members."""
+    """Lazily evaluated family with a memo of canonical members and lengths."""
 
     spec: FamilySpec
     _members: dict = field(default_factory=dict, repr=False)
     _lengths: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def ring(self) -> AmbientRing:
@@ -359,32 +399,20 @@ class GradedFamily:
     def member_ideal(self, n: int) -> MonomialIdeal:
         if n < 0:
             raise FamilySpecError("family index must be nonnegative")
-        with self._lock:
-            if n in self._members:
-                return self._members[n]
+        if n in self._members:
+            return self._members[n]
         if n == 0:
             ideal = MonomialIdeal.unit(self.ring)
-        elif (isinstance(self.spec, PowerSpec)
-                and n - 1 in self._members and n > 1):
-            ideal = self._members[n - 1] * self.spec.ideal
         else:
-            ideal = self.spec.member(n)
-        with self._lock:
-            return self._members.setdefault(n, ideal)
+            ideal = self.spec.next_member(self._members.get(n - 1), n)
+        self._members[n] = ideal
+        return ideal
 
     def length(self, n: int):
         """Colength of I_n (exact; INFINITE when not primary)."""
-        with self._lock:
-            if n in self._lengths:
-                return self._lengths[n]
-        if n == 0:
-            value = 0
-        elif isinstance(self.spec, (MaxPowerSpec, ValuationSpec)):
-            value = self.spec.length(n)
-        else:
-            value = self.member_ideal(n).colength()
-        with self._lock:
-            return self._lengths.setdefault(n, value)
+        if n not in self._lengths:
+            self._lengths[n] = 0 if n == 0 else self.spec.length(n, self.member_ideal)
+        return self._lengths[n]
 
     def saturation_gap(self, n: int):
         """Length of I_n^sat / I_n (the degree-zero local cohomology of R/I_n)."""
@@ -420,41 +448,11 @@ class VerificationReport:
 
 def verify_graded(F: GradedFamily, N: int) -> VerificationReport:
     """Check I_m * I_n <= I_{m+n} for all m + n <= N."""
-    spec = F.spec
-    if isinstance(spec, MaxPowerSpec):
-        exps = [spec.exponent(n) for n in range(N + 1)]
-        for m in range(1, N + 1):
-            for n in range(m, N - m + 1):
-                if exps[m] + exps[n] < exps[m + n]:
-                    return VerificationReport(
-                        False, N, (m, n),
-                        f"exponent {exps[m]}+{exps[n]} < {exps[m + n]}")
-        return VerificationReport(True, N)
-    for m in range(1, N + 1):
-        for n in range(m, N - m + 1):
-            Im, In, Imn = F.member_ideal(m), F.member_ideal(n), F.member_ideal(m + n)
-            for g in Im.gens:
-                for h in In.gens:
-                    s = tuple(a + b for a, b in zip(g, h))
-                    if not Imn.contains(s):
-                        return VerificationReport(
-                            False, N, (m, n),
-                            f"generator product {s} escapes I_{m + n}")
-    return VerificationReport(True, N)
+    violation = F.spec.graded_violation(F.member_ideal, N)
+    return VerificationReport(violation is None, N, *(violation or ()))
 
 
 def verify_filtration(F: GradedFamily, N: int) -> VerificationReport:
     """Check the descending chain I_{n+1} <= I_n for n < N."""
-    spec = F.spec
-    if isinstance(spec, MaxPowerSpec):
-        for n in range(N):
-            if spec.exponent(n + 1) < spec.exponent(n):
-                return VerificationReport(
-                    False, N, (n, n + 1),
-                    f"exponent drops {spec.exponent(n)} -> {spec.exponent(n + 1)}")
-        return VerificationReport(True, N)
-    for n in range(N):
-        if not F.member_ideal(n + 1).issubset(F.member_ideal(n)):
-            return VerificationReport(False, N, (n, n + 1),
-                                      f"I_{n + 1} is not inside I_{n}")
-    return VerificationReport(True, N)
+    violation = F.spec.filtration_violation(F.member_ideal, N)
+    return VerificationReport(violation is None, N, *(violation or ()))

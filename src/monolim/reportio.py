@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from .errors import ConfigError
 from .families import (
     FamilySpec,
@@ -25,7 +27,7 @@ from .families import (
     TableSpec,
     ValuationSpec,
 )
-from .lattice import AmbientRing, parse_ideal
+from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 
 SCHEMA_VERSION = 1
 
@@ -215,46 +217,52 @@ def parse_module_spec(ring: AmbientRing, text: str):
 
 
 class ResultCache:
-    """Content-addressed store: (family label, n) -> canonical ideal + length.
+    """Content-addressed store: (key, package version, schema, n) -> canonical
+    ideal + length (or "INFINITE").
 
-    Hits must be bit-identical to recomputation; entries store the canonical
-    ideal text and the exact length (or "INFINITE").
+    Hits must be bit-identical to recomputation.  Entries are renamed into
+    place whole; an unreadable or incomplete one is a miss.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, label: str, n: int) -> Path:
-        digest = hashlib.sha256(f"{label}|n={n}".encode()).hexdigest()
-        return self.root / f"{digest}.json"
+    def _path(self, key: str, n: int) -> Path:
+        text = f"monolim {__version__}|schema {SCHEMA_VERSION}|{key}|n={n}"
+        return self.root / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
 
-    def get(self, label: str, n: int) -> dict | None:
-        path = self._path(label, n)
-        if not path.exists():
+    def get(self, key: str, n: int) -> dict | None:
+        try:
+            entry = json.loads(self._path(key, n).read_text())
+        except (OSError, ValueError):
             return None
-        return json.loads(path.read_text())
+        if isinstance(entry, dict) and {"ideal", "length"} <= entry.keys():
+            return entry
+        return None
 
-    def put(self, label: str, n: int, ideal_text: str, length) -> None:
+    def put(self, key: str, n: int, ideal_text: str, length) -> None:
         payload = {
             "ideal": ideal_text,
-            "length": "INFINITE" if length == float("inf") else length,
+            "length": "INFINITE" if length == INFINITE else length,
             "n": n,
         }
-        self._path(label, n).write_text(json.dumps(payload, sort_keys=True))
+        path = self._path(key, n)
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
 
 
 def cached_member_row(family, n: int, cache: ResultCache | None):
     """(ideal text, length) for I_n, going through the cache when present."""
-    from .lattice import INFINITE, format_ideal
-    label = family.label()
+    key = ",".join(family.ring.var_names) + "|" + family.label()  # labels omit the ring
     if cache is not None:
-        hit = cache.get(label, n)
+        hit = cache.get(key, n)
         if hit is not None:
             length = INFINITE if hit["length"] == "INFINITE" else hit["length"]
             return hit["ideal"], length
     text = format_ideal(family.member_ideal(n))
     length = family.length(n)
     if cache is not None:
-        cache.put(label, n, text, length)
+        cache.put(key, n, text, length)
     return text, length

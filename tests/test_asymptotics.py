@@ -59,11 +59,6 @@ def test_length_sequence_nonprimary_raises(R2):
     assert seq.entries == tuple((n, n * (n + 1) // 2) for n in range(1, 7))
 
 
-def test_length_sequence_threads_deterministic(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, y^3")))
-    assert length_sequence(fam, 12, threads=4) == length_sequence(fam, 12)
-
-
 def test_estimate_limit_triangle():
     seq = LengthSequence(tuple((n, n * (n + 1) // 2) for n in range(1, 33)), 2)
     est = estimate_limit(seq)

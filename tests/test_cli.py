@@ -151,6 +151,39 @@ def test_cli_family_eval_and_cache(tmp_path):
     assert bytes1 == Path(f"{out3}.csv").read_bytes()
 
 
+def test_cli_cache_keeps_rings_apart(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["family", "eval", "--family", "power(x^2, y^3)", "--N", "2"]
+    code, _ = run_cli(tmp_path / "d2", *args, "--cache-dir", str(cache))
+    assert code == 0
+    code, warm = run_cli(tmp_path / "warm", *args, "--ring", "x,y,z",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    code, cold = run_cli(tmp_path / "cold", *args, "--ring", "x,y,z")
+    assert code == 0
+    assert Path(f"{cold}.csv").read_text().count("INFINITE") == 2
+    for suffix in (".csv", ".json"):
+        assert Path(f"{warm}{suffix}").read_bytes() == Path(f"{cold}{suffix}").read_bytes()
+
+
+def test_cli_torn_cache_entry_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["family", "eval", "--family", "power(x^2, x*y, y^3)", "--N", "4"]
+    code, _ = run_cli(tmp_path / "first", *args, "--cache-dir", str(cache))
+    assert code == 0
+    entry = max(cache.glob("*.json"), key=lambda p: p.stat().st_size)
+    data = entry.read_bytes()
+    entry.write_bytes(data[: len(data) // 2])
+    code, warm = run_cli(tmp_path / "warm", *args, "--cache-dir", str(cache))
+    assert code == 0
+    code, cold = run_cli(tmp_path / "cold", *args)
+    assert code == 0
+    for suffix in (".csv", ".json"):
+        assert Path(f"{warm}{suffix}").read_bytes() == Path(f"{cold}{suffix}").read_bytes()
+    assert entry.read_bytes() == data
+    assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 5
+
+
 def test_cli_table_beyond_range_exits_2(tmp_path):
     code, _ = run_cli(tmp_path, "family", "eval", "--family", "table(1 | x)",
                       "--N", "5")
@@ -273,12 +306,10 @@ def test_cli_okounkov_with_supplied_constant(tmp_path):
     assert code == 1
 
 
-def test_cli_limits_threads_identical(tmp_path):
-    _, out1 = run_cli(tmp_path / "a", "limits", "--family", "power(x^2, y)",
-                      "--N", "16")
-    _, out2 = run_cli(tmp_path / "b", "limits", "--family", "power(x^2, y)",
-                      "--N", "16", "--threads", "4")
-    assert Path(f"{out1}.json").read_bytes() == Path(f"{out2}.json").read_bytes()
+def test_cli_threads_flag_is_gone(tmp_path):
+    code, _ = run_cli(tmp_path, "limits", "--family", "power(x^2, y)",
+                      "--N", "8", "--threads", "4")
+    assert code == 2
 
 
 def test_cli_family_eval_svg(tmp_path):
@@ -302,3 +333,12 @@ def test_result_cache_roundtrip(tmp_path):
     assert cache.get("label", 4) is None
     cache.put("label", 0, "1", float("inf"))
     assert cache.get("label", 0)["length"] == "INFINITE"
+
+
+def test_result_cache_unreadable_entry_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path / "c")
+    cache.put("label", 3, "x^3", 6)
+    (entry,) = (tmp_path / "c").iterdir()
+    for broken in (b'{"n": 3, "length": 6}', b"[]", b"\xff\xfe", b""):
+        entry.write_bytes(broken)
+        assert cache.get("label", 3) is None

@@ -1,7 +1,6 @@
 """Family constructors, exponent sequences, and the graded/filtration checks."""
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -196,12 +195,42 @@ def test_builtin_specs_are_graded(R2):
         assert verify_graded(build_family(spec), N).passed, spec.label()
 
 
-def test_memoized_members_identical_across_threads(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, x*y")))
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: fam.member_ideal(6), range(32)))
-    assert all(r == results[0] for r in results)
-    assert all(r.gens == results[0].gens for r in results)
+def test_verification_details(R2):
+    graded = verify_graded(build_family(MaxPowerSpec(R2, "table", (1, 1, 3))), 3)
+    assert (graded.passed, graded.first_violation, graded.detail) == \
+        (False, (1, 2), "exponent 1+1 < 3")
+    filt = verify_filtration(build_family(MaxPowerSpec(R2, "table", (2, 1))), 2)
+    assert (filt.passed, filt.first_violation, filt.detail) == \
+        (False, (1, 2), "exponent drops 2 -> 1")
+    fam = build_family(MaxPowerSpec(R2, "sigma"))
+    assert verify_graded(fam, 64).passed
+    assert fam._members == {}  # exponents alone decide; no member is built
+    def table(*texts):
+        return build_family(TableSpec(tuple(parse_ideal(R2, t) for t in texts)))
+
+    graded = verify_graded(table("1", "x", "x^3"), 2)
+    assert (graded.passed, graded.first_violation, graded.detail) == \
+        (False, (1, 1), "generator product (2, 0) escapes I_2")
+    filt = verify_filtration(table("1", "x^2", "x"), 2)
+    assert (filt.passed, filt.first_violation, filt.detail) == \
+        (False, (1, 2), "I_2 is not inside I_1")
+
+
+def test_power_members_in_order_take_one_power(R2, monkeypatch):
+    calls = []
+    power = MonomialIdeal.power
+
+    def counting_power(self, k):
+        calls.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(MonomialIdeal, "power", counting_power)
+    I = parse_ideal(R2, "x^3, x*y, y^2")
+    fam = build_family(PowerSpec(I))
+    members = [fam.member_ideal(n) for n in range(1, 11)]
+    assert calls == [1]
+    monkeypatch.undo()
+    assert members == [I ** n for n in range(1, 11)]
 
 
 def test_zero_power_family_rejected(R2):
