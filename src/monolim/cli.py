@@ -29,7 +29,6 @@ from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
     SemigroupPredicate,
     enumerate_levels,
-    okounkov_body,
     require_body_dimension,
     semigroup_limit_check,
 )
@@ -336,11 +335,8 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     require_body_dimension(pred.point_dim)
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
-    body = okounkov_body(levels)
-    rows = []
-    for i, pts in sorted(levels.levels.items()):
-        for a in pts:
-            rows.append([i, *a])
+    body = report.body
+    rows = ((i, *a) for i, pts in sorted(levels.levels.items()) for a in pts)
     csv = rio.render_csv(["level"] + [f"a{i + 1}" for i in range(levels.point_dim)],
                          rows)
     js = rio.render_json(

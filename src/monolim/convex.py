@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 from .errors import GeometryError, NotCoboundedError, NotPrimaryError
 from .lattice import MonomialIdeal
@@ -232,9 +232,12 @@ def _covol_3d(halfspaces) -> Fraction:
 
 
 def _polygon_from_halfplanes(cons):
-    """Vertices of {u >= coefficient-wise: c1*u1 + c2*u2 >= -c3... } given as
-    rows (p, q, r) meaning p*u1 + q*u2 >= -r is NOT the convention; rows are
-    (p, q, r) meaning p*u1 + q*u2 + r >= 0."""
+    """Vertices of the polygon {(u1, u2) : p*u1 + q*u2 + r >= 0 for every row}.
+
+    ``cons`` holds rows (p, q, r).  The vertices are the pairwise meets of
+    the boundary lines that satisfy every row; three or more are returned in
+    counterclockwise order, fewer as they come.
+    """
     pts = set()
     for (p1, q1, r1), (p2, q2, r2) in itertools.combinations(cons, 2):
         det = p1 * q2 - p2 * q1
@@ -342,42 +345,46 @@ def _hull_halfspaces_2d(gens):
     return out
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _hull_halfspaces_3d(gens):
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    candidates = []
-    for g1, g2, g3 in itertools.combinations(gens, 3):
-        u = tuple(a - b for a, b in zip(g2, g1))
-        v = tuple(a - b for a, b in zip(g3, g1))
-        candidates.append((_cross(u, v), g1))
-    for g1, g2 in itertools.combinations(gens, 2):
-        u = tuple(a - b for a, b in zip(g2, g1))
-        for e in axes:
-            candidates.append((_cross(u, e), g1))
-    seen = set()
+    """Supporting halfspaces of the upward hull of integer or rational seeds.
+
+    Candidate normals are the cross products of the edges of every seed
+    triple, and of every seed pair with each axis, based at the first seed.
+    The seeds are scaled to integers once by their common denominator; each
+    candidate is reduced to its primitive nonnegative direction, and a
+    direction is kept, with offset min over the seeds, when that minimum is
+    positive and one of its candidates' bases attains it.
+    """
+    den = lcm(*(c.denominator for g in gens for c in g))
+    pts = [tuple(c.numerator * (den // c.denominator) for c in g) for g in gens]
+    bases: dict[tuple[int, int, int], set[int]] = {}
+
+    def add(n1, n2, n3, base):
+        g = gcd(n1, n2, n3)
+        if g == 0:
+            return
+        if n1 <= 0 and n2 <= 0 and n3 <= 0:
+            g = -g
+        elif n1 < 0 or n2 < 0 or n3 < 0:
+            return
+        bases.setdefault((n1 // g, n2 // g, n3 // g), set()).add(base)
+
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = pts[i], pts[j], pts[k]
+        u1, u2, u3 = x2 - x1, y2 - y1, z2 - z1
+        v1, v2, v3 = x3 - x1, y3 - y1, z3 - z1
+        add(u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1, i)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        u1, u2, u3 = (a - b for a, b in zip(pts[j], pts[i]))
+        add(0, u3, -u2, i)
+        add(-u3, 0, u1, i)
+        add(u2, -u1, 0, i)
     out = []
-    for n, base in candidates:
-        if all(c == 0 for c in n):
-            continue
-        if all(c <= 0 for c in n):
-            n = tuple(-c for c in n)
-        if any(c < 0 for c in n):
-            continue
-        b = sum(a * c for a, c in zip(n, base))
-        if b <= 0:
-            continue
-        if any(sum(a * c for a, c in zip(n, g)) < b for g in gens):
-            continue
-        key = _primitive(n, b)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
+    for (n1, n2, n3), idx in bases.items():
+        dots = [n1 * x + n2 * y + n3 * z for x, y, z in pts]
+        low = min(dots)
+        if low > 0 and any(dots[i] == low for i in idx):
+            out.append(((n1, n2, n3), Fraction(low, den)))
     return out
 
 

@@ -334,21 +334,29 @@ class SaturationSpec(FamilySpec):
 
 @dataclass(frozen=True)
 class ProductSpec(FamilySpec):
-    """Memberwise product I_n = F_n * G_n of two families."""
+    """Memberwise product I_n = F_n * G_n of two families.
+
+    Each factor's members come from a memoized family of its own, so a power
+    factor takes one product per step, as a power family does.
+    """
 
     left: FamilySpec
     right: FamilySpec
+    _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.left.ring != self.right.ring:
             raise FamilySpecError("factors live in different rings")
+        object.__setattr__(self, "_factors",
+                           (GradedFamily(self.left), GradedFamily(self.right)))
 
     @property
     def ring(self):
         return self.left.ring
 
     def member(self, n):
-        return self.left.member(n) * self.right.member(n)
+        left, right = self._factors
+        return left.member_ideal(n) * right.member_ideal(n)
 
     def label(self):
         return f"product({self.left.label()}; {self.right.label()})"

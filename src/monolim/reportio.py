@@ -9,9 +9,11 @@ UTF-8 with a header row and rationals printed ``p/q``; JSON artifacts carry a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,18 +60,21 @@ def json_ready(value):
     return str(value)
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
+def _csv_cell(cell) -> str:
+    """Integers plain, rationals p/q, floats to 12 significant digits."""
+    if type(cell) is int:
+        return str(cell)
+    if isinstance(cell, Fraction):
+        return format_rational(cell)
+    if isinstance(cell, float):
+        return f"{cell:.12g}"
+    return str(cell)
+
+
+def render_csv(header: list[str], rows: Iterable[Sequence]) -> str:
+    """Header line, then one line per row; ``rows`` is iterated once."""
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, Fraction):
-                cells.append(format_rational(cell))
-            elif isinstance(cell, float):
-                cells.append(f"{cell:.12g}")
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -216,12 +221,22 @@ def parse_module_spec(ring: AmbientRing, text: str):
 # -- result cache --------------------------------------------------------------
 
 
-class ResultCache:
-    """Content-addressed store: (key, package version, schema, n) -> canonical
-    ideal + length (or "INFINITE").
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the names and bytes of the package's ``*.py`` files."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
 
-    Hits must be bit-identical to recomputation.  Entries are renamed into
-    place whole; an unreadable or incomplete one is a miss.
+
+class ResultCache:
+    """Content-addressed store: (key, package version, source digest, schema,
+    n) -> canonical ideal + length (or "INFINITE").
+
+    Hits must be bit-identical to recomputation; the source digest keeps a
+    changed kernel from reading entries written by the old one.  Entries are
+    renamed into place whole; an unreadable or incomplete one is a miss.
     """
 
     def __init__(self, root):
@@ -229,7 +244,8 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str, n: int) -> Path:
-        text = f"monolim {__version__}|schema {SCHEMA_VERSION}|{key}|n={n}"
+        text = (f"monolim {__version__}|source {source_digest()}"
+                f"|schema {SCHEMA_VERSION}|{key}|n={n}")
         return self.root / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
 
     def get(self, key: str, n: int) -> dict | None:

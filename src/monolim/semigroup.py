@@ -279,8 +279,27 @@ def lattice_invariants(L: SemigroupLevels, vector_cap: int = 2000) -> LatticeInv
 
 
 def convex_hull_2d(points):
-    """Counterclockwise convex hull of exact rational points."""
-    pts = sorted(set(points))
+    """Counterclockwise convex hull of exact rational points.
+
+    The vertices start at the least point in (x, y) order; points on an edge
+    are not vertices.  Only the lowest and highest point of each x-column can
+    be a vertex, so the chain runs on those alone.
+    """
+    columns: dict = {}
+    for x, y in points:
+        span = columns.get(x)
+        if span is None:
+            columns[x] = [y, y]
+        elif y < span[0]:
+            span[0] = y
+        elif y > span[1]:
+            span[1] = y
+    pts = []
+    for x in sorted(columns):
+        lo, hi = columns[x]
+        pts.append((x, lo))
+        if hi != lo:
+            pts.append((x, hi))
     if len(pts) <= 2:
         return pts
 
@@ -308,10 +327,12 @@ def require_body_dimension(point_dim: int) -> None:
 
 
 def okounkov_body(L: SemigroupLevels):
-    """Convex hull of the normalized points {point / level} (point dim <= 2).
+    """Vertices of the convex hull of the normalized points {point / level}.
 
-    Each level is hulled on raw integer coordinates first (scaling commutes
-    with hulls), so only the extreme points are normalized.
+    Point dimension 1 gives the interval's endpoints; point dimension 2 the
+    counterclockwise polygon of :func:`convex_hull_2d`.  Each retained level
+    is hulled on its raw integer points first (scaling commutes with hulls),
+    so only its extreme points are normalized to ``Fraction``s.
     """
     require_body_dimension(L.point_dim)
     if L.max_level < 3:
@@ -370,13 +391,15 @@ class SemigroupLimitReport:
     tail_ratios: tuple[tuple[int, Fraction], ...]
     rel_gap: float
     bounded_max: float
+    body: tuple[tuple[Fraction, ...], ...]
 
 
 def semigroup_limit_check(L: SemigroupLevels) -> SemigroupLimitReport:
     """Compare the normalized level counts against vol/ind.
 
     Also reports the boundedness diagnostic max_k #S_{mk}/k^q (a bounded
-    value is the finite-data signal that the counting exponent q suffices).
+    value is the finite-data signal that the counting exponent q suffices)
+    and the vertices of the body from :func:`okounkov_body`.
     """
     inv = lattice_invariants(L)
     body = okounkov_body(L)
@@ -394,4 +417,5 @@ def semigroup_limit_check(L: SemigroupLevels) -> SemigroupLimitReport:
     gap = float(abs(tail_mean - expected) / expected) if expected else float(
         abs(tail_mean))
     bounded = max(float(r) for _, r in ratios)
-    return SemigroupLimitReport(inv, vol, expected, tail, gap, bounded)
+    return SemigroupLimitReport(inv, vol, expected, tail, gap, bounded,
+                                tuple(body))

@@ -1,19 +1,23 @@
 """Shared fixtures and brute-force oracles for the test suite.
 
-The oracles work purely by lattice-point enumeration over explicit boxes
-(numpy membership matrices) and stay independent of the staircase code they
-check.
+The staircase oracles work purely by lattice-point enumeration over explicit
+boxes (numpy membership matrices) and stay independent of the staircase code
+they check.  The hull oracles are the per-candidate ``Fraction`` kernels that
+the integer, output-sensitive ones replaced, kept here unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from monolim import AmbientRing, MonomialIdeal
+from monolim.errors import GeometryError
 
 
 @pytest.fixture(scope="session")
@@ -102,3 +106,84 @@ def random_primary_ideal(rng: random.Random, ring: AmbientRing,
         if any(g):
             gens.append(g)
     return MonomialIdeal.from_gens(ring, gens)
+
+
+# -- hull oracles: the per-candidate kernels, kept as they were ----------------
+
+
+def _oracle_primitive(normal, offset):
+    fracs = [Fraction(c) for c in normal]
+    mult = 1
+    for f in fracs:
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in fracs]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    if g == 0:
+        raise GeometryError("zero normal vector")
+    return tuple(c // g for c in ints), Fraction(offset) * mult / g
+
+
+def _oracle_cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def oracle_hull_halfspaces_3d(gens):
+    """Every candidate normal checked against every seed in the seeds' own
+    arithmetic (``Fraction`` when they are rational)."""
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    candidates = []
+    for g1, g2, g3 in itertools.combinations(gens, 3):
+        u = tuple(a - b for a, b in zip(g2, g1))
+        v = tuple(a - b for a, b in zip(g3, g1))
+        candidates.append((_oracle_cross(u, v), g1))
+    for g1, g2 in itertools.combinations(gens, 2):
+        u = tuple(a - b for a, b in zip(g2, g1))
+        for e in axes:
+            candidates.append((_oracle_cross(u, e), g1))
+    seen = set()
+    out = []
+    for n, base in candidates:
+        if all(c == 0 for c in n):
+            continue
+        if all(c <= 0 for c in n):
+            n = tuple(-c for c in n)
+        if any(c < 0 for c in n):
+            continue
+        b = sum(a * c for a, c in zip(n, base))
+        if b <= 0:
+            continue
+        if any(sum(a * c for a, c in zip(n, g)) < b for g in gens):
+            continue
+        key = _oracle_primitive(n, b)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(key)
+    return out
+
+
+def oracle_convex_hull_2d(points):
+    """Monotone chain over every distinct point."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                (x0, y0), (x1, y1) = out[-2], out[-1]
+                if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return lower[:-1] + upper[:-1]

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from monolim import reportio, semigroup
 from monolim.cli import run
 from monolim.reportio import (
     ResultCache,
@@ -34,6 +35,12 @@ def test_format_rational():
 def test_render_csv_rationals():
     text = render_csv(["a", "b"], [[1, Fraction(1, 2)], [2, Fraction(4, 2)]])
     assert text == "a,b\n1,1/2\n2,2\n"
+
+
+def test_render_csv_cell_types():
+    text = render_csv(["c"] * 7, [[-3, Fraction(-7, 3), 0.1 + 0.2, 2.0, True,
+                                   "PASS", None]])
+    assert text == "c,c,c,c,c,c,c\n-3,-7/3,0.3,2,True,PASS,None\n"
 
 
 def test_parse_config_tree():
@@ -266,6 +273,30 @@ def test_cli_okounkov(tmp_path):
     assert doc["results"]["invariants"]["m"] == 1
 
 
+def test_cli_okounkov_builds_the_body_once(tmp_path, monkeypatch):
+    body = semigroup.okounkov_body
+    calls = []
+
+    def counting_body(levels):
+        calls.append(levels.max_level)
+        return body(levels)
+
+    monkeypatch.setattr(semigroup, "okounkov_body", counting_body)
+    pinned = {
+        "power(x^3, x*y, y^2)": [["0", "2"], ["1", "1"], ["3", "0"], ["6", "0"],
+                                 ["0", "6"]],
+        "valuation(2,1 >= 2; 1,3 >= 1)": [["0", "2"], ["1", "0"], ["4", "0"],
+                                          ["0", "4"]],
+    }
+    for spec, vertices in pinned.items():
+        calls.clear()
+        code, out = run_cli(tmp_path, "okounkov", "--family", spec, "--N", "12")
+        assert code == 0
+        assert calls == [12]
+        doc = json.loads(Path(f"{out}.json").read_text())
+        assert doc["results"]["body_vertices"] == vertices
+
+
 def test_cli_okounkov_rejects_point_dimension_3_before_enumerating(tmp_path, capsys):
     t0 = time.perf_counter()
     code, _ = run_cli(tmp_path, "okounkov", "--ring", "x,y,z", "--family",
@@ -342,3 +373,17 @@ def test_result_cache_unreadable_entry_is_a_miss(tmp_path):
     for broken in (b'{"n": 3, "length": 6}', b"[]", b"\xff\xfe", b""):
         entry.write_bytes(broken)
         assert cache.get("label", 3) is None
+
+
+def test_result_cache_is_keyed_by_source_digest(tmp_path, monkeypatch):
+    assert reportio.source_digest() == reportio.source_digest()
+    cache = ResultCache(tmp_path / "c")
+    cache.put("label", 3, "x^3", 6)
+    assert cache.get("label", 3) is not None
+    monkeypatch.setattr(reportio, "source_digest", lambda: "0" * 64)
+    assert cache.get("label", 3) is None
+    cache.put("label", 3, "x^3", 6)
+    assert cache.get("label", 3) is not None
+    monkeypatch.undo()
+    assert len(list((tmp_path / "c").iterdir())) == 2
+

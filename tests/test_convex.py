@@ -5,8 +5,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_primary_ideal
+from conftest import oracle_hull_halfspaces_3d, random_primary_ideal
 from monolim import (
     AmbientRing,
     MonomialIdeal,
@@ -22,6 +24,7 @@ from monolim import (
     scale_region,
 )
 from monolim import MaxPowerSpec, PowerSpec, ValuationSpec
+from monolim.convex import _hull_halfspaces_3d
 from monolim.errors import GeometryError, NotCoboundedError, NotPrimaryError
 
 
@@ -252,3 +255,30 @@ def test_minkowski_sum_support_additivity():
 def test_dim_mismatch():
     with pytest.raises(GeometryError):
         minkowski_sum(region(2, [((1, 1), 1)]), region(1, [((1,), 1)]))
+
+
+_seeds_3d = st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=3, max_size=10)
+_scales = st.one_of(st.just(1), st.fractions(min_value=Fraction(1, 30),
+                                             max_value=30, max_denominator=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seeds_3d, _scales)
+def test_hull_halfspaces_3d_match_the_per_candidate_oracle(gens, scale):
+    seeds = [tuple(c * scale for c in g) for g in gens]
+    got = _hull_halfspaces_3d(seeds)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(oracle_hull_halfspaces_3d(seeds))
+    assert all(type(c) is int for n, _ in got for c in n)
+
+
+def test_hull_halfspaces_3d_of_a_minkowski_sum_match_the_oracle(R3):
+    I = parse_ideal(R3, "x^7, y^6, z^5, x^3*y^2, x*y*z")
+    J = parse_ideal(R3, "x^5, y^7, z^6, y*z^4")
+    D1 = scale_region(hull_region(I), Fraction(1, 3))
+    D2 = scale_region(hull_region(J), Fraction(2, 5))
+    seeds = sorted({tuple(a + b for a, b in zip(p, q))
+                    for p in D1.seeds for q in D2.seeds})
+    expected = oracle_hull_halfspaces_3d(seeds)
+    assert set(_hull_halfspaces_3d(seeds)) == set(expected)
+    assert minkowski_sum(D1, D2) == region(3, expected)

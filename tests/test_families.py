@@ -18,6 +18,7 @@ from monolim import (
     TableSpec,
     ValuationSpec,
     build_family,
+    length_sequence,
     log_exponent,
     parse_ideal,
     sigma_exponent,
@@ -231,6 +232,28 @@ def test_power_members_in_order_take_one_power(R2, monkeypatch):
     assert calls == [1]
     monkeypatch.undo()
     assert members == [I ** n for n in range(1, 11)]
+
+
+def test_product_of_powers_steps_each_factor_once(R2, monkeypatch):
+    I, J = parse_ideal(R2, "x, y^2"), parse_ideal(R2, "x^2, y")
+    N = 100
+    calls = []
+    multiply = MonomialIdeal.multiply
+
+    def counting_multiply(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
+    fam = build_family(ProductSpec(PowerSpec(I), PowerSpec(J)))
+    lengths = dict(length_sequence(fam, N).entries)
+    assert len(calls) <= 3 * N
+    monkeypatch.undo()
+    for n in (1, 2, 3, 17, 64, N):
+        assert lengths[n] == (I.power(n) * J.power(n)).colength()
+    for n in range(1, 8):
+        assert lengths[n] == oracle_colength(fam.member_ideal(n))
 
 
 def test_zero_power_family_rejected(R2):

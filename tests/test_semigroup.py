@@ -3,6 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_convex_hull_2d
 
 from monolim import (
     PowerSpec,
@@ -16,7 +20,12 @@ from monolim import (
     semigroup_limit_check,
 )
 from monolim.errors import MonolimError, SemigroupError
-from monolim.semigroup import _row_lattice_basis, _saturation_index, body_volume
+from monolim.semigroup import (
+    _row_lattice_basis,
+    _saturation_index,
+    body_volume,
+    convex_hull_2d,
+)
 
 
 def _toy(beta, member, label=""):
@@ -172,3 +181,44 @@ def test_count_gap_shrinks_as_levels_double():
     gap_small = semigroup_limit_check(enumerate_levels(_toy(2, member), 50)).rel_gap
     gap_large = semigroup_limit_check(enumerate_levels(_toy(2, member), 200)).rel_gap
     assert gap_large < gap_small
+
+
+_coord = st.integers(0, 6)
+
+
+@st.composite
+def _planar_points(draw):
+    kind = draw(st.sampled_from(("scatter", "few", "column", "line")))
+    if kind == "scatter":
+        pts = draw(st.lists(st.tuples(_coord, _coord), max_size=40))
+    elif kind == "few":
+        pts = draw(st.lists(st.tuples(_coord, _coord), max_size=2))
+    elif kind == "column":
+        x = draw(_coord)
+        pts = [(x, y) for y in draw(st.lists(_coord, min_size=1, max_size=8))]
+    else:
+        # points of a line, some columns extended upward or downward
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(0, 20))
+        xs = draw(st.lists(_coord, min_size=1, max_size=8))
+        pts = [(x, a * x + b + draw(st.sampled_from((0, 0, -1, 1)))) for x in xs]
+        pts += [(x, a * x + b) for x in xs]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4)) if pts else []
+    scale = draw(st.one_of(st.just(1), st.fractions(min_value=Fraction(1, 9),
+                                                    max_value=9, max_denominator=9)))
+    return [(x * scale, y * scale) for x, y in draw(st.permutations(pts))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planar_points())
+def test_convex_hull_2d_matches_the_monotone_chain_oracle(points):
+    assert convex_hull_2d(points) == oracle_convex_hull_2d(points)
+
+
+def test_convex_hull_2d_small_cases():
+    assert convex_hull_2d([]) == []
+    assert convex_hull_2d([(1, 2), (1, 2)]) == [(1, 2)]
+    assert convex_hull_2d([(3, 0), (1, 2)]) == [(1, 2), (3, 0)]
+    assert convex_hull_2d([(2, y) for y in (5, 0, 3, 1)]) == [(2, 0), (2, 5)]
+    assert convex_hull_2d([(x, x) for x in range(5)]) == [(0, 0), (4, 4)]
+    assert convex_hull_2d([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1)]) == [
+        (0, 0), (2, 0), (0, 2)]
