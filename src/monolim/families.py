@@ -10,7 +10,6 @@ explicit tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,12 +188,98 @@ class MaxPowerSpec(FamilySpec):
         return f"maxpower({self.kind})"
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over 0 <= i < n, for m >= 1 and any a, b.
+
+    Writing a = qa*m + a' and b = qb*m + b' with 0 <= a', b' < m splits off
+    qa*n(n-1)/2 + qb*n.  What is left counts the lattice points (i, k) with
+    0 <= i < n, k >= 1 and m*k <= a'*i + b'.  Counting them by k instead: with
+    t = a'*n + b', row k holds floor((t - m*k) / a') points for
+    1 <= k <= K = t // m, and putting k = K - l turns that into
+    floor((m*l + t % m) / a') for 0 <= l < K, the same sum with (n, m, a, b)
+    = (K, a', m, t % m).  The moduli fall as in Euclid's algorithm, so there
+    are O(log m) rounds.
+    """
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        t = a * n + b
+        n, m, a, b = t // m, a, m, t % m
+    return total
+
+
+def _ceil_div(p: int, q: int) -> int:
+    return -(-p // q)
+
+
+def _count_outside(rows) -> int:
+    """#{a >= 0 : <w, a> < t for some (w, t) in rows}.
+
+    ``rows`` is nonempty and every weight and every t is a positive integer.
+    Slices along the first coordinate x < max ceil(t / w_1); each slice is
+    the same count in one dimension less with right-hand sides t - w_1 * x.
+    """
+    d = len(rows[0][0])
+    if d == 2:
+        return _count_outside_2d(rows)
+    width = max(_ceil_div(t, w[0]) for w, t in rows)
+    if d == 1:
+        return width
+    total = 0
+    for x in range(width):
+        total += _count_outside([(w[1:], t - w[0] * x)
+                                 for w, t in rows if t > w[0] * x])
+    return total
+
+
+def _count_outside_2d(rows) -> int:
+    """The d = 2 case: the sum over x < width of max_j ceil((t_j - u_j*x) / v_j).
+
+    On 0 <= x < width some t_j - u_j*x is positive, so the maximum needs no
+    clipping at 0, and ceil(max) = max(ceil).  Each row is the maximum on an
+    integer interval of x (ties go to the lowest index), cut out by one
+    comparison with every other row, and its ceilings there are one
+    ``floor_sum``: O(k^2 log t) for k rows.
+    """
+    width = max(_ceil_div(t, u) for (u, _), t in rows)
+    total = 0
+    for j, ((u, v), t) in enumerate(rows):
+        lo, hi = 0, width - 1
+        for i, ((p, q), s) in enumerate(rows):
+            if i == j:
+                continue
+            # (t - u*x)/v >= (s - p*x)/q, strictly when row i comes first,
+            # is c*x <= r:
+            c = u * q - p * v
+            r = t * q - s * v - (i < j)
+            if c > 0:
+                hi = min(hi, r // c)
+            elif c < 0:
+                lo = max(lo, -(r // -c))
+            elif r < 0:
+                hi = -1
+        if lo <= hi:
+            # ceil((t - u*x)/v) at x = hi - i is floor((u*i + t + v - 1 - u*hi)/v)
+            total += floor_sum(hi - lo + 1, v, u, t + v - 1 - u * hi)
+    return total
+
+
 @dataclass(frozen=True)
 class ValuationSpec(FamilySpec):
-    """I_n = monomials a with <weights_j, a> >= threshold_j * n for all j."""
+    """I_n = monomials a with <weights_j, a> >= threshold_j * n for all j.
+
+    Each constraint is scaled once by the lcm of its denominators, so members
+    and lengths are computed in ints.  A length costs O(k^2 log n) in d = 2
+    and n^(d-2) times that in d > 2, for k constraints; a member is read from
+    the least last coordinate of each column over the first d - 1
+    coordinates.
+    """
 
     ring: AmbientRing
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.constraints:
@@ -206,6 +291,13 @@ class ValuationSpec(FamilySpec):
                 raise FamilySpecError("weights must be nonnegative and not all zero")
             if threshold < 0:
                 raise FamilySpecError("thresholds must be nonnegative")
+        scaled = []
+        for weights, threshold in self.constraints:
+            values = [Fraction(c) for c in (*weights, threshold)]
+            scale = math.lcm(*(c.denominator for c in values))
+            ints = [int(c * scale) for c in values]
+            scaled.append((tuple(ints[:-1]), ints[-1]))
+        object.__setattr__(self, "_scaled", tuple(scaled))
 
     @staticmethod
     def make(ring, constraints) -> "ValuationSpec":
@@ -213,71 +305,62 @@ class ValuationSpec(FamilySpec):
             (tuple(Fraction(w) for w in weights), Fraction(t))
             for weights, t in constraints))
 
-    def _column_floor(self, n: int, x: int):
-        """Least y with (x, y) a member (d = 2), or None if the column is empty."""
-        need = Fraction(0)
-        for (w1, w2), t in self.constraints:
-            gap = t * n - w1 * x
-            if gap > 0:
-                if w2 == 0:
-                    return None
-                need = max(need, gap / w2)
-        return math.ceil(need)
-
     def member(self, n):
-        d = self.ring.d
+        """Generators from column floors over the first d - 1 coordinates.
+
+        A column's floor is its least member's last coordinate; floors never
+        rise along a coordinate, so a column gives a minimal generator iff
+        its floor lies strictly below every predecessor neighbour's (an
+        empty column counts as infinitely high).  Coordinate i is scanned
+        only while some unmet constraint still grows with it.
+        """
         if n == 0:
             return MonomialIdeal.unit(self.ring)
-        if d == 2:
-            width = 0
-            for (w1, _), t in self.constraints:
-                if w1 > 0:
-                    width = max(width, math.ceil(t * n / w1))
-            gens = []
-            prev = None
-            for x in range(width + 1):
-                y = self._column_floor(n, x)
-                if y is None:
-                    continue
-                if prev is None or y < prev:
-                    gens.append((x, y))
-                    prev = y
-                if y == 0:
-                    break
-            return MonomialIdeal.from_gens(self.ring, gens)
-        bounds = []
-        for i in range(d):
-            hi = 0
-            for weights, t in self.constraints:
-                if weights[i] > 0:
-                    hi = max(hi, math.ceil(t * n / weights[i]))
-            bounds.append(hi)
+        last = self.ring.d - 1
+        weights = [w for w, _ in self._scaled]
+        floors: dict = {}
         gens = []
-        for a in itertools.product(*[range(b + 1) for b in bounds]):
-            if self._is_member(n, a):
-                gens.append(a)
+
+        def scan(prefix, gaps):
+            i = len(prefix)
+            if i == last:
+                floor = 0
+                for w, g in zip(weights, gaps):
+                    if g > 0:
+                        if w[i] == 0:
+                            return
+                        floor = max(floor, _ceil_div(g, w[i]))
+                if all(floors.get(prefix[:k] + (c - 1,) + prefix[k + 1:], math.inf)
+                       > floor for k, c in enumerate(prefix) if c):
+                    gens.append(prefix + (floor,))
+                floors[prefix] = floor
+                return
+            bound = max((_ceil_div(g, w[i]) for w, g in zip(weights, gaps)
+                         if g > 0 and w[i] > 0), default=0)
+            for c in range(bound + 1):
+                scan(prefix + (c,), [g - w[i] * c for w, g in zip(weights, gaps)])
+
+        scan((), [s * n for _, s in self._scaled])
         return MonomialIdeal.from_gens(self.ring, gens)
 
-    def _is_member(self, n: int, a) -> bool:
-        return all(sum(w * c for w, c in zip(weights, a)) >= t * n
-                   for weights, t in self.constraints)
-
     def length(self, n, member):
-        if self.ring.d != 2:
-            return super().length(n, member)
-        width = 0
-        for (w1, w2), t in self.constraints:
-            if t > 0:
-                if w1 == 0:
-                    return INFINITE
-                width = max(width, math.ceil(t * n / w1))
-        total = 0
-        for x in range(width):
-            y = self._column_floor(n, x)
-            if y is None:
-                return INFINITE
-            total += y
-        return total
+        """I_n is primary iff every constraint with t > 0 has all weights
+        positive; then the standard monomials are the a >= 0 that fail some
+        such constraint."""
+        rows = [(w, s * n) for w, s in self._scaled if s]
+        if not rows:
+            return 0
+        if any(0 in w for w, _ in rows):
+            return INFINITE
+        return _count_outside(rows)
+
+    def graded_violation(self, member, N):
+        """None: <w, a + b> = <w, a> + <w, b> >= t*m + t*n for a in I_m, b in I_n."""
+        return None
+
+    def filtration_violation(self, member, N):
+        """None: t >= 0, so the threshold t*n never falls as n grows."""
+        return None
 
     def label(self):
         parts = []

@@ -3,20 +3,24 @@
 The staircase oracles work purely by lattice-point enumeration over explicit
 boxes (numpy membership matrices) and stay independent of the staircase code
 they check.  The hull oracles are the per-candidate ``Fraction`` kernels that
-the integer, output-sensitive ones replaced, kept here unchanged.
+the integer, output-sensitive ones replaced, kept here unchanged; so are the
+valuation-family oracles (``Fraction`` column floors in d = 2, a box scan in
+d >= 3).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 
-from monolim import AmbientRing, MonomialIdeal
+from monolim import INFINITE, AmbientRing, MonomialIdeal
 from monolim.errors import GeometryError
 
 
@@ -28,6 +32,14 @@ def R2() -> AmbientRing:
 @pytest.fixture(scope="session")
 def R3() -> AmbientRing:
     return AmbientRing.default(3)
+
+
+def timed(fn, budget_s: float = 1.0):
+    """fn(), asserting that it returns within ``budget_s`` seconds."""
+    t0 = time.perf_counter()
+    value = fn()
+    assert time.perf_counter() - t0 < budget_s
+    return value
 
 
 def box_points(bounds):
@@ -187,3 +199,78 @@ def oracle_convex_hull_2d(points):
     lower = half(pts)
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
+
+
+# -- valuation oracles: the Fraction kernels, kept as they were ----------------
+
+
+def _oracle_column_floor(spec, n: int, x: int):
+    """Least y with (x, y) a member (d = 2), or None if the column is empty."""
+    need = Fraction(0)
+    for (w1, w2), t in spec.constraints:
+        gap = t * n - w1 * x
+        if gap > 0:
+            if w2 == 0:
+                return None
+            need = max(need, gap / w2)
+    return math.ceil(need)
+
+
+def _oracle_is_member(spec, n: int, a) -> bool:
+    return all(sum(w * c for w, c in zip(weights, a)) >= t * n
+               for weights, t in spec.constraints)
+
+
+def oracle_valuation_member(spec, n):
+    """I_n of a ``ValuationSpec``: column scan in d = 2, box scan otherwise."""
+    d = spec.ring.d
+    if n == 0:
+        return MonomialIdeal.unit(spec.ring)
+    if d == 2:
+        width = 0
+        for (w1, _), t in spec.constraints:
+            if w1 > 0:
+                width = max(width, math.ceil(t * n / w1))
+        gens = []
+        prev = None
+        for x in range(width + 1):
+            y = _oracle_column_floor(spec, n, x)
+            if y is None:
+                continue
+            if prev is None or y < prev:
+                gens.append((x, y))
+                prev = y
+            if y == 0:
+                break
+        return MonomialIdeal.from_gens(spec.ring, gens)
+    bounds = []
+    for i in range(d):
+        hi = 0
+        for weights, t in spec.constraints:
+            if weights[i] > 0:
+                hi = max(hi, math.ceil(t * n / weights[i]))
+        bounds.append(hi)
+    gens = []
+    for a in itertools.product(*[range(b + 1) for b in bounds]):
+        if _oracle_is_member(spec, n, a):
+            gens.append(a)
+    return MonomialIdeal.from_gens(spec.ring, gens)
+
+
+def oracle_valuation_length(spec, n):
+    """l(R/I_n) (n >= 1): column floors in d = 2, the member's colength otherwise."""
+    if spec.ring.d != 2:
+        return oracle_valuation_member(spec, n).colength()
+    width = 0
+    for (w1, w2), t in spec.constraints:
+        if t > 0:
+            if w1 == 0:
+                return INFINITE
+            width = max(width, math.ceil(t * n / w1))
+    total = 0
+    for x in range(width):
+        y = _oracle_column_floor(spec, n, x)
+        if y is None:
+            return INFINITE
+        total += y
+    return total

@@ -2,9 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
-from conftest import oracle_colength
+from conftest import (
+    oracle_colength,
+    oracle_valuation_length,
+    oracle_valuation_member,
+    timed,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolim import (
     INFINITE,
@@ -27,6 +35,7 @@ from monolim import (
     verify_graded,
 )
 from monolim.errors import FamilyRangeError, FamilySpecError
+from monolim.families import FamilySpec, floor_sum
 
 
 def test_sigma_multiplier_values():
@@ -206,6 +215,9 @@ def test_verification_details(R2):
     fam = build_family(MaxPowerSpec(R2, "sigma"))
     assert verify_graded(fam, 64).passed
     assert fam._members == {}  # exponents alone decide; no member is built
+    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    assert verify_graded(fam, 64).passed and verify_filtration(fam, 64).passed
+    assert fam._members == {}  # linear weights decide; no member is built
     def table(*texts):
         return build_family(TableSpec(tuple(parse_ideal(R2, t) for t in texts)))
 
@@ -265,3 +277,79 @@ def test_family_length_infinite_for_nonprimary(R2):
     fam = build_family(PowerSpec(parse_ideal(R2, "x^2, x*y")))
     assert fam.length(2) == INFINITE
     assert fam.saturation_gap(2) == 3
+
+
+# -- integer valuation kernels against the Fraction oracles ---------------------
+
+
+_weight = st.one_of(st.integers(0, 3),
+                    st.builds(Fraction, st.integers(1, 4), st.sampled_from([2, 3])))
+_threshold = st.one_of(st.integers(0, 2),
+                       st.builds(Fraction, st.integers(0, 4), st.sampled_from([2, 3])))
+
+
+def _valuation_specs(d: int):
+    """1-3 constraints with int or Fraction entries; zero weights and zero
+    thresholds occur, and so do non-primary (INFINITE) members."""
+    weights = st.tuples(*[_weight] * d).filter(any)
+    return st.lists(st.tuples(weights, _threshold), min_size=1, max_size=3).map(
+        lambda cons: ValuationSpec.make(AmbientRing.default(d), cons))
+
+
+@settings(max_examples=180, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(_valuation_specs))
+def test_valuation_kernels_match_the_oracles(spec):
+    # the d = 3 oracle scans a box of side O(n)
+    for n in range(7 if spec.ring.d == 2 else 4):
+        assert spec.member(n).gens == oracle_valuation_member(spec, n).gens
+        if n:
+            assert spec.length(n, None) == oracle_valuation_length(spec, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valuation_specs(4))
+def test_valuation_length_matches_colength_4d(spec):
+    fam = build_family(spec)
+    for n in (1, 2):
+        box = oracle_colength(fam.member_ideal(n))
+        assert fam.length(n) == fam.member_ideal(n).colength() == \
+            (INFINITE if box is None else box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 30), st.integers(-60, 60),
+       st.integers(-60, 60))
+def test_floor_sum_matches_the_direct_sum(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(_valuation_specs))
+def test_valuation_verifiers_match_the_member_path(spec):
+    fam = build_family(spec)
+    assert spec.graded_violation(fam.member_ideal, 6) == \
+        FamilySpec.graded_violation(spec, fam.member_ideal, 6)
+    assert spec.filtration_violation(fam.member_ideal, 6) == \
+        FamilySpec.filtration_violation(spec, fam.member_ideal, 6)
+
+
+def test_valuation_lengths_at_huge_n(R2, R3):
+    n = 10 ** 9
+    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    # the column floor is 2n - 2x for x < n
+    assert timed(lambda: fam.length(n)) == n * n + n
+    fam = build_family(ValuationSpec.make(R2, [((1, 1), 1)]))
+    assert timed(lambda: fam.length(n)) == comb(n + 1, 2)
+    n = 10 ** 4
+    fam = build_family(ValuationSpec.make(R3, [((1, 1, 1), 1)]))
+    assert timed(lambda: fam.length(n)) == comb(n + 2, 3)
+
+
+def test_valuation_length_sequences_in_budget(R2, R3):
+    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    seq = timed(lambda: length_sequence(fam, 1000), 0.5)
+    assert all(v == n * n + n for n, v in seq.entries)
+    fam = build_family(ValuationSpec.make(R3, [((2, 1, 1), 2), ((1, 3, 1), 1)]))
+    seq = timed(lambda: length_sequence(fam, 20))
+    for n, v in seq.entries[-3:]:
+        assert v == fam.member_ideal(n).colength()

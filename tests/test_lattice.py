@@ -2,7 +2,6 @@
 
 import math
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from conftest import (
     oracle_containment_order,
     random_ideal,
     random_primary_ideal,
+    timed,
 )
 from monolim import (
     INFINITE,
@@ -421,33 +421,26 @@ def test_rel_length_matches_box_oracle(case, primary_multiplier):
 E = 10 ** 7
 
 
-def _timed(fn, budget_s: float = 1.0):
-    t0 = time.perf_counter()
-    value = fn()
-    assert time.perf_counter() - t0 < budget_s
-    return value
-
-
 def test_colength_huge_exponent_2d(R2):
-    assert _timed(I(R2, f"x^{E}, y").colength) == E
+    assert timed(I(R2, f"x^{E}, y").colength) == E
 
 
 def test_colength_huge_exponents_3d(R3):
     ideal = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
-    assert _timed(ideal.colength) == E ** 3 - (E - 1) ** 3
+    assert timed(ideal.colength) == E ** 3 - (E - 1) ** 3
 
 
 def test_containment_order_huge_exponents_3d(R3):
     ideal = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
-    assert _timed(lambda: containment_order(ideal)) == 2 * E - 1
+    assert timed(lambda: containment_order(ideal)) == 2 * E - 1
 
 
 def test_rel_length_huge_exponents_3d(R3):
     outer = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
     inner = I(R3, f"x^{E}, y^{E}, z^{E}, x^2*y*z")
-    assert _timed(lambda: rel_length(outer, inner)) == (E - 1) ** 2
+    assert timed(lambda: rel_length(outer, inner)) == (E - 1) ** 2
     # outer is not primary here; the truncation path counts
     # outer / inner = R / (x^(E-1), y^(E-1), z^(E-1), x*y*z).
     outer = I(R3, "x*y*z")
     inner = I(R3, f"x^{E}*y*z, x*y^{E}*z, x*y*z^{E}, x^2*y^2*z^2")
-    assert _timed(lambda: rel_length(outer, inner)) == (E - 1) ** 3 - (E - 2) ** 3
+    assert timed(lambda: rel_length(outer, inner)) == (E - 1) ** 3 - (E - 2) ** 3
