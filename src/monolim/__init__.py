@@ -24,7 +24,6 @@ from .asymptotics import (
 )
 from .convex import (
     ConvexRegion,
-    CovolResult,
     covol,
     hull_region,
     kt_check,

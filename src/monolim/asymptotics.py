@@ -14,7 +14,6 @@ from math import factorial
 from .convex import covol, hull_region
 from .errors import (
     EstimateError,
-    GeometryError,
     InclusionError,
     MonolimError,
     NotFiltrationError,
@@ -161,9 +160,9 @@ def difference_profile(S: LengthSequence) -> list[ProfileRow]:
 
 
 def exact_multiplicity(I: MonomialIdeal) -> int:
-    """d! times the covolume of the hull region (dim <= 3, primary)."""
+    """d! times the covolume of the hull region of a primary ideal."""
     d = I.ring.d
-    value = covol(hull_region(I)).value * factorial(d)
+    value = covol(hull_region(I)) * factorial(d)
     if value.denominator != 1:
         raise MonolimError(f"multiplicity came out non-integral: {value}")
     return int(value)
@@ -184,7 +183,7 @@ def multiplicity(I: MonomialIdeal, N: int = 64) -> MultiplicityReport:
     if N < 8:
         raise EstimateError("need N >= 8 for the sequence estimate")
     d = I.ring.d
-    e_exact = exact_multiplicity(I) if d <= 3 else None
+    e_exact = exact_multiplicity(I)
     fam = build_family(PowerSpec(I))
     ns = sorted({max(1, (N * k) // 8) for k in range(1, 9)})
     raw = length_sequence(fam, ns)
@@ -204,10 +203,8 @@ class VolumeMultiplicityReport:
 
 
 def volume_equals_multiplicity(F: GradedFamily, N: int) -> VolumeMultiplicityReport:
-    """Compare d! lim l(R/I_n)/n^d against lim e(I_p)/p^d (dim <= 3)."""
+    """Compare d! lim l(R/I_n)/n^d against lim e(I_p)/p^d."""
     d = F.ring.d
-    if d > 3:
-        raise GeometryError("exact multiplicities are limited to dimension <= 3")
     left_est = estimate_limit(length_sequence(F, N))
     left = left_est.point_estimate * factorial(d)
     ps = sorted({max(1, (N * k) // 8) for k in range(1, 9)})

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .convex import _shoelace
 from .errors import GeometryError, MonolimError, SemigroupError
 from .families import GradedFamily
 from .lattice import containment_order
@@ -377,7 +376,9 @@ def body_volume(vertices, q: int) -> Fraction:
             g = gcd(g, c)
         return Fraction(g, denom_lcm)
     if q == 2 and p == 2:
-        return abs(_shoelace(list(vertices)))
+        pts = list(vertices)
+        return abs(Fraction(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                                in zip(pts, pts[1:] + pts[:1])), 2))
     raise GeometryError("volume unavailable for this dimension")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .convex import ConvexRegion, region_vertices_2d
+from .convex import ConvexRegion
 from .lattice import MonomialIdeal
 
 _SIZE = 420
@@ -53,8 +53,7 @@ def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> s
         parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
                      f'y2="{_fmt(y1)}" stroke="#dddddd" stroke-width="0.5"/>')
     if region is not None and region.halfspaces:
-        verts = region_vertices_2d(region)
-        pts = " ".join(",".join(_fmt(c) for c in px(*v)) for v in verts)
+        pts = " ".join(",".join(_fmt(c) for c in px(*v)) for v in region.vertices)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="#d04040" '
                      f'stroke-width="2"/>')
     for gx, gy in gens:
@@ -66,9 +65,9 @@ def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> s
 
 
 def regions_svg(regions, labels=()) -> str:
-    """Boundary chains of 2-D cobounded regions, overlaid in distinct colors."""
+    """Vertex chains of 2-D regions, overlaid in distinct colors."""
     colors = ("#204080", "#d04040", "#208040", "#806020")
-    chains = [region_vertices_2d(D) for D in regions]
+    chains = [D.vertices for D in regions]
     span = max((float(c) for verts in chains for v in verts for c in v),
                default=1.0) * 1.15 + 0.5
     scale = (_SIZE - 2 * _MARGIN) / span

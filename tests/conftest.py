@@ -4,8 +4,10 @@ The staircase oracles work purely by lattice-point enumeration over explicit
 boxes (numpy membership matrices) and stay independent of the staircase code
 they check.  The hull oracles are the per-candidate ``Fraction`` kernels that
 the integer, output-sensitive ones replaced, kept here unchanged; so are the
-valuation-family oracles (``Fraction`` column floors in d = 2, a box scan in
-d >= 3).
+dimension-specific region kernels that the double description and the
+facet-cone covolume replaced (the 2-D envelope chain and shoelace, the 3-D
+plane-by-plane integration, the grid bracket) and the valuation-family
+oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import numpy as np
@@ -199,6 +202,233 @@ def oracle_convex_hull_2d(points):
     lower = half(pts)
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
+
+
+# -- region oracles: the dimension-specific kernels, kept as they were ---------
+#
+# Each takes a halfspace list ((normal, offset) pairs, primitive normals, as in
+# ``ConvexRegion.halfspaces``) instead of a region.
+
+
+def oracle_region_2d(halfspaces):
+    """The 2-D canonical form: primitive, deduplicated, positive offsets;
+    the envelope chain drops redundant halfspaces when every n[1] > 0."""
+    cleaned = {}
+    for normal, offset in halfspaces:
+        n, b = _oracle_primitive(normal, offset)
+        if b <= 0:
+            continue
+        if n not in cleaned or cleaned[n] < b:
+            cleaned[n] = b
+    hs = sorted(cleaned.items())
+    if all(n[1] > 0 for n, _ in hs):
+        hs = sorted(seg[2] for seg in _oracle_chain_2d(hs))
+    return tuple(hs)
+
+
+def _oracle_chain_2d(hs):
+    """Envelope pieces [(u_start, u_end, halfspace)] of the region boundary.
+
+    The boundary over u = y1 is the upper envelope of the facet lines
+    y2 = (b - a1*u)/a2, clipped to u >= 0 and to positive height; ``u_end``
+    is None when the region never meets the y1-axis (not cobounded).
+    """
+    by_slope = {}
+    for n, b in hs:
+        s, c = Fraction(-n[0], n[1]), Fraction(b, n[1])
+        if s not in by_slope or by_slope[s][0] < c:
+            by_slope[s] = (c, (n, b))
+    ordered = [(s, c, h) for s, (c, h) in sorted(by_slope.items())]
+
+    def meet(l1, l2):
+        return (l2[1] - l1[1]) / (l1[0] - l2[0])
+
+    stack = []
+    for line in ordered:
+        while len(stack) >= 2 and meet(stack[-2], line) <= meet(stack[-2], stack[-1]):
+            stack.pop()
+        stack.append(line)
+    out = []
+    for i, (s, c, h) in enumerate(stack):
+        lo = Fraction(0) if i == 0 else max(meet(stack[i - 1], stack[i]), Fraction(0))
+        hi = meet(stack[i], stack[i + 1]) if i + 1 < len(stack) else None
+        if hi is not None and hi <= lo:
+            continue
+        if s * lo + c <= 0:
+            continue
+        if s < 0:
+            zero = -c / s
+            if hi is None or zero < hi:
+                hi = zero
+        out.append((lo, hi, h))
+    return out
+
+
+def oracle_vertices_2d(halfspaces):
+    """Boundary vertex chain from the y-axis to the y1-axis (cobounded,
+    canonical halfspaces)."""
+    if not halfspaces:
+        return [(Fraction(0), Fraction(0))]
+    verts = []
+    for u0, u1, (n, b) in _oracle_chain_2d(list(halfspaces)):
+        y0 = Fraction(b - n[0] * u0, n[1])
+        if not verts:
+            verts.append((u0, y0))
+        for u in ([u1] if u1 is not None else []):
+            verts.append((u, Fraction(b - n[0] * u, n[1])))
+    return verts
+
+
+def _oracle_shoelace(points):
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
+        total += x0 * y1 - x1 * y0
+    return total / 2
+
+
+def oracle_covol_2d(halfspaces):
+    """Shoelace area of the complement polygon: the origin, then the vertex
+    chain reversed."""
+    verts = oracle_vertices_2d(halfspaces)
+    if len(verts) == 1:
+        return Fraction(0)
+    assert verts[-1][1] == 0
+    return abs(_oracle_shoelace([(Fraction(0), Fraction(0))] + verts[::-1]))
+
+
+def oracle_hull_halfspaces_2d(gens):
+    """Lower convex chain of the sorted generators, one halfspace per edge."""
+    pts = sorted(gens)
+    chain = []
+    for p in pts:
+        while len(chain) >= 2:
+            (x0, y0), (x1, y1) = chain[-2], chain[-1]
+            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    out = []
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
+        n = (y0 - y1, x1 - x0)
+        out.append((n, Fraction(n[0] * x0 + n[1] * y0)))
+    return out
+
+
+def oracle_minkowski_2d(halfspaces1, halfspaces2):
+    """2-D sum from support data: every normal of either region, offset the
+    sum of the two support minima over the vertex chains."""
+    def support(hs, normal):
+        return min(sum(Fraction(a) * c for a, c in zip(normal, v))
+                   for v in oracle_vertices_2d(hs))
+    normals = {n for n, _ in halfspaces1} | {n for n, _ in halfspaces2}
+    return oracle_region_2d([(n, support(halfspaces1, n) + support(halfspaces2, n))
+                             for n in sorted(normals)])
+
+
+def oracle_covol_3d(halfspaces):
+    """Integrate the lower boundary height over the (y1, y2) quadrant.
+
+    The boundary height is the upper envelope of the facet planes solved for
+    y3; each plane is integrated over the polygon where it attains the
+    envelope (affine integrand: area times value at the centroid).
+    """
+    planes = []
+    for n, b in halfspaces:
+        m = b.denominator
+        planes.append((n[0] * m, n[1] * m, n[2] * m, b.numerator))
+    total = Fraction(0)
+    for k, (a1, a2, a3, b) in enumerate(planes):
+        cons = [(Fraction(1), Fraction(0), Fraction(0)),
+                (Fraction(0), Fraction(1), Fraction(0)),
+                (Fraction(-a1, 1), Fraction(-a2, 1), Fraction(b, 1))]
+        for j, (c1, c2, c3, e) in enumerate(planes):
+            if j == k:
+                continue
+            cons.append((Fraction(c1 * a3 - a1 * c3),
+                         Fraction(c2 * a3 - a2 * c3),
+                         Fraction(b * c3 - e * a3)))
+        pts = _oracle_polygon_from_halfplanes(cons)
+        if len(pts) < 3:
+            continue
+        area, (cx, cy) = _oracle_area_centroid(pts)
+        if area == 0:
+            continue
+        total += area * Fraction(b - a1 * cx - a2 * cy, a3)
+    return total
+
+
+def _oracle_polygon_from_halfplanes(cons):
+    pts = set()
+    for (p1, q1, r1), (p2, q2, r2) in itertools.combinations(cons, 2):
+        det = p1 * q2 - p2 * q1
+        if det == 0:
+            continue
+        x = (-r1 * q2 + r2 * q1) / det
+        y = (-p1 * r2 + p2 * r1) / det
+        if all(p * x + q * y + r >= 0 for p, q, r in cons):
+            pts.add((x, y))
+    if len(pts) < 3:
+        return list(pts)
+    return _oracle_order_convex(list(pts))
+
+
+def _oracle_order_convex(pts):
+    cx = sum(p[0] for p in pts) / len(pts)
+    cy = sum(p[1] for p in pts) / len(pts)
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cmp(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
+        if cross > 0:
+            return -1
+        if cross < 0:
+            return 1
+        return 0
+
+    return sorted(pts, key=cmp_to_key(cmp))
+
+
+def _oracle_area_centroid(pts):
+    a2 = _oracle_shoelace(pts) * 2
+    if a2 == 0:
+        return Fraction(0), (Fraction(0), Fraction(0))
+    cx = cy = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        w = x0 * y1 - x1 * y0
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    area = abs(a2) / 2
+    cx /= 3 * a2
+    cy /= 3 * a2
+    return area, (cx, cy)
+
+
+def oracle_covol_grid(dim, halfspaces, resolution):
+    """(lower, upper) covolume bracket from the cells of side 1/resolution
+    whose top corner, respectively bottom corner, lies outside the region."""
+    def contains(pt):
+        return all(sum(a * c for a, c in zip(n, pt)) >= b for n, b in halfspaces)
+
+    bound = max(b / min(c for c in n) for n, b in halfspaces)
+    cells = int(bound * resolution) + 1
+    step = Fraction(1, resolution)
+    lower = upper = 0
+    for cell in itertools.product(range(cells), repeat=dim):
+        hi = [step * (c + 1) for c in cell]
+        lo = [step * c for c in cell]
+        if not contains(hi):
+            lower += 1
+        if not contains(lo):
+            upper += 1
+    vol = step ** dim
+    return lower * vol, upper * vol
 
 
 # -- valuation oracles: the Fraction kernels, kept as they were ----------------

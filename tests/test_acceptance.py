@@ -163,8 +163,8 @@ def test_criterion_04_minkowski_for_families():
                         for _ in range(rng.randint(1, 2))]
             cF, cG = constraints(), constraints()
             DF, DG = region(2, cF), region(2, cG)
-            vF, vG = covol(DF).value, covol(DG).value
-            vS = covol(minkowski_sum(DF, DG)).value
+            vF, vG = covol(DF), covol(DG)
+            vS = covol(minkowski_sum(DF, DG))
             assert root_sum_at_least(vF, vG, vS, 2)[0]
             rep = minkowski_family_check(
                 build_family(ValuationSpec.make(R2, cF)),

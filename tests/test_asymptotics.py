@@ -115,14 +115,14 @@ def test_multiplicity_requires_primary(R2):
         multiplicity(parse_ideal(R2, "x^2, x*y"), 16)
 
 
-def test_multiplicity_high_dimension_numeric_only():
+def test_multiplicity_high_dimension_exact():
     R4 = AmbientRing.default(4)
     diag = MonomialIdeal.from_gens(
         R4, [tuple(2 if j == i else 0 for j in range(4)) for i in range(4)])
-    # the exact covolume path stops at dim 3; the sequence estimate converges,
-    # if slowly, at this window
+    # the exact covolume is available in every dimension; the sequence
+    # estimate converges, if slowly, at this window
     report = multiplicity(diag, 16)
-    assert report.e_exact is None
+    assert report.e_exact == 16
     assert abs(report.e_numeric.point_estimate - 16) / 16 < Fraction(10, 100)
 
 

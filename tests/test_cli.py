@@ -1,11 +1,12 @@
 """CLI surface: artifact emission, golden stability, cache identity, exit codes."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from monolim import reportio, semigroup
+from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
 from monolim.cli import run
 from monolim.reportio import (
     ResultCache,
@@ -16,7 +17,7 @@ from monolim.reportio import (
     parse_region_spec,
     render_csv,
 )
-from monolim.lattice import AmbientRing, format_ideal
+from monolim.lattice import AmbientRing, format_ideal, parse_ideal
 from monolim.families import ProductSpec, ValuationSpec
 
 
@@ -239,6 +240,57 @@ def test_cli_minkowski(tmp_path):
     assert code == 0
     doc = json.loads(Path(f"{out}.json").read_text())
     assert doc["results"]["holds"] is True
+
+
+def test_cli_minkowski_verdict_is_the_exact_decision(tmp_path, monkeypatch, capsys):
+    # a tiny negative float slack must not turn an exact FAIL into exit 0
+    def failing(F, G, N):
+        return asymptotics.FamilyMinkowskiReport(
+            Fraction(1), Fraction(1), Fraction(4), False, False, -1e-12)
+
+    monkeypatch.setattr(asymptotics, "minkowski_family_check", failing)
+    code, out = run_cli(tmp_path, "minkowski", "--family", "power(x, y^2)",
+                        "--family2", "power(x^2, y)", "--N", "8")
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert Path(f"{out}.csv").read_text().splitlines()[1].endswith(",FAIL")
+
+
+def test_cli_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(tmp_path / "a", "kt", "--region", "2,1 >= 2",
+                   "--region2", "1,2 >= 2")[0] == 0
+    first = len(built)
+    assert first > 0
+    assert run_cli(tmp_path / "b", "kt", "--region", "1,1 >= 1",
+                   "--region2", "1,1 >= 2")[0] == 0
+    assert len(built) == first
+
+
+def test_cli_kt_in_dimension_four(tmp_path):
+    R4 = AmbientRing.default(4)
+    pairs = [("x^2, y^3, z^5, w^7", "x, y, z, w"),
+             ("x^3, y^3, z^3, w^3, x*y*z*w", "x^2, y^2, z^4, w^2, x*y, z*w")]
+    docs = []
+    for k, (text, text2) in enumerate(pairs):
+        code, out = run_cli(tmp_path / str(k), "kt", "--ring", "x,y,z,w",
+                            "--ideal", text, "--ideal2", text2)
+        assert code == 0
+        doc = json.loads(Path(f"{out}.json").read_text())["results"]
+        I, J = parse_ideal(R4, text), parse_ideal(R4, text2)
+        for key, ideal in (("covol1", I), ("covol2", J), ("covol_sum", I * J)):
+            assert Fraction(doc[key]) * 24 == exact_multiplicity(ideal)
+        assert doc["holds"] is True
+        docs.append(doc)
+    assert (docs[0]["covol1"], docs[0]["covol2"]) == ("35/4", "1/24")
 
 
 def test_cli_epsilon_ideal(tmp_path):

@@ -1,14 +1,26 @@
 """Regions, covolume, Minkowski sums and the covolume Minkowski inequality."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_hull_halfspaces_3d, random_primary_ideal
+from conftest import (
+    oracle_covol_2d,
+    oracle_covol_3d,
+    oracle_covol_grid,
+    oracle_hull_halfspaces_2d,
+    oracle_hull_halfspaces_3d,
+    oracle_minkowski_2d,
+    oracle_region_2d,
+    oracle_vertices_2d,
+    random_primary_ideal,
+    timed,
+)
 from monolim import (
     AmbientRing,
     MonomialIdeal,
@@ -22,9 +34,10 @@ from monolim import (
     parse_ideal,
     region,
     scale_region,
+    teissier_check,
 )
 from monolim import MaxPowerSpec, PowerSpec, ValuationSpec
-from monolim.convex import _hull_halfspaces_3d
+from monolim.convex import _hull_halfspaces, support_minimum
 from monolim.errors import GeometryError, NotCoboundedError, NotPrimaryError
 
 
@@ -43,10 +56,10 @@ def test_hull_region_requires_primary(R2):
 
 
 def test_covol_examples(R2):
-    assert covol(region(2, [((1, 1), 1)])).value == Fraction(1, 2)
-    assert covol(region(2, [((3, 2), 6)])).value == 3
-    assert covol(hull_region(parse_ideal(R2, "x^3, x*y, y^2"))).value == Fraction(5, 2)
-    assert covol(region(2, [])).value == 0
+    assert covol(region(2, [((1, 1), 1)])) == Fraction(1, 2)
+    assert covol(region(2, [((3, 2), 6)])) == 3
+    assert covol(hull_region(parse_ideal(R2, "x^3, x*y, y^2"))) == Fraction(5, 2)
+    assert covol(region(2, [])) == 0
 
 
 def test_covol_not_cobounded(R2):
@@ -65,8 +78,7 @@ def test_minkowski_sum_examples():
     D1 = region(2, [((2, 1), 2)])
     D2 = region(2, [((1, 2), 2)])
     S = minkowski_sum(D1, D2)
-    from monolim.convex import region_vertices_2d
-    assert region_vertices_2d(S) == [(0, 3), (1, 1), (3, 0)]
+    assert S.vertices == ((0, 3), (1, 1), (3, 0))
     assert minkowski_sum(D1, region(2, [])) == D1
 
 
@@ -122,7 +134,7 @@ def test_covol_homothety_scaling():
         D = region(2, [((rng.randint(1, 4), rng.randint(1, 4)), rng.randint(1, 9))
                        for _ in range(rng.randint(1, 3))])
         t = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-        assert covol(scale_region(D, t)).value == t ** 2 * covol(D).value
+        assert covol(scale_region(D, t)) == t ** 2 * covol(D)
 
 
 def test_covol_monotone_under_inclusion():
@@ -134,12 +146,12 @@ def test_covol_monotone_under_inclusion():
         D2 = region(2, hs + [((1, 1), 1)])
         # D1 is cut further by the extra halfspace, so D2 <= D1... the
         # intersection shrinks the region and covolume grows.
-        assert covol(D2).value >= covol(D1).value
+        assert covol(D2) >= covol(D1)
 
 
 def test_covol_3d_diagonal():
     R3 = AmbientRing.default(3)
-    assert covol(hull_region(parse_ideal(R3, "x^2, y^3, z^5"))).value == 5
+    assert covol(hull_region(parse_ideal(R3, "x^2, y^3, z^5"))) == 5
     assert exact_multiplicity(parse_ideal(R3, "x, y, z")) == 1
 
 
@@ -149,9 +161,8 @@ def test_covol_3d_grid_cross_check():
     for _ in range(8):
         ideal = random_primary_ideal(rng, R3, max_exp=3, extra_gens=2)
         D = hull_region(ideal)
-        exact = covol(D).value
-        from monolim.convex import _covol_grid
-        lo, hi = _covol_grid(D, 4).bracket
+        exact = covol(D)
+        lo, hi = oracle_covol_grid(3, D.halfspaces, 4)
         assert lo <= exact <= hi
 
 
@@ -164,7 +175,7 @@ def test_multiplicity_volume_identity_random(R2, R3):
         d = ring.d
         e = exact_multiplicity(ideal)
         assert e >= 1
-        assert covol(hull_region(ideal)).value * factorial(d) == e
+        assert covol(hull_region(ideal)) * factorial(d) == e
     assert not fails
 
 
@@ -194,7 +205,7 @@ def test_minkowski_3d_with_seeds():
     R3 = AmbientRing.default(3)
     D1 = hull_region(parse_ideal(R3, "x, y, z"))
     S = minkowski_sum(D1, D1)
-    assert covol(S).value == Fraction(8, 6)
+    assert covol(S) == Fraction(8, 6)
     report = kt_check(D1, D1)
     assert report.holds and report.equality
 
@@ -204,39 +215,43 @@ def test_region_rejects_negative_normals():
         region(2, [((-1, 1), 1)])
 
 
-def test_hull_unavailable_above_dim_three():
+def test_multiplicity_exact_in_dimensions_four_and_five():
+    rng = random.Random(404)
+    for d in (4, 5):
+        ring = AmbientRing.default(d)
+        for _ in range(5):
+            exps = [rng.randint(1, 9) for _ in range(d)]
+            diag = MonomialIdeal.from_gens(
+                ring, [tuple(e if j == i else 0 for j in range(d))
+                       for i, e in enumerate(exps)])
+            assert exact_multiplicity(diag) == prod(exps)
+        m = MonomialIdeal.maximal(ring)
+        for k in (1, 2, 3):
+            assert exact_multiplicity(m ** k) == k ** d
     R4 = AmbientRing.default(4)
-    gens = [tuple(2 if j == i else 0 for j in range(4)) for i in range(4)]
-    with pytest.raises(GeometryError):
-        hull_region(MonomialIdeal.from_gens(R4, gens))
+    assert exact_multiplicity(parse_ideal(R4, "x^2, y^3, z^5, w^7")) == 210
 
 
-def test_grid_bracket_dim_four():
-    D = region(4, [((1, 1, 1, 1), 1)])
-    result = covol(D, resolution=4)
-    assert result.method == "GRID_BRACKET"
-    lo, hi = result.bracket
-    assert lo <= Fraction(1, 24) <= hi
-    assert lo <= result.value <= hi
+def test_covol_simplex_dim_four():
+    assert covol(region(4, [((1, 1, 1, 1), 1)])) == Fraction(1, 24)
+    assert covol(region(5, [((1, 1, 1, 1, 1), 2)])) == Fraction(32, 120)
 
 
 def test_covol_3d_permutation_invariant():
     # the envelope integration singles out the last axis; permuting
     # coordinates must not change the covolume
-    import itertools
     R3 = AmbientRing.default(3)
     rng = random.Random(414)
     for _ in range(10):
         ideal = random_primary_ideal(rng, R3, max_exp=5, extra_gens=2)
-        base = covol(hull_region(ideal)).value
+        base = covol(hull_region(ideal))
         for perm in itertools.permutations(range(3)):
             permuted = MonomialIdeal.from_gens(
                 R3, [tuple(g[p] for p in perm) for g in ideal.gens])
-            assert covol(hull_region(permuted)).value == base
+            assert covol(hull_region(permuted)) == base
 
 
 def test_minkowski_sum_support_additivity():
-    from monolim.convex import support_minimum
     rng = random.Random(660)
     for _ in range(20):
         def rand_region():
@@ -257,19 +272,125 @@ def test_dim_mismatch():
         minkowski_sum(region(2, [((1, 1), 1)]), region(1, [((1,), 1)]))
 
 
-_seeds_3d = st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=3, max_size=10)
+_seeds_3d = st.lists(st.tuples(*[st.integers(0, 8)] * 3), min_size=1, max_size=10)
+_axis_points = st.tuples(*[st.integers(1, 9)] * 3)
 _scales = st.one_of(st.just(1), st.fractions(min_value=Fraction(1, 30),
                                              max_value=30, max_denominator=30))
 
 
+def _check_supporting(seeds, got):
+    assert len(set(got)) == len(got)
+    for n, b in got:
+        assert all(type(c) is int and c >= 0 for c in n) and b > 0
+        assert min(sum(a * c for a, c in zip(n, s)) for s in seeds) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seeds_3d, _axis_points, _scales)
+def test_hull_halfspaces_match_the_oracle_on_cobounded_seeds(gens, axes, scale):
+    gens = gens + [tuple(a if j == i else 0 for j in range(3))
+                   for i, a in enumerate(axes)]
+    seeds = [tuple(c * scale for c in g) for g in gens]
+    got = _hull_halfspaces(seeds)
+    _check_supporting(seeds, got)
+    assert set(got) == set(oracle_hull_halfspaces_3d(seeds))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_seeds_3d, _scales)
-def test_hull_halfspaces_3d_match_the_per_candidate_oracle(gens, scale):
+def test_hull_halfspaces_contain_the_oracle_facets(gens, scale):
     seeds = [tuple(c * scale for c in g) for g in gens]
-    got = _hull_halfspaces_3d(seeds)
-    assert len(set(got)) == len(got)
-    assert set(got) == set(oracle_hull_halfspaces_3d(seeds))
-    assert all(type(c) is int for n, _ in got for c in n)
+    got = _hull_halfspaces(seeds)
+    _check_supporting(seeds, got)
+    assert set(oracle_hull_halfspaces_3d(seeds)) <= set(got)
+
+
+def test_hull_halfspaces_of_a_non_cobounded_seed_set():
+    # the upward hull is x >= 1: a facet with a single minimising seed,
+    # which no candidate of the per-candidate oracle spans
+    seeds = [(1, 0, 0), (2, 5, 0), (2, 0, 5)]
+    assert _hull_halfspaces(seeds) == [((1, 0, 0), Fraction(1))]
+    assert oracle_hull_halfspaces_3d(seeds) == []
+
+
+def test_region_drops_redundant_halfspaces_in_every_dimension():
+    # x + y >= 1 only touches the region x >= 1 at its vertex (1, 0)
+    D = region(2, [((1, 0), 1), ((1, 1), 1)])
+    assert D.halfspaces == (((1, 0), Fraction(1)),)
+    assert D.vertices == ((1, 0),)
+    D = region(4, [((1, 1, 1, 1), 2), ((1, 2, 1, 1), 2), ((1, 1, 1, 1), 1)])
+    assert D.halfspaces == (((1, 1, 1, 1), Fraction(2)),)
+
+
+_normal_2d = st.tuples(*[st.integers(0, 5)] * 2).filter(any)
+_normal_3d = st.tuples(*[st.integers(1, 4)] * 3)
+_offset = st.fractions(min_value=0, max_value=9, max_denominator=4)
+_halfspaces_2d = st.lists(st.tuples(_normal_2d, _offset), min_size=1, max_size=5)
+_cobounded_2d = st.lists(st.tuples(st.tuples(*[st.integers(1, 5)] * 2), _offset),
+                         min_size=1, max_size=5)
+_cobounded_3d = st.lists(st.tuples(_normal_3d, _offset), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_halfspaces_2d)
+def test_region_2d_matches_the_chain_oracle(hs):
+    D = region(2, hs)
+    expected = oracle_region_2d(hs)
+    if D.is_cobounded:
+        assert D.halfspaces == expected
+        assert list(D.vertices) == oracle_vertices_2d(expected)
+        assert covol(D) == oracle_covol_2d(expected)
+    else:
+        # the chain oracle only deduplicates here; both describe one region
+        assert set(D.halfspaces) <= set(expected)
+    for x in range(0, 12):
+        for y in range(0, 12):
+            pt = (Fraction(x, 2), Fraction(y, 2))
+            assert D.contains(pt) == all(n[0] * pt[0] + n[1] * pt[1] >= b
+                                         for n, b in hs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cobounded_3d, _scales)
+def test_region_and_covol_3d_match_the_plane_oracle(hs, scale):
+    D = scale_region(region(3, hs), scale)
+    raw = [(n, b * scale) for n, b in hs if b > 0]
+    # the plane oracle counts a repeated plane twice, so it gets each
+    # primitive normal once, with its largest offset
+    deduplicated = {}
+    for n, b in raw:
+        g = gcd(*n)
+        n, b = tuple(c // g for c in n), b / g
+        deduplicated[n] = max(b, deduplicated.get(n, b))
+    assert covol(D) == oracle_covol_3d(list(deduplicated.items()))
+    assert covol(D) == oracle_covol_3d(D.halfspaces)
+    for pt in [(Fraction(a, 2), Fraction(b, 3), Fraction(c, 2))
+               for a in range(0, 9, 2) for b in range(0, 13, 3) for c in range(0, 9, 2)]:
+        assert D.contains(pt) == all(sum(x * y for x, y in zip(n, pt)) >= b
+                                     for n, b in raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cobounded_2d, _cobounded_2d, _scales)
+def test_minkowski_sum_2d_matches_the_support_oracle(hs1, hs2, scale):
+    D1, D2 = region(2, hs1), scale_region(region(2, hs2), scale)
+    S = minkowski_sum(D1, D2)
+    assert S.halfspaces == oracle_minkowski_2d(D1.halfspaces, D2.halfspaces)
+    assert covol(S) == oracle_covol_2d(S.halfspaces)
+    assert covol(D2) == scale ** 2 * oracle_covol_2d(region(2, hs2).halfspaces)
+
+
+def test_hull_region_2d_and_3d_match_the_oracles(R2, R3):
+    rng = random.Random(2024)
+    for _ in range(60):
+        I = random_primary_ideal(rng, R2, max_exp=9, extra_gens=6)
+        expected = oracle_region_2d(oracle_hull_halfspaces_2d(list(I.gens)))
+        assert hull_region(I).halfspaces == expected
+        assert covol(hull_region(I)) == oracle_covol_2d(expected)
+        I = random_primary_ideal(rng, R3, max_exp=7, extra_gens=6)
+        expected = oracle_hull_halfspaces_3d(list(I.gens))
+        assert set(hull_region(I).halfspaces) == set(expected)
+        assert covol(hull_region(I)) == oracle_covol_3d(expected)
 
 
 def test_hull_halfspaces_3d_of_a_minkowski_sum_match_the_oracle(R3):
@@ -277,8 +398,105 @@ def test_hull_halfspaces_3d_of_a_minkowski_sum_match_the_oracle(R3):
     J = parse_ideal(R3, "x^5, y^7, z^6, y*z^4")
     D1 = scale_region(hull_region(I), Fraction(1, 3))
     D2 = scale_region(hull_region(J), Fraction(2, 5))
-    seeds = sorted({tuple(a + b for a, b in zip(p, q))
-                    for p in D1.seeds for q in D2.seeds})
+    seeds = sorted({tuple(Fraction(a, 3) + Fraction(2 * b, 5) for a, b in zip(p, q))
+                    for p in I.gens for q in J.gens})
     expected = oracle_hull_halfspaces_3d(seeds)
-    assert set(_hull_halfspaces_3d(seeds)) == set(expected)
+    assert set(_hull_halfspaces(seeds)) == set(expected)
     assert minkowski_sum(D1, D2) == region(3, expected)
+    assert covol(minkowski_sum(D1, D2)) == oracle_covol_3d(expected)
+
+
+def test_covol_dim_four_inside_the_grid_bracket():
+    rng = random.Random(4004)
+    for _ in range(6):
+        hs = [(tuple(rng.randint(1, 3) for _ in range(4)),
+               Fraction(rng.randint(1, 4), rng.randint(1, 2)))
+              for _ in range(rng.randint(1, 3))]
+        D = region(4, hs)
+        lo, hi = oracle_covol_grid(4, D.halfspaces, 2)
+        assert lo <= covol(D) <= hi
+
+
+def _random_primary_4d(rng, max_exp=5, extra_gens=4):
+    return random_primary_ideal(rng, AmbientRing.default(4), max_exp=max_exp,
+                                extra_gens=extra_gens)
+
+
+def test_teissier_and_kt_hold_in_dim_four():
+    rng = random.Random(4141)
+    for _ in range(12):
+        I, J = _random_primary_4d(rng), _random_primary_4d(rng)
+        report = teissier_check(I, J)
+        assert report.holds
+        assert report.e_product == exact_multiplicity(I * J)
+        kt = kt_check(hull_region(I), hull_region(J))
+        assert kt.holds
+        assert kt.covol_sum * 24 == report.e_product
+        assert (kt.covol1 * 24, kt.covol2 * 24) == (report.e_left, report.e_right)
+
+
+def test_multiplicity_of_many_generators_in_dim_four_in_budget():
+    R4 = AmbientRing.default(4)
+    # lattice points of [0, 8]^4 within distance 4 of (4, 4, 4, 4), plus x_i^12
+    ball = [p for p in itertools.product(range(9), repeat=4)
+            if sum((c - 4) ** 2 for c in p) <= 16]
+    ball += [tuple(12 if j == i else 0 for j in range(4)) for i in range(4)]
+    I = MonomialIdeal.from_gens(R4, ball)
+    assert len(I.gens) == 21
+    assert len(hull_region(I).halfspaces) == 26
+    assert timed(lambda: exact_multiplicity(I)) == 12472
+    # 16 random monomials of degree 10 (an antichain) and x_i^14
+    rng = random.Random(2020)
+    gens = {tuple(14 if j == i else 0 for j in range(4)) for i in range(4)}
+    while len(gens) < 20:
+        a, b, c = (rng.randint(0, 6) for _ in range(3))
+        if 4 <= a + b + c <= 10:
+            gens.add((a, b, c, 10 - a - b - c))
+    J = MonomialIdeal.from_gens(R4, sorted(gens))
+    assert len(J.gens) == 20
+    e = timed(lambda: exact_multiplicity(J))
+    for perm in ((1, 0, 2, 3), (3, 2, 1, 0), (2, 3, 0, 1)):
+        permuted = MonomialIdeal.from_gens(R4, [tuple(g[p] for p in perm)
+                                                for g in J.gens])
+        assert exact_multiplicity(permuted) == e
+
+
+def _rank(vectors) -> int:
+    rows = [[Fraction(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 5)] * 4), min_size=1, max_size=12))
+# a degenerate seed set: two rays share enough zeros to pass the count
+# filter without being adjacent
+@example([(0, 0, 4, 3), (0, 0, 4, 4), (1, 1, 3, 1), (2, 0, 2, 3), (2, 1, 4, 0),
+          (2, 1, 5, 2), (2, 3, 2, 3), (3, 0, 4, 2), (3, 2, 2, 4), (4, 2, 0, 5)])
+def test_hull_facets_and_vertices_dim_four(gens):
+    # every halfspace is a facet: its tight seeds and the axes it is parallel
+    # to span a hyperplane; every vertex is a seed, on d independent planes
+    got = _hull_halfspaces(gens)
+    _check_supporting(gens, got)
+    for n, b in got:
+        tight = [s for s in gens if sum(a * c for a, c in zip(n, s)) == b]
+        spans = [tuple(a - c for a, c in zip(s, tight[0])) for s in tight[1:]]
+        spans += [tuple(int(i == j) for j in range(4)) for i in range(4) if n[i] == 0]
+        assert _rank(spans) == 3
+    D = region(4, got)
+    assert set(D.halfspaces) == set(got)
+    assert set(D.vertices) <= {tuple(map(Fraction, g)) for g in gens}
+    for v in D.vertices:
+        planes = [n for n, b in D.halfspaces if sum(a * c for a, c in zip(n, v)) == b]
+        planes += [tuple(int(i == j) for j in range(4)) for i in range(4) if v[i] == 0]
+        assert _rank(planes) == 4
