@@ -324,22 +324,36 @@ def _cmd_symbolic(job: Job) -> tuple[int, dict, str]:
     return 0, artifacts, summary
 
 
-def _opt_int(value):
-    return int(value) if value is not None else None
+def _okounkov_constant(job: Job):
+    """The ``--c`` constant (or ``params: c``), None when unset."""
+    value = job.args.c
+    if value is None:
+        value = job._lookup("params", "c")
+    if value is None:
+        return None
+    try:
+        c = int(value)
+    except ValueError:
+        raise ConfigError(f"--c must be an integer, got {value!r}") from None
+    if c < 1:
+        raise ConfigError("--c must be >= 1")
+    return c
 
 
 def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
     N = job.n_value()
-    c = job.args.c or _opt_int(job._lookup("params", "c"))
-    pred = SemigroupPredicate.from_family(fam, c=c)
+    if N < 3:
+        raise ConfigError("okounkov needs --N >= 3")
+    pred = SemigroupPredicate.from_family(fam, c=_okounkov_constant(job))
     require_body_dimension(pred.point_dim)
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
     body = report.body
-    rows = ((i, *a) for i, pts in sorted(levels.levels.items()) for a in pts)
-    csv = rio.render_csv(["level"] + [f"a{i + 1}" for i in range(levels.point_dim)],
-                         rows)
+    runs = (((i, *prefix), lo, hi) for i, pts in sorted(levels.levels.items())
+            for prefix, lo, hi in pts.runs)
+    csv = rio.render_csv_runs(
+        ["level"] + [f"a{i + 1}" for i in range(levels.point_dim)], runs)
     js = rio.render_json(
         "okounkov", {"family": fam.label(), "N": N, "beta": pred.beta},
         {"invariants": {"m": report.invariants.m, "ind": report.invariants.ind,

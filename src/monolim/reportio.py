@@ -78,6 +78,20 @@ def render_csv(header: list[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_csv_runs(header: list[str], runs: Iterable[tuple]) -> str:
+    """:func:`render_csv` of the rows ``(*prefix, t)`` for lo <= t <= hi,
+    one run ``(prefix, lo, hi)`` at a time; ``t`` is a natural number.  The
+    strings of 0..max hi are made once and shared by all runs."""
+    lines = [",".join(header)]
+    digits: list[str] = []
+    for prefix, lo, hi in runs:
+        if hi >= len(digits):
+            digits.extend(map(str, range(len(digits), hi + 1)))
+        head = ",".join(map(_csv_cell, prefix)) + ","
+        lines.append(head + ("\n" + head).join(digits[lo:hi + 1]))
+    return "\n".join(lines) + "\n"
+
+
 def render_json(command: str, params: dict, results: dict) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,

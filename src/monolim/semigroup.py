@@ -2,7 +2,7 @@
 
 A semigroup lives in N^p x N (points with a level); members at level i stay
 inside the 1-norm box ||a||_1 <= beta * i.  Enumeration records exact level
-counts, retains point lists up to a budget, and the counting limit
+counts, retains levels as column runs up to a budget, and the counting limit
 lim #S_{m k} / k^q is compared against vol_q(body) / ind computed from the
 lattice invariants of the generated group.
 """
@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .errors import GeometryError, MonolimError, SemigroupError
+from .errors import GeometryError, MonolimError, NotPrimaryError, SemigroupError
 from .families import GradedFamily
-from .lattice import containment_order
+from .lattice import MonomialIdeal, containment_order
 
 
 @dataclass(frozen=True)
@@ -27,15 +29,15 @@ class SemigroupPredicate:
 
     ``member(point, level)`` must be closed under addition (spot-checked at
     enumeration time); ``beta`` bounds members at level i to the simplex
-    ||point||_1 <= beta * i.  Optional fast hooks compute whole levels.
+    ||point||_1 <= beta * i.  An optional ``runs_hook(i)`` returns a whole
+    level as column runs (see :class:`LevelPoints`) in place of the scan.
     """
 
     point_dim: int
     beta: int
     member: Callable
     label: str = ""
-    count_hook: Callable | None = field(default=None, compare=False)
-    points_hook: Callable | None = field(default=None, compare=False)
+    runs_hook: Callable | None = field(default=None, compare=False)
 
     @staticmethod
     def from_family(F: GradedFamily, beta: int | None = None,
@@ -44,13 +46,16 @@ class SemigroupPredicate:
 
         beta defaults to d * c with c the least integer for which m^c lies
         inside I_1 (computed, or supplied and verified on sampled members).
+        The family must be primary to the maximal ideal.
         """
         d = F.ring.d
+        if not F.member_ideal(1).is_primary:
+            raise NotPrimaryError(
+                f"{F.label()}: no power of the maximal ideal lies inside member 1")
         if c is None:
             c = containment_order(F.member_ideal(1))
         else:
             for n in (1, 2, 3):
-                from .lattice import MonomialIdeal
                 if not MonomialIdeal.maximal_power(F.ring, c * n).issubset(
                         F.member_ideal(n)):
                     raise SemigroupError(
@@ -63,42 +68,86 @@ class SemigroupPredicate:
                 return False
             return F.member_ideal(i).contains(a)
 
-        count_hook = points_hook = None
+        runs_hook = None
         if d == 2:
-            def count_hook(i):
-                cap = beta * i
-                return sum(max(0, cap - x - y + 1) for x, y in
-                           _column_floors(F.member_ideal(i).gens, cap + 1))
-
-            def points_hook(i):
-                cap = beta * i
-                pts = []
-                for x, y in _column_floors(F.member_ideal(i).gens, cap + 1):
-                    pts.extend((x, yy) for yy in range(y, cap - x + 1))
-                return pts
+            def runs_hook(i):
+                return _column_runs(F.member_ideal(i).gens, beta * i)
 
         return SemigroupPredicate(d, beta, member, f"family({F.label()})",
-                                  count_hook, points_hook)
+                                  runs_hook)
 
 
-def _column_floors(gens, width: int):
-    """Yield (x, y_min(x)) for each nonempty column x < width of a 2-D
-    staircase; ``gens`` must be its minimal generators."""
+def _column_runs(gens, cap: int) -> list:
+    """Column runs ((x,), y_min(x), cap - x) of the members of a 2-D
+    staircase inside the simplex x + y <= cap, one per nonempty column;
+    ``gens`` must be the staircase's minimal generators."""
     corners = sorted(gens)
-    for (x, y), (nx, _) in zip(corners, corners[1:] + [(width, 0)]):
-        for col in range(x, min(nx, width)):
-            yield col, y
+    runs = []
+    for (x, y), (nx, _) in zip(corners, corners[1:] + [(cap + 1, 0)]):
+        runs.extend(((col,), y, cap - col) for col in range(x, min(nx, cap - y + 1)))
+    return runs
 
 
 def _simplex_points(p: int, cap: int):
     """Lattice points of the 1-norm simplex ||a||_1 <= cap in N^p."""
-    if p == 1:
-        for x in range(cap + 1):
-            yield (x,)
+    if p == 0:
+        yield ()
         return
     for head in range(cap + 1):
         for rest in _simplex_points(p - 1, cap - head):
             yield (head,) + rest
+
+
+def _member_runs(P: SemigroupPredicate, i: int) -> list:
+    """Column runs of the members at level i, by scanning the beta-simplex."""
+    cap = P.beta * i
+    runs = []
+    for prefix in _simplex_points(P.point_dim - 1, cap):
+        top = cap - sum(prefix)
+        start = None
+        for t in range(top + 1):
+            if P.member(prefix + (t,), i):
+                if start is None:
+                    start = t
+            elif start is not None:
+                runs.append((prefix, start, t - 1))
+                start = None
+        if start is not None:
+            runs.append((prefix, start, top))
+    return runs
+
+
+class LevelPoints(Sequence):
+    """The points of one level, stored as column runs.
+
+    A run ``(prefix, lo, hi)`` stands for the points ``prefix + (t,)`` with
+    lo <= t <= hi; runs come in the order their points are listed.  Length,
+    iteration and indexing work on the runs, so no point is built until it
+    is asked for.
+    """
+
+    __slots__ = ("runs", "_ends")
+
+    def __init__(self, runs):
+        self.runs = runs
+        self._ends = list(itertools.accumulate(hi - lo + 1 for _, lo, hi in runs))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self):
+        for prefix, lo, hi in self.runs:
+            for t in range(lo, hi + 1):
+                yield prefix + (t,)
+
+    def __getitem__(self, k: int):
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("level point index out of range")
+        r = bisect_right(self._ends, k)
+        prefix, lo, hi = self.runs[r]
+        return prefix + (hi - (self._ends[r] - 1 - k),)
 
 
 @dataclass
@@ -109,7 +158,7 @@ class SemigroupLevels:
     beta: int
     max_level: int
     counts: dict[int, int]
-    levels: dict[int, list[tuple[int, ...]]]
+    levels: dict[int, LevelPoints]
     truncated: bool
     label: str = ""
 
@@ -120,34 +169,24 @@ def enumerate_levels(P: SemigroupPredicate, N: int,
                      seed: int = 2024) -> SemigroupLevels:
     """Enumerate all member points per level i <= N.
 
-    Counts are exact for every level; point lists are kept until the running
-    total exceeds ``retain_budget`` (the result is then flagged truncated).
-    Additivity of the predicate is spot-checked on random retained pairs and
-    violations abort.
+    Counts are exact for every level; levels are kept (as column runs) until
+    the running point total exceeds ``retain_budget`` (the result is then
+    flagged truncated).  Additivity of the predicate is spot-checked on
+    random retained pairs and violations abort.
     """
     counts: dict[int, int] = {}
-    levels: dict[int, list] = {}
+    levels: dict[int, LevelPoints] = {}
     retained_total = 0
     truncated = False
     for i in range(1, N + 1):
-        if P.count_hook is not None:
-            counts[i] = P.count_hook(i)
-            want_points = not truncated and retained_total + counts[i] <= retain_budget
-            if want_points:
-                pts = P.points_hook(i)
-                levels[i] = pts
-                retained_total += len(pts)
-            else:
-                truncated = True
+        runs = P.runs_hook(i) if P.runs_hook is not None else _member_runs(P, i)
+        pts = LevelPoints(runs)
+        counts[i] = len(pts)
+        if not truncated and retained_total + counts[i] <= retain_budget:
+            levels[i] = pts
+            retained_total += counts[i]
         else:
-            pts = [a for a in _simplex_points(P.point_dim, P.beta * i)
-                   if P.member(a, i)]
-            counts[i] = len(pts)
-            if not truncated and retained_total + len(pts) <= retain_budget:
-                levels[i] = pts
-                retained_total += len(pts)
-            else:
-                truncated = True
+            truncated = True
     result = SemigroupLevels(P.point_dim, P.beta, N, counts, levels,
                              truncated, P.label)
     _spot_check_additivity(P, result, spot_checks, seed)
@@ -156,12 +195,26 @@ def enumerate_levels(P: SemigroupPredicate, N: int,
 
 def _spot_check_additivity(P: SemigroupPredicate, L: SemigroupLevels,
                            checks: int, seed: int) -> None:
-    pool = [(a, i) for i, pts in sorted(L.levels.items()) for a in pts]
-    if len(pool) < 2:
+    """Check ``checks`` random pairs of retained points for additivity.
+
+    A pair is two uniform indices into the retained points listed level by
+    level; each index is mapped through the level ends, then the run ends.
+    """
+    order = sorted(L.levels.items())
+    ends = list(itertools.accumulate(len(pts) for _, pts in order))
+    total = ends[-1] if ends else 0
+    if total < 2:
         return
     rng = random.Random(seed)
+
+    def draw():
+        k = rng.randrange(total)
+        r = bisect_right(ends, k)
+        i, pts = order[r]
+        return pts[k - ends[r] + len(pts)], i
+
     for _ in range(checks):
-        (a, i), (b, j) = rng.choice(pool), rng.choice(pool)
+        (a, i), (b, j) = draw(), draw()
         if i + j > L.max_level:
             continue
         s = tuple(x + y for x, y in zip(a, b))
@@ -329,9 +382,10 @@ def okounkov_body(L: SemigroupLevels):
     """Vertices of the convex hull of the normalized points {point / level}.
 
     Point dimension 1 gives the interval's endpoints; point dimension 2 the
-    counterclockwise polygon of :func:`convex_hull_2d`.  Each retained level
-    is hulled on its raw integer points first (scaling commutes with hulls),
-    so only its extreme points are normalized to ``Fraction``s.
+    counterclockwise polygon of :func:`convex_hull_2d`.  Every point of a
+    retained level lies between the two ends of its column run, so each
+    level is hulled on its raw integer run ends first (scaling commutes with
+    hulls) and only its extreme points are normalized to ``Fraction``s.
     """
     require_body_dimension(L.point_dim)
     if L.max_level < 3:
@@ -340,9 +394,10 @@ def okounkov_body(L: SemigroupLevels):
     for i, members in sorted(L.levels.items()):
         if i == 0 or not members:
             continue
+        ends = [prefix + (t,) for prefix, lo, hi in members.runs for t in (lo, hi)]
         if L.point_dim == 2:
-            members = convex_hull_2d(members)
-        for a in members:
+            ends = convex_hull_2d(ends)
+        for a in ends:
             pts.append(tuple(Fraction(c, i) for c in a))
     if not pts:
         raise MonolimError("empty semigroup")

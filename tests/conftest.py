@@ -7,7 +7,10 @@ the integer, output-sensitive ones replaced, kept here unchanged; so are the
 dimension-specific region kernels that the double description and the
 facet-cone covolume replaced (the 2-D envelope chain and shoelace, the 3-D
 plane-by-plane integration, the grid bracket) and the valuation-family
-oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).
+oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).  The
+semigroup oracles are the point-list level enumeration, the per-point
+Okounkov body and the flattened-pool additivity spot check that column runs
+replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from monolim import INFINITE, AmbientRing, MonomialIdeal
-from monolim.errors import GeometryError
+from monolim.errors import GeometryError, MonolimError
 
 
 @pytest.fixture(scope="session")
@@ -504,3 +507,73 @@ def oracle_valuation_length(spec, n):
             return INFINITE
         total += y
     return total
+
+
+# -- semigroup oracles: the point-list kernels, kept as they were --------------
+
+
+def _oracle_column_floors(gens, width: int):
+    corners = sorted(gens)
+    for (x, y), (nx, _) in zip(corners, corners[1:] + [(width, 0)]):
+        for col in range(x, min(nx, width)):
+            yield col, y
+
+
+def oracle_family_points(F, beta: int, i: int):
+    """Level i of a d = 2 family's semigroup, column by column."""
+    cap = beta * i
+    pts = []
+    for x, y in _oracle_column_floors(F.member_ideal(i).gens, cap + 1):
+        pts.extend((x, yy) for yy in range(y, cap - x + 1))
+    return pts
+
+
+def _oracle_simplex_points(p: int, cap: int):
+    if p == 1:
+        for x in range(cap + 1):
+            yield (x,)
+        return
+    for head in range(cap + 1):
+        for rest in _oracle_simplex_points(p - 1, cap - head):
+            yield (head,) + rest
+
+
+def oracle_scan_points(P, i: int):
+    """Level i of a predicate's semigroup by the simplex scan."""
+    return [a for a in _oracle_simplex_points(P.point_dim, P.beta * i)
+            if P.member(a, i)]
+
+
+def oracle_okounkov_body(L):
+    """Hull of every normalized retained point (each level hulled first)."""
+    pts = []
+    for i, members in sorted(L.levels.items()):
+        if i == 0 or not members:
+            continue
+        if L.point_dim == 2:
+            members = oracle_convex_hull_2d(members)
+        for a in members:
+            pts.append(tuple(Fraction(c, i) for c in a))
+    if not pts:
+        raise MonolimError("empty semigroup")
+    if L.point_dim == 1:
+        xs = [p[0] for p in pts]
+        lo, hi = min(xs), max(xs)
+        return [(lo,)] if lo == hi else [(lo,), (hi,)]
+    return oracle_convex_hull_2d(pts)
+
+
+def oracle_spot_check(P, L, checks: int, seed: int) -> None:
+    """The additivity spot check drawing from a flattened list of every
+    retained (point, level) pair."""
+    pool = [(a, i) for i, pts in sorted(L.levels.items()) for a in pts]
+    if len(pool) < 2:
+        return
+    rng = random.Random(seed)
+    for _ in range(checks):
+        (a, i), (b, j) = rng.choice(pool), rng.choice(pool)
+        if i + j > L.max_level:
+            continue
+        s = tuple(x + y for x, y in zip(a, b))
+        if not P.member(s, i + j):
+            raise AssertionError(f"additivity fails at {a}@{i} + {b}@{j}")

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import oracle_family_points
+
 from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
 from monolim.cli import run
 from monolim.reportio import (
@@ -18,7 +20,8 @@ from monolim.reportio import (
     render_csv,
 )
 from monolim.lattice import AmbientRing, format_ideal, parse_ideal
-from monolim.families import ProductSpec, ValuationSpec
+from monolim.families import ProductSpec, ValuationSpec, build_family
+from monolim.semigroup import SemigroupPredicate
 
 
 def run_cli(tmp_path, *argv):
@@ -356,6 +359,54 @@ def test_cli_okounkov_rejects_point_dimension_3_before_enumerating(tmp_path, cap
     assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert "exact bodies are limited to point dimension <= 2" in capsys.readouterr().err
+
+
+def test_cli_okounkov_csv_from_runs_matches_the_point_rows(tmp_path):
+    ring = AmbientRing.default(2)
+    for spec in ("power(x^3, x*y, y^2)", "valuation(2,1 >= 2; 1,3 >= 1)"):
+        code, out = run_cli(tmp_path, "okounkov", "--family", spec, "--N", "20")
+        assert code == 0
+        fam = build_family(parse_family_spec(ring, spec))
+        beta = SemigroupPredicate.from_family(fam).beta
+        rows = [(i, *a) for i in range(1, 21)
+                for a in oracle_family_points(fam, beta, i)]
+        assert len(rows) < 200_000  # every level retained
+        want = render_csv(["level", "a1", "a2"], rows).encode()
+        assert Path(f"{out}.csv").read_bytes() == want
+
+
+def test_cli_okounkov_needs_three_levels(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "okounkov", "--family", "power(x, y)", "--N", "2")
+    assert code == 2
+    assert "--N >= 3" in capsys.readouterr().err
+
+
+def test_cli_okounkov_rejects_a_negative_constant(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "okounkov", "--family", "power(x, y)",
+                      "--N", "10", "--c", "-1")
+    assert code == 2
+    assert "--c must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_okounkov_rejects_a_zero_constant(tmp_path, capsys):
+    # 0 is a value, not "unset": it must not fall back to the computed constant
+    code, _ = run_cli(tmp_path, "okounkov", "--family", "power(x, y)",
+                      "--N", "10", "--c", "0")
+    assert code == 2
+    assert "--c must be >= 1" in capsys.readouterr().err
+    config = tmp_path / "job.conf"
+    config.write_text("params:\n  c = 0\n")
+    code, _ = run_cli(tmp_path, "okounkov", "--config", str(config),
+                      "--family", "power(x, y)", "--N", "10")
+    assert code == 2
+
+
+def test_cli_okounkov_rejects_a_non_primary_family(tmp_path, capsys):
+    for ring, spec in (("x,y,z", "power(x^2, y)"), ("x,y", "power(x^2)")):
+        code, _ = run_cli(tmp_path, "okounkov", "--ring", ring, "--family", spec,
+                          "--N", "10")
+        assert code == 2
+        assert "no power of the maximal ideal" in capsys.readouterr().err
 
 
 def test_cli_diff(tmp_path):

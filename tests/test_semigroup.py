@@ -1,14 +1,23 @@
 """Semigroup enumeration, lattice invariants and the counting limit."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_convex_hull_2d
+from conftest import (
+    oracle_convex_hull_2d,
+    oracle_family_points,
+    oracle_okounkov_body,
+    oracle_scan_points,
+    oracle_spot_check,
+)
 
 from monolim import (
+    AmbientRing,
+    MonomialIdeal,
     PowerSpec,
     SemigroupPredicate,
     ValuationSpec,
@@ -21,8 +30,11 @@ from monolim import (
 )
 from monolim.errors import MonolimError, SemigroupError
 from monolim.semigroup import (
+    LevelPoints,
+    SemigroupLevels,
     _row_lattice_basis,
     _saturation_index,
+    _spot_check_additivity,
     body_volume,
     convex_hull_2d,
 )
@@ -222,3 +234,117 @@ def test_convex_hull_2d_small_cases():
     assert convex_hull_2d([(x, x) for x in range(5)]) == [(0, 0), (4, 4)]
     assert convex_hull_2d([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1)]) == [
         (0, 0), (2, 0), (0, 2)]
+
+
+def test_level_points_index_and_iterate_in_run_order():
+    pts = LevelPoints([((0,), 2, 4), ((1,), 0, 0), ((3,), 1, 2)])
+    listed = [(0, 2), (0, 3), (0, 4), (1, 0), (3, 1), (3, 2)]
+    assert len(pts) == 6 and list(pts) == listed
+    assert [pts[k] for k in range(-6, 6)] == listed + listed
+    assert (1, 0) in pts and (2, 0) not in pts
+    with pytest.raises(IndexError):
+        pts[6]
+    empty = LevelPoints([])
+    assert len(empty) == 0 and list(empty) == [] and not empty
+
+
+def test_family_levels_store_one_run_per_column(R2):
+    for spec in (PowerSpec(parse_ideal(R2, "x^3, x*y, y^2")),
+                 ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)])):
+        pred = SemigroupPredicate.from_family(build_family(spec))
+        L = enumerate_levels(pred, 20)
+        assert not L.truncated and sorted(L.levels) == list(range(1, 21))
+        for i, pts in L.levels.items():
+            columns = [prefix for prefix, _, _ in pts.runs]
+            assert len(pts.runs) <= pred.beta * i + 1
+            assert columns == sorted(set(columns))
+
+
+_small = st.integers(1, 4)
+
+
+@st.composite
+def _family_cases(draw):
+    """A d = 2 power or valuation family's predicate, with the point-list
+    oracle for its levels."""
+    ring = AmbientRing.default(2)
+    if draw(st.booleans()):
+        gens = [(draw(_small), 0), (0, draw(_small))]
+        gens += draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+                              max_size=3))
+        spec = PowerSpec(MonomialIdeal.from_gens(ring, gens))
+    else:
+        spec = ValuationSpec.make(ring, draw(st.lists(
+            st.tuples(st.tuples(_small, _small), _small), min_size=1, max_size=3)))
+    F = build_family(spec)
+    P = SemigroupPredicate.from_family(F)
+    return P, lambda i: oracle_family_points(F, P.beta, i)
+
+
+@st.composite
+def _toy_cases(draw):
+    """A generic-scan predicate in point dimension 1 or 2: linear bounds,
+    a congruence on the last coordinate (gaps inside columns) and maybe
+    even levels only; each piece is closed under addition."""
+    p = draw(st.sampled_from((1, 2)))
+    weights = st.tuples(*[st.integers(0, 3)] * p)
+    upper = draw(st.lists(st.tuples(weights, st.integers(0, 3)), max_size=2))
+    lower = draw(st.lists(st.tuples(weights, st.integers(0, 2)), max_size=2))
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def dot(w, a):
+        return sum(x * y for x, y in zip(w, a))
+
+    def member(a, i):
+        return (i % m == 0 and a[-1] % k == 0
+                and all(dot(w, a) <= t * i for w, t in upper)
+                and all(dot(w, a) >= t * i for w, t in lower))
+
+    P = SemigroupPredicate(p, draw(st.integers(1, 3)), member)
+    return P, lambda i: oracle_scan_points(P, i)
+
+
+def _member_calls(check, P, L):
+    """The (point, level) queries an additivity spot check makes."""
+    calls = []
+
+    def member(a, i):
+        calls.append((a, i))
+        return P.member(a, i)
+
+    check(replace(P, member=member), L, 200, 2024)
+    return calls
+
+
+def _body_or_error(body, L):
+    try:
+        return body(L)
+    except MonolimError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_family_cases(), _toy_cases()), st.integers(3, 7),
+       st.integers(0, 3000))
+def test_level_runs_match_the_point_list_oracles(case, N, budget):
+    P, oracle_points = case
+    L = enumerate_levels(P, N, retain_budget=budget)
+    want = {i: oracle_points(i) for i in range(1, N + 1)}
+    assert L.counts == {i: len(pts) for i, pts in want.items()}
+    kept, total = [], 0
+    for i in range(1, N + 1):
+        if total + len(want[i]) > budget:
+            break
+        kept.append(i)
+        total += len(want[i])
+    assert sorted(L.levels) == kept and L.truncated == (len(kept) < N)
+    for i in kept:
+        got = L.levels[i]
+        assert len(got) == L.counts[i]
+        assert list(got) == want[i]
+        assert [got[k] for k in range(len(got))] == want[i]
+    O = SemigroupLevels(L.point_dim, L.beta, N, L.counts,
+                        {i: want[i] for i in kept}, L.truncated, L.label)
+    assert _body_or_error(okounkov_body, L) == _body_or_error(oracle_okounkov_body, O)
+    assert (_member_calls(_spot_check_additivity, P, L)
+            == _member_calls(oracle_spot_check, P, O))
