@@ -96,45 +96,57 @@ class Job:
     def _lookup(self, section: str, key: str):
         return self.tree.get(section, {}).get(key)
 
+    def param(self, name: str, section: str = "params", key: str | None = None):
+        """The ``--name`` flag if given (even 0 or empty), else the config's
+        ``section: key`` (``params: name`` by default), else None."""
+        value = getattr(self.args, name, None)
+        return self._lookup(section, key or name) if value is None else value
+
     def ring(self) -> AmbientRing:
-        value = self.args.ring or self._lookup("ring", "vars")
+        value = self.param("ring", "ring", "vars")
         if value is None:
             return AmbientRing.default(2)
         return rio.ring_from_config(str(value))
 
     def family(self, which: str = "family") -> GradedFamily:
-        text = getattr(self.args, which, None) or self._lookup(which, "spec")
+        text = self.param(which, which, "spec")
         if text is None:
             raise ConfigError(f"missing --{which}")
         return build_family(rio.parse_family_spec(self.ring(), str(text)))
 
-    def text_param(self, name: str):
-        return getattr(self.args, name, None) or self._lookup("params", name)
-
     def n_value(self, default=None) -> int:
-        value = self.args.N or self._lookup("params", "N") or default
+        value = self.param("N")
+        if value is None:
+            value = default
         if value is None:
             raise ConfigError("missing --N")
-        n = int(value)
+        try:
+            n = int(str(value))
+        except ValueError:
+            raise ConfigError(f"N must be an integer, got {value!r}") from None
         if n < 1:
             raise ConfigError("N must be >= 1")
         return n
 
     def tol(self) -> Fraction:
-        value = self.args.tol or self._lookup("params", "tol")
+        value = self.param("tol")
         if value is None:
             return Fraction(1, 100)
-        tol = Fraction(str(value))
+        try:
+            tol = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"tolerance must be a rational number, got {value!r}") from None
         if tol <= 0:
             raise ConfigError("tolerance must be positive")
         return tol
 
     def out_prefix(self, command: str) -> Path:
-        value = self.args.out or self._lookup("params", "out")
+        value = self.param("out")
         return Path(value) if value else Path(f"monolim_{command}")
 
     def cache(self):
-        value = self.args.cache_dir or self._lookup("params", "cache_dir")
+        value = self.param("cache_dir")
         return rio.ResultCache(value) if value else None
 
 
@@ -263,13 +275,13 @@ def _cmd_minkowski(job: Job) -> tuple[int, dict, str]:
 def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
     N = job.n_value()
-    module_text = job.text_param("module")
+    module_text = job.param("module")
     if module_text:
         module = rio.parse_module_spec(ring, str(module_text))
         report = asy.epsilon_module(module, N)
         subject = f"module({module_text})"
     else:
-        ideal_text = job.text_param("ideal")
+        ideal_text = job.param("ideal")
         if not ideal_text:
             raise ConfigError("epsilon needs --ideal or --module")
         report = asy.epsilon_ideal(parse_ideal(ring, str(ideal_text)), N)
@@ -294,7 +306,7 @@ def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
 def _cmd_symbolic(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
     N = job.n_value()
-    ideal_text, aux_text = job.text_param("ideal"), job.text_param("aux")
+    ideal_text, aux_text = job.param("ideal"), job.param("aux")
     if not ideal_text or not aux_text:
         raise ConfigError("symbolic needs --ideal and --aux")
     I = parse_ideal(ring, str(ideal_text))
@@ -326,13 +338,11 @@ def _cmd_symbolic(job: Job) -> tuple[int, dict, str]:
 
 def _okounkov_constant(job: Job):
     """The ``--c`` constant (or ``params: c``), None when unset."""
-    value = job.args.c
-    if value is None:
-        value = job._lookup("params", "c")
+    value = job.param("c")
     if value is None:
         return None
     try:
-        c = int(value)
+        c = int(str(value))
     except ValueError:
         raise ConfigError(f"--c must be an integer, got {value!r}") from None
     if c < 1:
@@ -377,19 +387,19 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
 
 def _cmd_kt(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
-    region_text = job.text_param("region")
+    region_text = job.param("region")
     if region_text:
         D1 = rio.parse_region_spec(ring.d, str(region_text))
     else:
-        ideal_text = job.text_param("ideal")
+        ideal_text = job.param("ideal")
         if not ideal_text:
             raise ConfigError("kt needs --region/--region2 or --ideal/--ideal2")
         D1 = hull_region(parse_ideal(ring, str(ideal_text)))
-    region2_text = job.text_param("region2")
+    region2_text = job.param("region2")
     if region2_text:
         D2 = rio.parse_region_spec(ring.d, str(region2_text))
     else:
-        ideal2_text = job.text_param("ideal2")
+        ideal2_text = job.param("ideal2")
         if not ideal2_text:
             raise ConfigError("kt needs a second region or ideal")
         D2 = hull_region(parse_ideal(ring, str(ideal2_text)))

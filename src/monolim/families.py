@@ -372,23 +372,28 @@ class ValuationSpec(FamilySpec):
 
 @dataclass(frozen=True)
 class SymbolicSpec(FamilySpec):
-    """Generalized symbolic powers I_n = I^n : J^infinity."""
+    """Generalized symbolic powers I_n = I^n : J^infinity.
+
+    I^n comes from a memoized power family, one product per step.
+    """
 
     ideal: MonomialIdeal
     aux: MonomialIdeal
+    _powers: GradedFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ideal.is_zero or self.aux.is_zero:
             raise FamilySpecError("symbolic family needs nonzero ideals")
         if self.ideal.ring != self.aux.ring:
             raise FamilySpecError("ideals live in different rings")
+        object.__setattr__(self, "_powers", GradedFamily(PowerSpec(self.ideal)))
 
     @property
     def ring(self):
         return self.ideal.ring
 
     def member(self, n):
-        return self.ideal.power(n).saturate(self.aux)
+        return self._powers.member_ideal(n).saturate(self.aux)
 
     def label(self):
         return f"symbolic({format_ideal(self.ideal)}; {format_ideal(self.aux)})"
@@ -396,20 +401,22 @@ class SymbolicSpec(FamilySpec):
 
 @dataclass(frozen=True)
 class SaturationSpec(FamilySpec):
-    """I_n = (I^n)^sat = I^n : m^infinity."""
+    """I_n = (I^n)^sat = I^n : m^infinity, with I^n as in SymbolicSpec."""
 
     ideal: MonomialIdeal
+    _powers: GradedFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ideal.is_zero:
             raise FamilySpecError("saturation family needs a nonzero ideal")
+        object.__setattr__(self, "_powers", GradedFamily(PowerSpec(self.ideal)))
 
     @property
     def ring(self):
         return self.ideal.ring
 
     def member(self, n):
-        return self.ideal.power(n).saturation()
+        return self._powers.member_ideal(n).saturation()
 
     def label(self):
         return f"saturation({format_ideal(self.ideal)})"

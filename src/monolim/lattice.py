@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
-from operator import add, itemgetter
+from operator import itemgetter, le
 
 from .errors import (
     DimensionMismatchError,
@@ -57,21 +57,18 @@ class AmbientRing:
         return cls(d, tuple(f"x{i + 1}" for i in range(d)))
 
 
-def _gradedlex_key(e: Exponent) -> tuple:
-    return (sum(e), e)
-
-
 def dominates(a: Exponent, b: Exponent) -> bool:
     """True iff ``a <= b`` componentwise (x^a divides x^b)."""
     return all(ai <= bi for ai, bi in zip(a, b))
 
 
 def _minimalize_2d(points) -> list[Exponent]:
-    # Sweep in x order; an antichain in the plane has strictly decreasing y.
-    pts = sorted(set(points))
+    # Sweep in x order; an antichain in the plane has strictly decreasing y,
+    # so the strict test also drops repeated points.  The result is in lex
+    # order.
     kept: list[Exponent] = []
     best_y = None
-    for p in pts:
+    for p in sorted(points):
         if best_y is None or p[1] < best_y:
             kept.append(p)
             best_y = p[1]
@@ -96,23 +93,28 @@ def _staircase_insert(xs: list[int], ys: list[int], x: int, y: int) -> bool:
     return True
 
 
+_ZXY = itemgetter(2, 0, 1)
+
+
 def _minimalize_3d(points) -> list[Exponent]:
     # Kung-Luccio-Preparata sweep: in (z, x, y) order no point divides an
     # earlier one, so a point is kept iff no kept (x, y) projection divides
-    # its own; the kept projections form a 2-D staircase.
+    # its own; the kept projections form a 2-D staircase, which also turns
+    # away a repeated point.
     xs: list[int] = []
     ys: list[int] = []
     kept: list[Exponent] = []
-    for z, x, y in sorted({(z, x, y) for x, y, z in points}):
-        if _staircase_insert(xs, ys, x, y):
-            kept.append((x, y, z))
+    for p in sorted(points, key=_ZXY):
+        if _staircase_insert(xs, ys, p[0], p[1]):
+            kept.append(p)
     return kept
 
 
 def _minimalize_general(points) -> list[Exponent]:
-    pts = sorted(set(points), key=_gradedlex_key)
+    # A divisor precedes its multiples in lex order, so a point can only be
+    # divided by an earlier one.
     kept: list[Exponent] = []
-    for p in pts:
+    for p in sorted(set(points)):
         if not any(dominates(q, p) for q in kept):
             kept.append(p)
     return kept
@@ -128,9 +130,18 @@ def _antichain(points, d: int) -> list[Exponent]:
 
 
 def _minimal_antichain(points, d: int) -> tuple[Exponent, ...]:
+    """Minimal elements of ``points`` in graded-lex order.
+
+    Lex order stably re-sorted by total degree is graded-lex order.  The
+    lex sort is linear on the 2-D sweep's output, which is already in lex
+    order.
+    """
     if not points:
         return ()
-    return tuple(sorted(_antichain(points, d), key=_gradedlex_key))
+    kept = _antichain(points, d)
+    kept.sort()
+    kept.sort(key=sum)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -180,8 +191,7 @@ class MonomialIdeal:
             raise MonolimError("negative power")
         if b == 0:
             return MonomialIdeal.unit(ring)
-        gens = [g for g in _compositions(b, ring.d)]
-        return MonomialIdeal(ring, tuple(sorted(gens, key=_gradedlex_key)))
+        return MonomialIdeal(ring, tuple(_compositions(b, ring.d)))
 
     # -- predicates --------------------------------------------------------
 
@@ -234,8 +244,19 @@ class MonomialIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """I * J from the |I|*|J| generator sums.
+
+        The larger generator list is transposed into coordinate columns
+        once; each generator h of the smaller one shifts the columns by h
+        and ``zip`` rebuilds the sums, one shifted copy per h.
+        """
         self._check_ring(other)
-        sums = {tuple(map(add, g, h)) for g in self.gens for h in other.gens}
+        small, large = sorted((self.gens, other.gens), key=len)
+        columns = tuple(zip(*large))
+        sums: list[Exponent] = []
+        for h in small:
+            sums += zip(*[map(c.__add__, col) if c else col
+                          for c, col in zip(h, columns)])
         return MonomialIdeal(self.ring, _minimal_antichain(sums, self.ring.d))
 
     __mul__ = multiply
@@ -347,7 +368,8 @@ class MonomialIdeal:
 
 
 def _compositions(total: int, parts: int):
-    """All exponent vectors of length ``parts`` summing to ``total``."""
+    """All exponent vectors of length ``parts`` summing to ``total``, in lex
+    (hence graded-lex) order."""
     if parts == 1:
         yield (total,)
         return
@@ -411,7 +433,9 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
     """Count of exponents in ``outer`` but not ``inner`` (requires inner <= outer).
 
     Finiteness is decided symbolically: the count is finite iff the
-    annihilator ``inner : outer`` is primary (or the ideals coincide).
+    annihilator ``inner : outer`` is primary (or the ideals coincide).  Only
+    the annihilator's pure powers are needed, and they are read off the
+    generators without building it.
     """
     outer._check_ring(inner)
     if not inner.issubset(outer):
@@ -421,7 +445,7 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
     co, ci = outer.colength(), inner.colength()
     if co != INFINITE and ci != INFINITE:
         return ci - co
-    pure = inner.colon(outer).pure_powers()
+    pure = _colon_pure_powers(inner, outer)
     if None in pure:
         return INFINITE
     # With B_j = max_g g_j + p_j (p_j the pure power of inner : outer), an
@@ -434,6 +458,34 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
         outer.ring, [tuple(b if i == j else 0 for i in range(d))
                      for j, b in enumerate(bounds)])
     return (inner + box).colength() - (outer + box).colength()
+
+
+def _colon_pure_powers(inner: MonomialIdeal, outer: MonomialIdeal) -> tuple:
+    """``inner.colon(outer).pure_powers()`` without building the colon.
+
+    x_j^p lies in inner : outer iff g + p*e_j lies in inner for every
+    generator g of outer.  For one g the least such p is min(f_j) - g_j,
+    clipped at 0, over the generators f of inner that divide g off axis j
+    (None if there is none), so the pure power on axis j is the largest of
+    these over g.  Scanning inner's generators by increasing f_j, the first
+    one that divides g off axis j gives the minimum: O(|outer| * |inner|)
+    comparisons per axis.
+    """
+    pure = []
+    for j in range(outer.ring.d):
+        candidates = sorted((f[j], f[:j] + f[j + 1:]) for f in inner.gens)
+        power = 0
+        for g in outer.gens:
+            gj, rest = g[j], g[:j] + g[j + 1:]
+            for fj, frest in candidates:
+                if all(map(le, frest, rest)):
+                    power = max(power, fj - gj)
+                    break
+            else:
+                power = None
+                break
+        pure.append(power)
+    return tuple(pure)
 
 
 def length_mod_power(outer: MonomialIdeal, inner: MonomialIdeal, k: int) -> int:

@@ -10,7 +10,10 @@ plane-by-plane integration, the grid bracket) and the valuation-family
 oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).  The
 semigroup oracles are the point-list level enumeration, the per-point
 Okounkov body and the flattened-pool additivity spot check that column runs
-replaced.
+replaced.  The set-based staircase kernels (pairwise sums into a set,
+minimalizers sorted twice with a Python graded-lex key, pure powers read off
+a built colon) are kept as they were, to pin the column-wise ones to the
+same tuples in the same order.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ import time
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
+from operator import add
 
 import numpy as np
 import pytest
 
 from monolim import INFINITE, AmbientRing, MonomialIdeal
 from monolim.errors import GeometryError, MonolimError
+from monolim.lattice import _staircase_insert, dominates
 
 
 @pytest.fixture(scope="session")
@@ -124,6 +129,55 @@ def random_primary_ideal(rng: random.Random, ring: AmbientRing,
         if any(g):
             gens.append(g)
     return MonomialIdeal.from_gens(ring, gens)
+
+
+# -- staircase oracles: the set-based kernels, kept as they were ---------------
+
+
+def _oracle_gradedlex_key(e):
+    return (sum(e), e)
+
+
+def _oracle_minimalize_2d(points):
+    pts = sorted(set(points))
+    kept = []
+    best_y = None
+    for p in pts:
+        if best_y is None or p[1] < best_y:
+            kept.append(p)
+            best_y = p[1]
+    return kept
+
+
+def _oracle_minimalize_3d(points):
+    xs, ys, kept = [], [], []
+    for z, x, y in sorted({(z, x, y) for x, y, z in points}):
+        if _staircase_insert(xs, ys, x, y):
+            kept.append((x, y, z))
+    return kept
+
+
+def _oracle_minimalize_general(points):
+    kept = []
+    for p in sorted(set(points), key=_oracle_gradedlex_key):
+        if not any(dominates(q, p) for q in kept):
+            kept.append(p)
+    return kept
+
+
+def oracle_minimal_antichain(points, d: int):
+    """Minimal elements in graded-lex order: sweep, then a keyed sort."""
+    if not points:
+        return ()
+    sweep = {2: _oracle_minimalize_2d, 3: _oracle_minimalize_3d}.get(
+        d, _oracle_minimalize_general)
+    return tuple(sorted(sweep(points), key=_oracle_gradedlex_key))
+
+
+def oracle_multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I * J from the set of pairwise generator sums."""
+    sums = {tuple(map(add, g, h)) for g in I.gens for h in J.gens}
+    return MonomialIdeal(I.ring, oracle_minimal_antichain(sums, I.ring.d))
 
 
 # -- hull oracles: the per-candidate kernels, kept as they were ----------------

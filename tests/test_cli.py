@@ -401,6 +401,70 @@ def test_cli_okounkov_rejects_a_zero_constant(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_limits_rejects_a_zero_n_over_the_config(tmp_path, capsys):
+    # --N 0 is a value, not "unset": it must not fall back to params: N
+    code, _ = run_cli(tmp_path, "limits", "--family", "power(x^2, y^3)",
+                      "--N", "0")
+    assert code == 2
+    assert "N must be >= 1" in capsys.readouterr().err
+    config = tmp_path / "job.conf"
+    config.write_text("params:\n  N = 12\n")
+    code, out = run_cli(tmp_path, "limits", "--config", str(config),
+                        "--family", "power(x^2, y^3)", "--N", "0")
+    assert code == 2
+    assert "N must be >= 1" in capsys.readouterr().err
+    assert not Path(f"{out}.json").exists()
+
+
+def test_cli_limits_rejects_a_zero_tolerance(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "limits", "--family", "power(x^2, y^3)",
+                        "--N", "8", "--tol", "0")
+    assert code == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+    assert not Path(f"{out}.json").exists()
+
+
+def test_cli_rejects_non_numeric_config_values(tmp_path, capsys):
+    config = tmp_path / "job.conf"
+    for key, value, message in (("N", "abc", "N must be an integer"),
+                                ("tol", "1/0", "tolerance must be a rational"),
+                                ("tol", "abc", "tolerance must be a rational")):
+        config.write_text(f"params:\n  N = 8\n  {key} = {value}\n")
+        code, _ = run_cli(tmp_path, "limits", "--config", str(config),
+                          "--family", "power(x^2, y^3)")
+        assert code == 2
+        assert message in capsys.readouterr().err
+    # A JSON config can hold a fraction or a list where an integer belongs.
+    config = tmp_path / "job.json"
+    for params, command, message in (({"N": [8]}, "limits", "N must be an integer"),
+                                     ({"N": 8.5}, "limits", "N must be an integer"),
+                                     ({"N": 10, "c": [1]}, "okounkov",
+                                      "--c must be an integer")):
+        config.write_text(json.dumps({"params": params}))
+        code, _ = run_cli(tmp_path, command, "--config", str(config),
+                          "--family", "power(x, y)")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_empty_text_flags_do_not_fall_back_to_the_config(tmp_path, capsys):
+    # An empty flag is a value, not "unset": it must not fall back to the config
+    config = tmp_path / "job.conf"
+    config.write_text("ring:\n  vars = x, y, z\n"
+                      "family:\n  spec = power(x^2, y^3, z)\n"
+                      "params:\n  ideal = x*y, y*z, x*z\n  aux = x, y\n  N = 8\n")
+    for command, flag, message in (
+            ("symbolic", "--aux", "symbolic needs --ideal and --aux"),
+            ("symbolic", "--ring", "empty ring variable list"),
+            ("limits", "--family", "bad family spec"),
+    ):
+        code, _ = run_cli(tmp_path, command, "--config", str(config))
+        assert code == 0
+        code, _ = run_cli(tmp_path, command, "--config", str(config), flag, "")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_okounkov_rejects_a_non_primary_family(tmp_path, capsys):
     for ring, spec in (("x,y,z", "power(x^2, y)"), ("x,y", "power(x^2)")):
         code, _ = run_cli(tmp_path, "okounkov", "--ring", ring, "--family", spec,

@@ -29,6 +29,7 @@ from monolim import (
     length_sequence,
     log_exponent,
     parse_ideal,
+    rel_length,
     sigma_exponent,
     sigma_multiplier,
     verify_filtration,
@@ -266,6 +267,35 @@ def test_product_of_powers_steps_each_factor_once(R2, monkeypatch):
         assert lengths[n] == (I.power(n) * J.power(n)).colength()
     for n in range(1, 8):
         assert lengths[n] == oracle_colength(fam.member_ideal(n))
+
+
+def test_symbolic_and_saturation_powers_step_once(R3, monkeypatch):
+    I, J = parse_ideal(R3, "x^2, y^3, z^2, x*y*z"), parse_ideal(R3, "x, y")
+    N = 20
+    calls = []
+    multiply = MonomialIdeal.multiply
+
+    def counting_multiply(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    cases = ((SymbolicSpec(I, J), lambda n: I.power(n).saturate(J)),
+             (SaturationSpec(I), lambda n: I.power(n).saturation()))
+    for spec, oracle in cases:
+        calls.clear()
+        monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
+        monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
+        fam = build_family(spec)
+        lengths = dict(length_sequence(fam, N, saturation_mode=True).entries)
+        assert len(calls) <= N
+        monkeypatch.undo()
+        for n in range(1, N + 1):
+            member = oracle(n)
+            assert fam.member_ideal(n) == member
+            expected = member.colength()
+            if expected == INFINITE:
+                expected = rel_length(member.saturation(), member)
+            assert lengths[n] == expected
 
 
 def test_zero_power_family_rejected(R2):

@@ -14,6 +14,8 @@ from conftest import (
     oracle_colength,
     oracle_colon_members,
     oracle_containment_order,
+    oracle_minimal_antichain,
+    oracle_multiply,
     random_ideal,
     random_primary_ideal,
     timed,
@@ -29,6 +31,7 @@ from monolim import (
     parse_ideal,
     rel_length,
 )
+from monolim.lattice import _colon_pure_powers
 from monolim.errors import (
     DimensionMismatchError,
     InclusionError,
@@ -415,6 +418,45 @@ def test_rel_length_matches_box_oracle(case, primary_multiplier):
         assert value == counted
 
 
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(2))
+def test_multiply_and_from_gens_match_the_set_kernels(case):
+    # The same tuples in the same order as the set-based kernels, repeated
+    # points included, and the members of I * J are the sums' multiples.
+    ring, (g1, g2) = case
+    for gens in (g1, g2, g1 + g1[::2]):
+        assert minimalize(ring, gens).gens == oracle_minimal_antichain(gens, ring.d)
+    I1, I2 = minimalize(ring, g1), minimalize(ring, g2)
+    product = I1 * I2
+    assert product.gens == oracle_multiply(I1, I2).gens
+    assert (I2 * I1).gens == product.gens
+    assert (I1 * I1).gens == oracle_multiply(I1, I1).gens
+    zero = MonomialIdeal.zero(ring)
+    assert I1 * zero == zero * I1 == zero
+    assert I1 * MonomialIdeal.unit(ring) == I1
+    pts = box_points([a + b for a, b in zip(joint_box(I1), joint_box(I2))])
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in I1.gens for h in I2.gens]
+    assert (membership(product.gens, pts) == membership(sums, pts)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(3), st.booleans())
+def test_colon_pure_powers_match_the_colon(case, zero_inner):
+    # Random pairs (inner need not lie in outer), the rel_length shape
+    # outer * P + (outer & J), whose pure powers may be missing (INFINITE),
+    # and a zero inner, which has none on any axis.
+    ring, (go, gp, gj) = case
+    outer, P, J = (minimalize(ring, g) for g in (go, gp, gj))
+    inner = MonomialIdeal.zero(ring) if zero_inner else outer * P + (outer & J)
+    for a, b in ((inner, outer), (P, outer), (J, P), (outer, outer)):
+        assert _colon_pure_powers(a, b) == a.colon(b).pure_powers()
+    if zero_inner:
+        assert _colon_pure_powers(inner, outer) == (None,) * ring.d
+    elif inner != outer:
+        finite = None not in _colon_pure_powers(inner, outer)
+        assert finite == (rel_length(outer, inner) != INFINITE)
+
+
 # -- huge exponents: cost follows the generator count, not the exponents ------
 
 
@@ -428,6 +470,14 @@ def test_colength_huge_exponent_2d(R2):
 def test_colength_huge_exponents_3d(R3):
     ideal = I(R3, f"x^{E}, y^{E}, z^{E}, x*y*z")
     assert timed(ideal.colength) == E ** 3 - (E - 1) ** 3
+
+
+def test_power_and_colength_huge_exponents_2d(R2):
+    # Seven corners: x^(3E), x^(2E+1)*y, x^(E+2)*y^2, x^3*y^3 and mirror.
+    cube = timed(lambda: I(R2, f"x^{E}, y^{E}, x*y") ** 3)
+    assert cube == I(R2, f"x^{3 * E}, x^{2 * E + 1}*y, x^{E + 2}*y^2, x^3*y^3, "
+                         f"x^2*y^{E + 2}, x*y^{2 * E + 1}, y^{3 * E}")
+    assert timed(cube.colength) == 12 * E - 3
 
 
 def test_containment_order_huge_exponents_3d(R3):
