@@ -115,23 +115,18 @@ def estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
                          verdict, (tail[0][0], tail[-1][0]))
 
 
-def length_sequence(F: GradedFamily, ns,
-                    saturation_mode: bool = False) -> LengthSequence:
-    """Exact lengths of R/I_n (or of I_n^sat / I_n in saturation mode).
+def length_sequence(F: GradedFamily, ns) -> LengthSequence:
+    """Exact lengths of R/I_n.
 
     ``ns`` is either an upper bound N (samples 1..N) or an iterable of
-    indices.  Non-primary members raise unless ``saturation_mode`` is set,
-    in which case the saturation-gap length is recorded instead.
+    indices.  A non-primary member raises ``NotPrimaryError``.
     """
     indices = list(range(1, ns + 1)) if isinstance(ns, int) else sorted(set(ns))
 
     def value(n: int) -> int:
         v = F.length(n)
         if v == INFINITE:
-            if not saturation_mode:
-                raise NotPrimaryError(
-                    f"member {n} of {F.label()} is not primary")
-            v = F.saturation_gap(n)
+            raise NotPrimaryError(f"member {n} of {F.label()} is not primary")
         return v
 
     return LengthSequence(tuple((n, value(n)) for n in indices), F.ring.d)

@@ -1,5 +1,9 @@
 """Command-line surface: computations in, CSV/JSON/SVG artifacts out.
 
+Every subcommand is one row of ``COMMANDS``: its handler, its help line and
+the flags it reads.  Its parser accepts exactly those flags, spelled out in
+full, so a flag the command would ignore is a usage error.
+
 Exit codes: 0 pass, 1 an asserted check failed, 2 usage or config error,
 3 internal invariant breach.
 """
@@ -11,10 +15,11 @@ import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import asymptotics as asy
 from . import reportio as rio
-from .convex import hull_region, kt_check
+from .convex import hull_region, kt_check, minkowski_sum
 from .errors import (
     ConfigError,
     EstimateError,
@@ -25,7 +30,13 @@ from .errors import (
     NotPrimaryError,
     SemigroupError,
 )
-from .families import GradedFamily, build_family, verify_filtration, verify_graded
+from .families import (
+    GradedFamily,
+    ProductSpec,
+    build_family,
+    verify_filtration,
+    verify_graded,
+)
 from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
     SemigroupPredicate,
@@ -33,53 +44,18 @@ from .semigroup import (
     require_body_dimension,
     semigroup_limit_check,
 )
-from .svg import normalized_points, polygon_svg, regions_svg, sequence_svg, staircase_svg
+from .svg import polygon_svg, regions_svg, sequence_svg, staircase_svg
 
-_COMMANDS = ("family", "limits", "diff", "minkowski", "epsilon", "symbolic",
-             "okounkov", "kt", "counterexample")
+_REQUIRED = object()
 
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="monolim",
-        description="Asymptotic length and multiplicity limits for graded "
-                    "families of monomial ideals (exact arithmetic).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "family": "evaluate family members (requires positional action 'eval')",
-        "limits": "length sequence and limit estimate",
-        "diff": "difference profile and filtration bound diagnostics",
-        "minkowski": "Minkowski inequality for two families",
-        "epsilon": "epsilon multiplicity of an ideal or monomial module",
-        "symbolic": "generalized symbolic power multiplicity",
-        "okounkov": "semigroup enumeration and counting limit",
-        "kt": "covolume Minkowski (reversed Brunn-Minkowski) check",
-        "counterexample": "prebuilt divergence/oscillation demonstrations",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "family":
-            p.add_argument("action", choices=["eval"])
-        if name == "counterexample":
-            p.add_argument("which", choices=["sigma", "log"])
-        p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--ring", default=None, help="comma-separated variables")
-        p.add_argument("--family", dest="family", default=None)
-        p.add_argument("--family2", dest="family2", default=None)
-        p.add_argument("--ideal", default=None)
-        p.add_argument("--ideal2", default=None)
-        p.add_argument("--aux", default=None)
-        p.add_argument("--module", dest="module", default=None)
-        p.add_argument("--region", default=None)
-        p.add_argument("--region2", default=None)
-        p.add_argument("--N", dest="N", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--c", dest="c", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--svg", action="store_true")
-        p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    return parser
+# The positive numbers: parser, then the message for a value it rejects and
+# for a value <= 0.
+_NUMBERS = {
+    "N": (int, "N must be an integer", "N must be >= 1"),
+    "tol": (Fraction, "tolerance must be a rational number",
+            "tolerance must be positive"),
+    "c": (int, "--c must be an integer", "--c must be >= 1"),
+}
 
 
 class Job:
@@ -93,14 +69,30 @@ class Job:
                 raise ConfigError(f"config file not found: {args.config}")
             self.tree = rio.parse_config(args.config.read_text())
 
-    def _lookup(self, section: str, key: str):
-        return self.tree.get(section, {}).get(key)
-
     def param(self, name: str, section: str = "params", key: str | None = None):
         """The ``--name`` flag if given (even 0 or empty), else the config's
         ``section: key`` (``params: name`` by default), else None."""
-        value = getattr(self.args, name, None)
-        return self._lookup(section, key or name) if value is None else value
+        value = getattr(self.args, name)
+        if value is None:
+            return self.tree.get(section, {}).get(key or name)
+        return value
+
+    def number(self, name: str, default=_REQUIRED):
+        """The positive number ``name`` (N, tol or c), parsed alike from the
+        flag's text and from the config; ``default`` when both are unset."""
+        value = self.param(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing --{name}")
+            return default
+        parse, malformed, not_positive = _NUMBERS[name]
+        try:
+            number = parse(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{malformed}, got {value!r}") from None
+        if number <= 0:
+            raise ConfigError(not_positive)
+        return number
 
     def ring(self) -> AmbientRing:
         value = self.param("ring", "ring", "vars")
@@ -113,33 +105,6 @@ class Job:
         if text is None:
             raise ConfigError(f"missing --{which}")
         return build_family(rio.parse_family_spec(self.ring(), str(text)))
-
-    def n_value(self, default=None) -> int:
-        value = self.param("N")
-        if value is None:
-            value = default
-        if value is None:
-            raise ConfigError("missing --N")
-        try:
-            n = int(str(value))
-        except ValueError:
-            raise ConfigError(f"N must be an integer, got {value!r}") from None
-        if n < 1:
-            raise ConfigError("N must be >= 1")
-        return n
-
-    def tol(self) -> Fraction:
-        value = self.param("tol")
-        if value is None:
-            return Fraction(1, 100)
-        try:
-            tol = Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"tolerance must be a rational number, got {value!r}") from None
-        if tol <= 0:
-            raise ConfigError("tolerance must be positive")
-        return tol
 
     def out_prefix(self, command: str) -> Path:
         value = self.param("out")
@@ -166,12 +131,25 @@ def _estimate_dict(est) -> dict:
     }
 
 
+def _sequence_artifacts(job: Job, seq, value_name: str, js: str, window,
+                        title: str) -> dict:
+    """The ``n, <value_name>, normalized`` CSV of ``seq`` and the JSON ``js``;
+    with --svg also the normalized sequence, its fit ``window`` shaded."""
+    normalized = seq.normalized()
+    rows = [[n, v, q] for (n, v), (_, q) in zip(seq.entries, normalized, strict=True)]
+    artifacts = {".csv": rio.render_csv(["n", value_name, "normalized"], rows),
+                 ".json": js}
+    if job.args.svg:
+        artifacts[".svg"] = sequence_svg(normalized, window, title=title)
+    return artifacts
+
+
 # -- command implementations ---------------------------------------------------
 
 
 def _cmd_family(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
-    N = job.n_value()
+    N = job.number("N")
     cache = job.cache()
     rows = []
     for n in range(N + 1):
@@ -179,7 +157,7 @@ def _cmd_family(job: Job) -> tuple[int, dict, str]:
         rows.append([n, f"({text})", length if length != INFINITE else "INFINITE"])
     csv = rio.render_csv(["n", "ideal", "length"], rows)
     js = rio.render_json("family eval", {"family": fam.label(), "N": N},
-                         {"rows": [[r[0], r[1], r[2]] for r in rows]})
+                         {"rows": rows})
     artifacts = {".csv": csv, ".json": js}
     if job.args.svg and fam.ring.d == 2:
         member = fam.member_ideal(N)
@@ -190,27 +168,21 @@ def _cmd_family(job: Job) -> tuple[int, dict, str]:
 
 def _cmd_limits(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
-    N = job.n_value()
-    seq = asy.length_sequence(fam, N, saturation_mode=False)
-    est = asy.estimate_limit(seq, job.tol())
-    rows = [[n, v, Fraction(v, n ** seq.degree)] for n, v in seq.entries]
-    csv = rio.render_csv(["n", "raw", "normalized"], rows)
-    js = rio.render_json("limits", {"family": fam.label(), "N": N,
-                                    "tol": job.tol()},
-                         {"estimate": _estimate_dict(est),
-                          "degree": seq.degree})
-    artifacts = {".csv": csv, ".json": js}
-    if job.args.svg:
-        artifacts[".svg"] = sequence_svg(normalized_points(seq), est.window,
-                                         title=f"limit ~ {float(est.point_estimate):.6g}")
-    summary = (f"limits: point estimate {float(est.point_estimate):.6g} "
-               f"({est.verdict})")
-    return 0, artifacts, summary
+    N = job.number("N")
+    tol = job.number("tol", Fraction(1, 100))
+    seq = asy.length_sequence(fam, N)
+    est = asy.estimate_limit(seq, tol)
+    js = rio.render_json("limits", {"family": fam.label(), "N": N, "tol": tol},
+                         {"estimate": _estimate_dict(est), "degree": seq.degree})
+    limit = f"{float(est.point_estimate):.6g}"
+    artifacts = _sequence_artifacts(job, seq, "raw", js, est.window,
+                                    f"limit ~ {limit}")
+    return 0, artifacts, f"limits: point estimate {limit} ({est.verdict})"
 
 
 def _cmd_diff(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
-    N = job.n_value()
+    N = job.number("N")
     seq = asy.length_sequence(fam, N + 1)
     profile = asy.difference_profile(seq)
     rows = [[r.n, r.increase, r.decrease] for r in profile]
@@ -244,7 +216,7 @@ def _cmd_diff(job: Job) -> tuple[int, dict, str]:
 def _cmd_minkowski(job: Job) -> tuple[int, dict, str]:
     F = job.family("family")
     G = job.family("family2")
-    N = job.n_value()
+    N = job.number("N")
     report = asy.minkowski_family_check(F, G, N)
     rows = [[format_ideal(F.member_ideal(1)), format_ideal(G.member_ideal(1)),
              report.limit_left, report.limit_right, report.limit_product,
@@ -261,11 +233,9 @@ def _cmd_minkowski(job: Job) -> tuple[int, dict, str]:
                           "slack": report.slack})
     artifacts = {".csv": csv, ".json": js}
     if job.args.svg:
-        from .families import ProductSpec, build_family
         prod = build_family(ProductSpec(F.spec, G.spec))
-        seq = asy.length_sequence(prod, N)
         artifacts[".svg"] = sequence_svg(
-            normalized_points(seq),
+            asy.length_sequence(prod, N).normalized(),
             title=f"product family, limit ~ {float(report.limit_product):.6g}")
     summary = (f"minkowski: slack {report.slack:.3g} "
                f"{'PASS' if report.holds else 'FAIL'}")
@@ -274,7 +244,7 @@ def _cmd_minkowski(job: Job) -> tuple[int, dict, str]:
 
 def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
-    N = job.n_value()
+    N = job.number("N")
     module_text = job.param("module")
     if module_text:
         module = rio.parse_module_spec(ring, str(module_text))
@@ -286,76 +256,48 @@ def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
             raise ConfigError("epsilon needs --ideal or --module")
         report = asy.epsilon_ideal(parse_ideal(ring, str(ideal_text)), N)
         subject = f"ideal({ideal_text})"
-    rows = [[n, v, Fraction(v, n ** report.degree)]
-            for n, v in report.samples.entries]
-    csv = rio.render_csv(["n", "saturation_gap", "normalized"], rows)
     js = rio.render_json("epsilon", {"subject": subject, "N": N},
                          {"epsilon": report.epsilon,
                           "degree": report.degree,
                           "rank": report.rank,
                           "primary_flag": report.primary_flag,
                           "estimate": _estimate_dict(report.estimate)})
-    artifacts = {".csv": csv, ".json": js}
-    if job.args.svg:
-        artifacts[".svg"] = sequence_svg(normalized_points(report.samples),
-                                         report.estimate.window,
-                                         title=f"epsilon ~ {float(report.epsilon):.6g}")
-    return 0, artifacts, f"epsilon: {float(report.epsilon):.6g} ({report.estimate.verdict})"
+    epsilon = f"{float(report.epsilon):.6g}"
+    artifacts = _sequence_artifacts(job, report.samples, "saturation_gap", js,
+                                    report.estimate.window, f"epsilon ~ {epsilon}")
+    return 0, artifacts, f"epsilon: {epsilon} ({report.estimate.verdict})"
 
 
 def _cmd_symbolic(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
-    N = job.n_value()
+    N = job.number("N")
     ideal_text, aux_text = job.param("ideal"), job.param("aux")
     if not ideal_text or not aux_text:
         raise ConfigError("symbolic needs --ideal and --aux")
     I = parse_ideal(ring, str(ideal_text))
     J = parse_ideal(ring, str(aux_text))
     report = asy.symbolic_multiplicity(I, J, N)
+    params = {"ideal": ideal_text, "aux": aux_text, "N": N}
     if report.zero_module:
-        js = rio.render_json("symbolic", {"ideal": ideal_text, "aux": aux_text,
-                                          "N": N},
-                             {"zero_module": True})
+        js = rio.render_json("symbolic", params, {"zero_module": True})
         return 0, {".json": js, ".csv": rio.render_csv(["n", "e"], [])}, \
             "symbolic: zero module"
-    rows = [[n, v, Fraction(v, n ** report.samples.degree)]
-            for n, v in report.samples.entries]
-    csv = rio.render_csv(["n", "module_multiplicity", "normalized"], rows)
-    js = rio.render_json("symbolic", {"ideal": ideal_text, "aux": aux_text,
-                                      "N": N},
+    js = rio.render_json("symbolic", params,
                          {"s": report.s,
                           "estimate": _estimate_dict(report.estimate),
                           "zero_module": False})
-    artifacts = {".csv": csv, ".json": js}
-    if job.args.svg:
-        artifacts[".svg"] = sequence_svg(
-            normalized_points(report.samples), report.estimate.window,
-            title=f"limit ~ {float(report.estimate.point_estimate):.6g}")
-    summary = (f"symbolic: s={report.s}, limit ~ "
-               f"{float(report.estimate.point_estimate):.6g}")
-    return 0, artifacts, summary
-
-
-def _okounkov_constant(job: Job):
-    """The ``--c`` constant (or ``params: c``), None when unset."""
-    value = job.param("c")
-    if value is None:
-        return None
-    try:
-        c = int(str(value))
-    except ValueError:
-        raise ConfigError(f"--c must be an integer, got {value!r}") from None
-    if c < 1:
-        raise ConfigError("--c must be >= 1")
-    return c
+    limit = f"{float(report.estimate.point_estimate):.6g}"
+    artifacts = _sequence_artifacts(job, report.samples, "module_multiplicity", js,
+                                    report.estimate.window, f"limit ~ {limit}")
+    return 0, artifacts, f"symbolic: s={report.s}, limit ~ {limit}"
 
 
 def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
-    N = job.n_value()
+    N = job.number("N")
     if N < 3:
         raise ConfigError("okounkov needs --N >= 3")
-    pred = SemigroupPredicate.from_family(fam, c=_okounkov_constant(job))
+    pred = SemigroupPredicate.from_family(fam, c=job.number("c", None))
     require_body_dimension(pred.point_dim)
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
@@ -385,24 +327,24 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     return 0, artifacts, summary
 
 
+def _region_or_ideal(job: Job, ring: AmbientRing, region: str, ideal: str,
+                     missing: str):
+    """The region of the ``region`` flag, else the hull of the ``ideal`` one."""
+    text = job.param(region)
+    if text:
+        return rio.parse_region_spec(ring.d, str(text))
+    text = job.param(ideal)
+    if not text:
+        raise ConfigError(missing)
+    return hull_region(parse_ideal(ring, str(text)))
+
+
 def _cmd_kt(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
-    region_text = job.param("region")
-    if region_text:
-        D1 = rio.parse_region_spec(ring.d, str(region_text))
-    else:
-        ideal_text = job.param("ideal")
-        if not ideal_text:
-            raise ConfigError("kt needs --region/--region2 or --ideal/--ideal2")
-        D1 = hull_region(parse_ideal(ring, str(ideal_text)))
-    region2_text = job.param("region2")
-    if region2_text:
-        D2 = rio.parse_region_spec(ring.d, str(region2_text))
-    else:
-        ideal2_text = job.param("ideal2")
-        if not ideal2_text:
-            raise ConfigError("kt needs a second region or ideal")
-        D2 = hull_region(parse_ideal(ring, str(ideal2_text)))
+    D1 = _region_or_ideal(job, ring, "region", "ideal",
+                          "kt needs --region/--region2 or --ideal/--ideal2")
+    D2 = _region_or_ideal(job, ring, "region2", "ideal2",
+                          "kt needs a second region or ideal")
     report = kt_check(D1, D2)
     rows = [[report.covol1, report.covol2, report.covol_sum,
              "PASS" if report.holds else "FAIL",
@@ -419,7 +361,6 @@ def _cmd_kt(job: Job) -> tuple[int, dict, str]:
                           "region1": hs_list(D1), "region2": hs_list(D2)})
     artifacts = {".csv": csv, ".json": js}
     if job.args.svg and report.dim == 2:
-        from .convex import minkowski_sum
         artifacts[".svg"] = regions_svg([D1, D2, minkowski_sum(D1, D2)],
                                         ["D1", "D2", "D1+D2"])
     code = 0 if report.holds else 1
@@ -431,40 +372,36 @@ def _cmd_counterexample(job: Job) -> tuple[int, dict, str]:
     which = job.args.which
     ring = job.ring()
     fam = build_family(rio.parse_family_spec(ring, f"maxpower({which})"))
-    N = job.n_value(default=64)
+    N = job.number("N", 64)
     spec = fam.spec
     d = ring.d
     rows = []
-    exit_code = 0
     for n in range(1, N + 1):
         b = spec.exponent(n)
         length = fam.length(n)
         delta = fam.length(n + 1) - length
         profile = Fraction(-delta if which == "sigma" else delta, n ** (d - 1))
         rows.append([n, b, length, profile])
+    exit_code = 0
     if which == "sigma":
-        csv = rio.render_csv(["m", "b_m", "length", "F_m"], rows)
-        jumps = []
-        k = 2
-        while 2 ** (2 ** k) - 1 <= N:
-            m = 2 ** (2 ** k) - 1
+        index = "m"
+        jumps, k = [], 2
+        while (m := 2 ** (2 ** k) - 1) <= N:
             jumps.append([m, rows[m - 1][3]])
             k += 1
-        js = rio.render_json("counterexample sigma", {"N": N},
-                             {"rows": [[r[0], r[1], r[2], r[3]] for r in rows[-8:]],
-                              "jump_values": jumps})
+        results = {"jump_values": jumps}
         summary = f"counterexample sigma: {N} rows"
     else:
+        index = "n"
         bound = asy.filtration_difference_bound(fam, N)
-        csv = rio.render_csv(["n", "b_n", "length", "F_n"], rows)
-        js = rio.render_json("counterexample log", {"N": N},
-                             {"rows": [[r[0], r[1], r[2], r[3]] for r in rows[-8:]],
-                              "difference_bound": {
-                                  "c": bound.c, "holds": bound.holds,
-                                  "max_ratio": bound.max_ratio}})
+        results = {"difference_bound": {"c": bound.c, "holds": bound.holds,
+                                        "max_ratio": bound.max_ratio}}
         if not bound.holds:
             exit_code = 1
         summary = f"counterexample log: bound {'holds' if bound.holds else 'FAILS'}"
+    csv = rio.render_csv([index, f"b_{index}", "length", f"F_{index}"], rows)
+    js = rio.render_json(f"counterexample {which}", {"N": N},
+                         {"rows": rows[-8:], **results})
     artifacts = {".csv": csv, ".json": js}
     if job.args.svg:
         pts = [(r[0], float(r[3])) for r in rows]
@@ -472,17 +409,62 @@ def _cmd_counterexample(job: Job) -> tuple[int, dict, str]:
     return exit_code, artifacts, summary
 
 
-_DISPATCH = {
-    "family": _cmd_family,
-    "limits": _cmd_limits,
-    "diff": _cmd_diff,
-    "minkowski": _cmd_minkowski,
-    "epsilon": _cmd_epsilon,
-    "symbolic": _cmd_symbolic,
-    "okounkov": _cmd_okounkov,
-    "kt": _cmd_kt,
-    "counterexample": _cmd_counterexample,
+# -- the command table ---------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler, its help line, the flags it reads besides
+    --config, --ring, --out and --svg, and its positional choice if any."""
+
+    run: Callable[[Job], tuple[int, dict, str]]
+    help: str
+    flags: tuple[str, ...]
+    choice: tuple[str, tuple[str, ...]] | None = None
+
+
+COMMANDS = {
+    "family": Command(_cmd_family,
+                      "evaluate family members (requires positional action 'eval')",
+                      ("--family", "--N", "--cache-dir"), ("action", ("eval",))),
+    "limits": Command(_cmd_limits, "length sequence and limit estimate",
+                      ("--family", "--N", "--tol")),
+    "diff": Command(_cmd_diff, "difference profile and filtration bound diagnostics",
+                    ("--family", "--N")),
+    "minkowski": Command(_cmd_minkowski, "Minkowski inequality for two families",
+                         ("--family", "--family2", "--N")),
+    "epsilon": Command(_cmd_epsilon,
+                       "epsilon multiplicity of an ideal or monomial module",
+                       ("--ideal", "--module", "--N")),
+    "symbolic": Command(_cmd_symbolic, "generalized symbolic power multiplicity",
+                        ("--ideal", "--aux", "--N")),
+    "okounkov": Command(_cmd_okounkov, "semigroup enumeration and counting limit",
+                        ("--family", "--N", "--c")),
+    "kt": Command(_cmd_kt, "covolume Minkowski (reversed Brunn-Minkowski) check",
+                  ("--region", "--region2", "--ideal", "--ideal2")),
+    "counterexample": Command(_cmd_counterexample,
+                              "prebuilt divergence/oscillation demonstrations",
+                              ("--N",), ("which", ("sigma", "log"))),
 }
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="monolim",
+        description="Asymptotic length and multiplicity limits for graded "
+                    "families of monomial ideals (exact arithmetic).")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        if command.choice:
+            p.add_argument(command.choice[0], choices=command.choice[1])
+        p.add_argument("--config", type=Path)
+        p.add_argument("--ring", help="comma-separated variables")
+        for flag in command.flags:
+            p.add_argument(flag)
+        p.add_argument("--out")
+        p.add_argument("--svg", action="store_true")
+    return parser
 
 
 def run(argv=None) -> int:
@@ -493,7 +475,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         job = Job(args)
-        code, artifacts, summary = _DISPATCH[args.command](job)
+        code, artifacts, summary = COMMANDS[args.command].run(job)
         prefix = job.out_prefix(args.command)
         _write_artifacts(prefix, artifacts)
         print(summary)

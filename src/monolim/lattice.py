@@ -379,11 +379,15 @@ def _compositions(total: int, parts: int):
 
 
 def _maximal_power_degree(gens: tuple[Exponent, ...], d: int):
-    """If the ideal is m^b, return b; else None."""
+    """If the ideal is m^b, return b; else None.
+
+    ``gens`` is in graded-lex order, so all have degree b = sum(gens[0]) iff
+    the last one has; then they are all comb(b + d - 1, d - 1) of degree b.
+    """
     if not gens:
         return None
     b = sum(gens[0])
-    if len(gens) != comb(b + d - 1, d - 1) or any(sum(g) != b for g in gens):
+    if len(gens) != comb(b + d - 1, d - 1) or sum(gens[-1]) != b:
         return None
     return b
 

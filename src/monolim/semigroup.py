@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Callable
 
 from .errors import GeometryError, MonolimError, NotPrimaryError, SemigroupError
@@ -257,34 +257,17 @@ def _row_lattice_basis(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def _int_det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _int_det(minor)
-    return total
-
-
 def _saturation_index(basis: list[list[int]]) -> int:
-    """Index of the row lattice inside all integer points of its span."""
-    r = len(basis)
-    if r == 0:
-        return 1
-    ncols = len(basis[0])
-    g = 0
-    for cols in itertools.combinations(range(ncols), r):
-        sub = [[row[j] for j in cols] for row in basis]
-        g = gcd(g, _int_det(sub))
-    if g == 0:
+    """Index of the row lattice inside all integer points of its span.
+
+    That is the gcd of the maximal minors, which column operations keep: it
+    is the index of the column lattice in Z^r, the product of the diagonal
+    pivots of its echelon basis.
+    """
+    echelon = _row_lattice_basis([list(col) for col in zip(*basis)])
+    if len(echelon) < len(basis):
         raise MonolimError("degenerate lattice basis")
-    return abs(g)
+    return prod(row[i] for i, row in enumerate(echelon))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .convex import ConvexRegion
 from .lattice import MonomialIdeal
 
@@ -23,18 +21,43 @@ def _header() -> list[str]:
     ]
 
 
-def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> str:
-    """Staircase cells of a 2-D ideal with the hull boundary overlaid."""
-    if ideal.ring.d != 2:
-        raise ValueError("staircase plots are two-dimensional only")
-    gens = ideal.gens
-    span = max([g[0] for g in gens] + [g[1] for g in gens] + [4]) + 2
+def _close(parts: list[str]) -> str:
+    return "\n".join(parts) + "\n</svg>\n"
+
+
+def _grid(span, stroke: str):
+    """``px`` for data coordinates on [0, span]^2, the cell size, and grid
+    lines at the integers 0..span."""
     scale = (_SIZE - 2 * _MARGIN) / span
 
     def px(x, y):
         return (_MARGIN + float(x) * scale,
                 _SIZE - _MARGIN - float(y) * scale)
 
+    lines = []
+    for i in range(int(span) + 1):
+        for (x0, y0), (x1, y1) in ((px(i, 0), px(i, span)), (px(0, i), px(span, i))):
+            lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
+                         f'y2="{_fmt(y1)}" stroke="{stroke}" stroke-width="0.5"/>')
+    return px, scale, lines
+
+
+def _chain(px, points) -> str:
+    return " ".join(",".join(_fmt(c) for c in px(*p)) for p in points)
+
+
+def _title(title: str) -> list[str]:
+    return [f'<text x="{_MARGIN}" y="{_MARGIN - 10}" '
+            f'font-family="monospace" font-size="12">{title}</text>'] if title else []
+
+
+def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> str:
+    """Staircase cells of a 2-D ideal with the hull boundary overlaid."""
+    if ideal.ring.d != 2:
+        raise ValueError("staircase plots are two-dimensional only")
+    gens = ideal.gens
+    span = max([g[0] for g in gens] + [g[1] for g in gens] + [4]) + 2
+    px, scale, grid = _grid(span, "#dddddd")
     parts = _header()
     for x in range(span):
         for y in range(span):
@@ -43,25 +66,15 @@ def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> s
                 parts.append(
                     f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(scale)}" '
                     f'height="{_fmt(scale)}" fill="#c8d8f0" stroke="none"/>')
-    for i in range(span + 1):
-        x0, y0 = px(i, 0)
-        x1, y1 = px(i, span)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(y1)}" stroke="#dddddd" stroke-width="0.5"/>')
-        x0, y0 = px(0, i)
-        x1, y1 = px(span, i)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(y1)}" stroke="#dddddd" stroke-width="0.5"/>')
+    parts += grid
     if region is not None and region.halfspaces:
-        pts = " ".join(",".join(_fmt(c) for c in px(*v)) for v in region.vertices)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#d04040" '
-                     f'stroke-width="2"/>')
+        parts.append(f'<polyline points="{_chain(px, region.vertices)}" fill="none" '
+                     f'stroke="#d04040" stroke-width="2"/>')
     for gx, gy in gens:
         x0, y0 = px(gx, gy)
         parts.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="3.5" '
                      f'fill="#204080"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts)
 
 
 def regions_svg(regions, labels=()) -> str:
@@ -70,34 +83,18 @@ def regions_svg(regions, labels=()) -> str:
     chains = [D.vertices for D in regions]
     span = max((float(c) for verts in chains for v in verts for c in v),
                default=1.0) * 1.15 + 0.5
-    scale = (_SIZE - 2 * _MARGIN) / span
-
-    def px(x, y):
-        return (_MARGIN + float(x) * scale,
-                _SIZE - _MARGIN - float(y) * scale)
-
-    parts = _header()
-    for i in range(int(span) + 1):
-        x0, y0 = px(i, 0)
-        x1, y1 = px(i, span)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(y1)}" stroke="#eeeeee" stroke-width="0.5"/>')
-        x0, y0 = px(0, i)
-        x1, y1 = px(span, i)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(y1)}" stroke="#eeeeee" stroke-width="0.5"/>')
+    px, _, grid = _grid(span, "#eeeeee")
+    parts = _header() + grid
     for idx, verts in enumerate(chains):
         color = colors[idx % len(colors)]
-        pts = " ".join(",".join(_fmt(c) for c in px(*v)) for v in verts)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="2"/>')
+        parts.append(f'<polyline points="{_chain(px, verts)}" fill="none" '
+                     f'stroke="{color}" stroke-width="2"/>')
         if idx < len(labels):
             x0, y0 = px(*verts[0])
             parts.append(f'<text x="{_fmt(x0 + 4)}" y="{_fmt(y0 - 4)}" '
                          f'font-family="monospace" font-size="11" '
                          f'fill="{color}">{labels[idx]}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _close(parts)
 
 
 def sequence_svg(points, window=None, title: str = "") -> str:
@@ -133,44 +130,19 @@ def sequence_svg(points, window=None, title: str = "") -> str:
     parts.append(f'<rect x="{_MARGIN}" y="{_MARGIN}" '
                  f'width="{_SIZE - 2 * _MARGIN}" height="{_SIZE - 2 * _MARGIN}" '
                  f'fill="none" stroke="#888888"/>')
-    pts = " ".join(",".join(_fmt(c) for c in px(n, v)) for n, v in data)
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#204080" '
-                 f'stroke-width="1.5"/>')
-    if title:
-        parts.append(f'<text x="{_MARGIN}" y="{_MARGIN - 10}" '
-                     f'font-family="monospace" font-size="12">{title}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(f'<polyline points="{_chain(px, data)}" fill="none" '
+                 f'stroke="#204080" stroke-width="1.5"/>')
+    parts += _title(title)
+    return _close(parts)
 
 
 def polygon_svg(points, title: str = "") -> str:
     """A closed exact-rational polygon (e.g. a counting body) on a grid."""
     pts = [(float(x), float(y)) for x, y in points]
     span = max([c for p in pts for c in p] + [1.0]) * 1.15 + 0.5
-    scale = (_SIZE - 2 * _MARGIN) / span
-
-    def px(x, y):
-        return (_MARGIN + x * scale, _SIZE - _MARGIN - y * scale)
-
-    parts = _header()
-    for i in range(int(span) + 1):
-        x0, y0 = px(i, 0)
-        x1, y1 = px(i, span)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(y1)}" stroke="#eeeeee" stroke-width="0.5"/>')
-        x0, y0 = px(0, i)
-        x1, y1 = px(span, i)
-        parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                     f'y2="{_fmt(y1)}" stroke="#eeeeee" stroke-width="0.5"/>')
-    chain = " ".join(",".join(_fmt(c) for c in px(*p)) for p in pts)
-    parts.append(f'<polygon points="{chain}" fill="#c8d8f0" stroke="#204080" '
-                 f'stroke-width="2" fill-opacity="0.6"/>')
-    if title:
-        parts.append(f'<text x="{_MARGIN}" y="{_MARGIN - 10}" '
-                     f'font-family="monospace" font-size="12">{title}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def normalized_points(seq) -> list[tuple[int, float]]:
-    return [(n, float(Fraction(v, n ** seq.degree))) for n, v in seq.entries if n]
+    px, _, grid = _grid(span, "#eeeeee")
+    parts = _header() + grid
+    parts.append(f'<polygon points="{_chain(px, pts)}" fill="#c8d8f0" '
+                 f'stroke="#204080" stroke-width="2" fill-opacity="0.6"/>')
+    parts += _title(title)
+    return _close(parts)

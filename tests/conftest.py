@@ -10,9 +10,11 @@ plane-by-plane integration, the grid bracket) and the valuation-family
 oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).  The
 semigroup oracles are the point-list level enumeration, the per-point
 Okounkov body and the flattened-pool additivity spot check that column runs
-replaced.  The set-based staircase kernels (pairwise sums into a set,
-minimalizers sorted twice with a Python graded-lex key, pure powers read off
-a built colon) are kept as they were, to pin the column-wise ones to the
+replaced, and the gcd of all maximal minors that the echelon pivots of the
+transposed basis replaced.  The set-based staircase kernels (pairwise sums
+into a set, minimalizers sorted twice with a Python graded-lex key, pure
+powers read off a built colon, the m^b test that scans every generator's
+degree) are kept as they were, to pin the column-wise ones to the
 same tuples in the same order.
 """
 
@@ -178,6 +180,16 @@ def oracle_multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I * J from the set of pairwise generator sums."""
     sums = {tuple(map(add, g, h)) for g in I.gens for h in J.gens}
     return MonomialIdeal(I.ring, oracle_minimal_antichain(sums, I.ring.d))
+
+
+def oracle_maximal_power_degree(gens, d: int):
+    """b if the generators are those of m^b, else None: a scan of every degree."""
+    if not gens:
+        return None
+    b = sum(gens[0])
+    if len(gens) != math.comb(b + d - 1, d - 1) or any(sum(g) != b for g in gens):
+        return None
+    return b
 
 
 # -- hull oracles: the per-candidate kernels, kept as they were ----------------
@@ -596,6 +608,36 @@ def oracle_scan_points(P, i: int):
     """Level i of a predicate's semigroup by the simplex scan."""
     return [a for a in _oracle_simplex_points(P.point_dim, P.beta * i)
             if P.member(a, i)]
+
+
+def _oracle_int_det(mat):
+    n = len(mat)
+    if n == 0:
+        return 1
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * _oracle_int_det(minor)
+    return total
+
+
+def oracle_saturation_index(basis):
+    """gcd of all maximal minors of the basis rows, each a cofactor expansion."""
+    r = len(basis)
+    if r == 0:
+        return 1
+    ncols = len(basis[0])
+    g = 0
+    for cols in itertools.combinations(range(ncols), r):
+        sub = [[row[j] for j in cols] for row in basis]
+        g = gcd(g, _oracle_int_det(sub))
+    if g == 0:
+        raise MonolimError("degenerate lattice basis")
+    return abs(g)
 
 
 def oracle_okounkov_body(L):

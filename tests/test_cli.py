@@ -1,11 +1,13 @@
 """CLI surface: artifact emission, golden stability, cache identity, exit codes."""
 
 import argparse
+import hashlib
 import json
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from conftest import oracle_family_points
 
 from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
@@ -554,3 +556,124 @@ def test_result_cache_is_keyed_by_source_digest(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert len(list((tmp_path / "c").iterdir())) == 2
 
+
+
+# sha256 of the .csv, .json and .svg of every command that draws one, recorded
+# before the command table, the shared sequence emitter and the shared SVG
+# grid replaced the per-command code: the artifacts must stay byte-identical.
+_ARTIFACT_PINS = {
+    "family-eval": (
+        ["family", "eval", "--family", "power(x^3, x*y, y^2)", "--N", "3"],
+        "cc3ee928c3dc3fdb988428cbde1845cc58827d18918957ab96e16e6ab53ed3f3",
+        "fd3647acfe2b260ae062e1e8f9cc59799b781cab673db22c0f757bcb3ebd0dff",
+        "38138dc4d532271a997f6035479439e1b816de52c1ba77fa55030c06a468d67d"),
+    "family-eval-nonprimary": (
+        ["family", "eval", "--family", "power(x^2, x*y)", "--N", "2"],
+        "eae83b6622181474647a72c2a001cbe4975bc3a075e8916d3814febf961cc192",
+        "53395c6ce7cbf8125a7d66aa3d26722eef95fe1cb6a64689b4c8d91344b5a910",
+        "8dbe3de0257b491e5657deaca1b6c1fb824faa27b04279a675bd0db45b867713"),
+    "limits": (
+        ["limits", "--family", "power(x^2, y^3)", "--N", "12"],
+        "d213408d1de2d0d180a8f103447274690c9d8f59f921a1b5a9f3408de203de9a",
+        "cafecbadba9272aabb9339872bb25b6ab3e5108852ba3ce3a7981117a1330d33",
+        "5bd31a9ecc884173e3a86f2c054d35a465ec0b60c3b0b09a3a9afed359104dab"),
+    "diff": (
+        ["diff", "--family", "maxpower(log)", "--N", "20"],
+        "813fce7452aea9cfbd360a5fee506e608425ab7bccef7a136e2fba615751746a",
+        "5eb2c8bdf0ee5813c629d628be2ba92c854e74bba1d53b1d6d0413ee371f4e41",
+        "03bacc7de289a9045d01c686b26b192db6274f1ca09884303ed95fa495cbf983"),
+    "minkowski": (
+        ["minkowski", "--family", "power(x, y^2)", "--family2", "power(x^2, y)",
+         "--N", "12"],
+        "c214328173a26575f222a7106fce67c20842c2945adfed8abf324c6cf7924970",
+        "5cfb5d2280ed94c8f9d39997d7cc0e76bae34bfec2dd6f6feb07b7e3a5f77b1c",
+        "7f56302ab2be21618e0f9acb6cb38d35e97b7abbc8cb3d09f9db7535f114f01f"),
+    "epsilon": (
+        ["epsilon", "--ideal", "x^2, x*y", "--N", "12"],
+        "f609aecbd798ecba0871924a9b105218080ea13eef06fe92bac91703fd1aa3c7",
+        "cfc3c0c0e787b6d7f3fc427631164058906cdaa3f8ebcf7ab177812135580f44",
+        "3cefc57c3e50033856a11b96542b43bcb46855f5c10c9ef72ff9699abd77530b"),
+    "epsilon-module": (
+        ["epsilon", "--module", "x^2, x*y | 1", "--N", "10"],
+        "bd6300604e5c6a0e6f04c9b791d875bfd7bf8321fe474153621bd53240f76c22",
+        "7b3a6434c0361b02b354c7b0ba30c1b02c6a24943e8decbd8a7afaa47f0c6cc3",
+        "83af12e1067b38282f54d587cc2da8254bcd0ccfaa62e5881c96a0c572b22fc8"),
+    "symbolic": (
+        ["symbolic", "--ideal", "x^2, x*y", "--aux", "x", "--N", "12"],
+        "9283bf268a85a6a6646eae3348d1b74e5c7be89cc468a8ca90ebf91dce2ce672",
+        "a679189b1c99829f710f68d577e0e9c5dd0623571162a33ac51d68034458ac22",
+        "824474d27eda6514d0e8051f2ac31220f5b6732a50825da99413b1c7f6e97af6"),
+    "okounkov": (
+        ["okounkov", "--family", "power(x^3, x*y, y^2)", "--N", "12"],
+        "02bcef507d098cdddc948178085e3d0a4dc716fad5a93dee26ac5fa797583115",
+        "2cfab3e7ae935606c542bf80ad2a501b936ee9b98850083ccd3cf978b0453748",
+        "b64a09a1099ec9029397e3c4413ae3d4779598538c7af54a4572a464d1d05b62"),
+    "kt": (
+        ["kt", "--region", "2,1 >= 2; 1,3 >= 1", "--region2", "1,2 >= 2"],
+        "5519f812daeab6913e7441bc3ee84d4f691c84030b95ad46c8a7461c401b7229",
+        "d23e232e1e4270f4371e82ee58b5bc9457c426ea42b4cc21e679a6205730eca0",
+        "8b7b8c95a5035671605c956b4a7970f200ca11d9447cc50d2a386f276f931682"),
+    "counterexample-sigma": (
+        ["counterexample", "sigma", "--N", "20"],
+        "44bd0acf589eca9b519eaa3d740a94579710c217e1db1f97b7d80f9fe5679f00",
+        "2dbba6d23bb4dfe36e296d6d63381d4b15f6f88b89f227feea902dfcf12da27e",
+        "86453fbd612174cc235dd12cec86cb2c00c7a2bee52d26ca5686e5bd3d3b1352"),
+    "counterexample-log": (
+        ["counterexample", "log", "--N", "40"],
+        "b949aa6dc5e2e964b97a33e091e69a5eb540a899edd4b9943ba609f1ffbe1a05",
+        "1365f4ef0b4085b133c92895a3a3a96cd29e98dc501b7ed7596d1e7c456b1cd8",
+        "cb9a9d994ba66a47a9ef5cb5ba94f894e120620353a9ec2a4f3ac8bff9e5cfeb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARTIFACT_PINS))
+def test_cli_artifacts_match_their_pins(tmp_path, name):
+    argv, *pins = _ARTIFACT_PINS[name]
+    code, out = run_cli(tmp_path, *argv, "--svg")
+    assert code == 0
+    for suffix, pin in zip((".csv", ".json", ".svg"), pins):
+        assert hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() == pin
+
+
+def test_cli_rejects_a_flag_the_command_does_not_read(tmp_path, capsys):
+    for argv in (["limits", "--family", "power(x, y)", "--N", "8",
+                  "--region", "1,1 >= 1"],
+                 ["limits", "--family", "power(x, y)", "--N", "8", "--c", "-5"],
+                 ["kt", "--region", "2,1 >= 2", "--region2", "1,2 >= 2",
+                  "--N", "4"],
+                 ["kt", "--region", "2,1 >= 2", "--region2", "1,2 >= 2",
+                  "--family", "nonsense"],
+                 ["family", "eval", "--family", "power(x, y)", "--N", "3",
+                  "--tol", "1/2"],
+                 ["diff", "--family", "power(x, y)", "--N", "8",
+                  "--cache-dir", str(tmp_path / "cache")],
+                 ["counterexample", "log", "--N", "8", "--family", "power(x, y)"]):
+        code, out = run_cli(tmp_path, *argv)
+        assert code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not Path(f"{out}.json").exists()
+
+
+def test_cli_tolerance_flag_reads_like_the_config(tmp_path):
+    argv = ["limits", "--family", "power(x^2, y^3)", "--N", "12", "--svg"]
+    code, flag = run_cli(tmp_path / "flag", *argv, "--tol", "1/3")
+    assert code == 0
+    config = tmp_path / "job.conf"
+    config.write_text("params:\n  tol = 1/3\n")
+    code, conf = run_cli(tmp_path / "conf", *argv, "--config", str(config))
+    assert code == 0
+    assert json.loads(Path(f"{flag}.json").read_text())["params"]["tol"] == "1/3"
+    for suffix in (".csv", ".json", ".svg"):
+        assert Path(f"{flag}{suffix}").read_bytes() == Path(f"{conf}{suffix}").read_bytes()
+
+
+def test_cli_numeric_flags_share_the_config_messages(tmp_path, capsys):
+    for argv, message in ((["limits", "--family", "power(x, y)", "--N", "abc"],
+                           "N must be an integer, got 'abc'"),
+                          (["limits", "--family", "power(x, y)", "--N", "8",
+                            "--tol", "1/0"], "tolerance must be a rational"),
+                          (["okounkov", "--family", "power(x, y)", "--N", "8",
+                            "--c", "1.5"], "--c must be an integer, got '1.5'")):
+        code, _ = run_cli(tmp_path, *argv)
+        assert code == 2
+        assert message in capsys.readouterr().err

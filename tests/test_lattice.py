@@ -14,6 +14,7 @@ from conftest import (
     oracle_colength,
     oracle_colon_members,
     oracle_containment_order,
+    oracle_maximal_power_degree,
     oracle_minimal_antichain,
     oracle_multiply,
     random_ideal,
@@ -31,7 +32,7 @@ from monolim import (
     parse_ideal,
     rel_length,
 )
-from monolim.lattice import _colon_pure_powers
+from monolim.lattice import _colon_pure_powers, _maximal_power_degree
 from monolim.errors import (
     DimensionMismatchError,
     InclusionError,
@@ -455,6 +456,36 @@ def test_colon_pure_powers_match_the_colon(case, zero_inner):
     elif inner != outer:
         finite = None not in _colon_pure_powers(inner, outer)
         assert finite == (rel_length(outer, inner) != INFINITE)
+
+
+@st.composite
+def _near_maximal_powers(draw):
+    """m^b in d = 1..4; m^b with the pure power x_i^b raised to x_i^(b+1),
+    which keeps the generator count; a random ideal J, and J + m^b, J * m^b
+    and J & m^b."""
+    d = draw(st.integers(1, 4))
+    ring = AmbientRing.default(d)
+    b = draw(st.integers(0, 4))
+    mb = MonomialIdeal.maximal_power(ring, b)
+    i = draw(st.integers(0, d - 1))
+    pure = tuple(b * (j == i) for j in range(d))
+    raised = MonomialIdeal.from_gens(
+        ring, [g for g in mb.gens if g != pure] + [tuple(e + (j == i)
+                                                         for j, e in enumerate(pure))])
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * d).filter(any),
+                         max_size=4))
+    if not gens:
+        return draw(st.sampled_from((mb, raised)))
+    J = MonomialIdeal.from_gens(ring, gens)
+    return draw(st.sampled_from((mb, raised, J, mb * J, mb & J, mb + J)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_maximal_powers())
+def test_maximal_power_degree_matches_the_degree_scan(ideal):
+    d = ideal.ring.d
+    assert _maximal_power_degree(ideal.gens, d) == \
+        oracle_maximal_power_degree(ideal.gens, d)
 
 
 # -- huge exponents: cost follows the generator count, not the exponents ------

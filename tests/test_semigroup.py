@@ -11,6 +11,7 @@ from conftest import (
     oracle_convex_hull_2d,
     oracle_family_points,
     oracle_okounkov_body,
+    oracle_saturation_index,
     oracle_scan_points,
     oracle_spot_check,
 )
@@ -167,6 +168,31 @@ def test_lattice_basis_helpers():
     assert _saturation_index([[2, 0], [0, 3]]) == 6
     assert _saturation_index([[1, 0], [0, 1]]) == 1
     assert _saturation_index([[2, 4]]) == 2
+
+
+@st.composite
+def _integer_bases(draw):
+    """Up to 3 rows in Z^n, n <= 4, entries in [-6, 6]; the last row is a
+    multiple of the first in about half of the draws (rank deficient)."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                         max_size=3))
+    if len(rows) > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [k * a for a in rows[0]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_bases())
+def test_saturation_index_matches_the_maximal_minors(basis):
+    try:
+        want = oracle_saturation_index(basis)
+    except MonolimError:
+        with pytest.raises(MonolimError):
+            _saturation_index(basis)
+    else:
+        assert _saturation_index(basis) == want
 
 
 def test_degenerate_semigroup_raises():
