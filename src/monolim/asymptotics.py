@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .convex import covol, hull_region
@@ -25,7 +26,7 @@ from .lattice import (
     MonomialIdeal,
     MonomialModule,
     containment_order,
-    length_mod_power,
+    quotient_dim,
     rel_length,
 )
 from .roots import root_sum_at_least
@@ -45,12 +46,6 @@ class LengthSequence:
 
     def normalized(self) -> list[tuple[int, Fraction]]:
         return [(n, Fraction(v, n ** self.degree)) for n, v in self.entries if n > 0]
-
-    def value_at(self, n: int) -> int:
-        for m, v in self.entries:
-            if m == n:
-                return v
-        raise KeyError(n)
 
 
 @dataclass(frozen=True)
@@ -241,18 +236,19 @@ class FamilyMinkowskiReport:
     holds: bool
     equality: bool
     slack: float
+    product: LengthSequence
 
 
 def minkowski_family_check(F: GradedFamily, G: GradedFamily,
                            N: int) -> FamilyMinkowskiReport:
     d = F.ring.d
-    prod = build_family(ProductSpec(F.spec, G.spec))
+    product = length_sequence(build_family(ProductSpec(F.spec, G.spec)), N)
     a = estimate_limit(length_sequence(F, N)).point_estimate
     b = estimate_limit(length_sequence(G, N)).point_estimate
-    c = estimate_limit(length_sequence(prod, N)).point_estimate
+    c = estimate_limit(product).point_estimate
     holds, equality = root_sum_at_least(a, b, c, d)
     slack = float(a) ** (1 / d) + float(b) ** (1 / d) - float(c) ** (1 / d)
-    return FamilyMinkowskiReport(a, b, c, holds, equality, slack)
+    return FamilyMinkowskiReport(a, b, c, holds, equality, slack, product)
 
 
 @dataclass(frozen=True)
@@ -320,27 +316,28 @@ class SymbolicReport:
 
 def _module_multiplicity(outer: MonomialIdeal, inner: MonomialIdeal,
                          s: int) -> int:
-    """Multiplicity of outer/inner w.r.t. m via stabilized s-th differences."""
-    if outer == inner:
-        return 0
-    if s == 0:
-        return rel_length(outer, inner)
-    cap = 3 * max(sum(g) for g in outer.gens + inner.gens) + 30
-    vals = [length_mod_power(outer, inner, k) for k in range(s + 4)]
-    while True:
-        diffs = list(vals)
-        for _ in range(s):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-            return diffs[-1]
-        if len(vals) > cap:
-            raise MonolimError("Hilbert differences did not stabilize")
-        vals.append(length_mod_power(outer, inner, len(vals)))
+    """e_s(outer/inner): the sum over |S| = s of its lengths at the primes
+    (x_j : j not in S), each counted in the other d - s variables by cutting
+    both localizations down with (x_j : j in S)."""
+    d = outer.ring.d
+    total = 0
+    for axes in combinations(range(d), s):
+        cut = MonomialIdeal.from_gens(
+            outer.ring, [tuple(int(i == j) for i in range(d)) for j in axes])
+        term = rel_length(outer.localize(axes) + cut, inner.localize(axes) + cut)
+        if term == INFINITE:
+            raise MonolimError(f"module has dimension above {s}")
+        total += term
+    return total
 
 
 def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
                           N: int) -> SymbolicReport:
-    """Detect s = dim I_n(J)/I^n and estimate lim e_m(I_n(J)/I^n)/n^(d-s)."""
+    """Detect s = dim I_n(J)/I^n and estimate lim e_m(I_n(J)/I^n)/n^(d-s).
+
+    e_m is exact by the associativity formula (Matsumura, Commutative Ring
+    Theory, §14): the sum of the lengths at the monomial primes of dimension s.
+    """
     if I.ring != J.ring:
         raise MonolimError("ideals live in different rings")
     d = I.ring.d
@@ -349,19 +346,13 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     dims = set()
     for n in samples:
         power = fam.member_ideal(n)
-        member = power.saturate(J)
-        if member == power:
-            dims.add(None)
-        else:
-            dims.add(power.colon(member).dim_quotient())
-    if dims == {None}:
+        dims.add(quotient_dim(power.saturate(J), power))
+    if dims == {-1}:
         return SymbolicReport(0, None, None, zero_module=True)
-    dims.discard(None)
+    dims.discard(-1)
     if len(dims) != 1:
         raise MonolimError(f"difference dimension unstable across samples: {dims}")
     s = dims.pop()
-    if s >= d:
-        raise MonolimError("difference module is not lower-dimensional")
     entries = []
     for n in range(1, N + 1):
         power = fam.member_ideal(n)

@@ -30,13 +30,7 @@ from .errors import (
     NotPrimaryError,
     SemigroupError,
 )
-from .families import (
-    GradedFamily,
-    ProductSpec,
-    build_family,
-    verify_filtration,
-    verify_graded,
-)
+from .families import GradedFamily, build_family, verify_filtration, verify_graded
 from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
     SemigroupPredicate,
@@ -233,9 +227,8 @@ def _cmd_minkowski(job: Job) -> tuple[int, dict, str]:
                           "slack": report.slack})
     artifacts = {".csv": csv, ".json": js}
     if job.args.svg:
-        prod = build_family(ProductSpec(F.spec, G.spec))
         artifacts[".svg"] = sequence_svg(
-            asy.length_sequence(prod, N).normalized(),
+            report.product.normalized(),
             title=f"product family, limit ~ {float(report.limit_product):.6g}")
     summary = (f"minkowski: slack {report.slack:.3g} "
                f"{'PASS' if report.holds else 'FAIL'}")
@@ -448,7 +441,8 @@ COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="monolim",
         description="Asymptotic length and multiplicity limits for graded "
@@ -464,13 +458,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag)
         p.add_argument("--out")
         p.add_argument("--svg", action="store_true")
-    return parser
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # Reported by the command's parser, whose usage lists its flags.
+            commands[args.command].error(
+                f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

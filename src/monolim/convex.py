@@ -259,11 +259,6 @@ def hull_region(I: MonomialIdeal) -> ConvexRegion:
     return region(I.ring.d, _hull_halfspaces(I.gens))
 
 
-def support_minimum(D: ConvexRegion, normal) -> Fraction:
-    """min over the region of <normal, y> for a nonnegative functional."""
-    return min(sum(Fraction(a) * c for a, c in zip(normal, v)) for v in D.vertices)
-
-
 def minkowski_sum(D1: ConvexRegion, D2: ConvexRegion) -> ConvexRegion:
     """Exact Minkowski sum: the upward hull of the pairwise vertex sums."""
     if D1.dim != D2.dim:

@@ -16,8 +16,9 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
-from operator import itemgetter, le
+from operator import and_, itemgetter, le
 
 from .errors import (
     DimensionMismatchError,
@@ -228,10 +229,6 @@ class MonomialIdeal:
                 best[j] = g[j]
         return tuple(best)
 
-    def pure_power(self, axis: int):
-        """Least e with x_axis^e in the ideal, or None."""
-        return self.pure_powers()[axis]
-
     @property
     def is_primary(self) -> bool:
         """True iff the ideal contains a pure power of every variable."""
@@ -307,27 +304,28 @@ class MonomialIdeal:
             result = part if result is None else result & part
         return result
 
+    def localize(self, axes) -> "MonomialIdeal":
+        """I : (prod_{j in axes} x_j)^infinity, the generators with those
+        coordinates set to 0: I localized at the prime of the other variables."""
+        axes = set(axes)
+        if not axes:
+            return self
+        zeroed = [tuple(0 if j in axes else c for j, c in enumerate(g))
+                  for g in self.gens]
+        return MonomialIdeal(self.ring, _minimal_antichain(zeroed, self.ring.d))
+
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """I : J^infinity, the least fixpoint of repeated colon by J.
 
-        Computed in closed form: for a single monomial x^h the stable colon
-        zeroes every coordinate in the support of h, and saturation by J is
-        the intersection of the single-generator saturations.
+        Computed in closed form: the stable colon by a single monomial x^h
+        is the localization at the support of h, and saturation by J is the
+        intersection of these over the generators h of J.
         """
         self._check_ring(other)
         if other.is_zero:
             raise ZeroIdealError("saturation by the zero ideal is undefined")
-        if self.is_zero:
-            return self
-        result = None
-        for h in other.gens:
-            support = {j for j, c in enumerate(h) if c > 0}
-            zeroed = [tuple(0 if j in support else c for j, c in enumerate(g))
-                      for g in self.gens]
-            part = MonomialIdeal(self.ring,
-                                 _minimal_antichain(zeroed, self.ring.d))
-            result = part if result is None else result & part
-        return result
+        return reduce(and_, (
+            self.localize(j for j, c in enumerate(h) if c) for h in other.gens))
 
     def saturation(self) -> "MonomialIdeal":
         """I^sat = I : m^infinity."""
@@ -347,19 +345,7 @@ class MonomialIdeal:
 
     def dim_quotient(self) -> int:
         """Krull dimension of R/I (0 for primary, d for the zero ideal)."""
-        if self.is_zero:
-            return self.ring.d
-        if self.is_unit:
-            return -1
-        d = self.ring.d
-        best = 0
-        for r in range(d, 0, -1):
-            for subset in itertools.combinations(range(d), r):
-                free = set(subset)
-                if all(any(c > 0 for j, c in enumerate(g) if j not in free)
-                       for g in self.gens):
-                    return r
-        return best
+        return quotient_dim(MonomialIdeal.unit(self.ring), self)
 
     # -- presentation ------------------------------------------------------
 
@@ -426,6 +412,17 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
         if nz - 1 + t > top:
             top = nz - 1 + t
     return count, top
+
+
+def quotient_dim(outer: MonomialIdeal, inner: MonomialIdeal) -> int:
+    """Krull dimension of outer/inner (inner <= outer; -1 if equal): the
+    largest |S| whose prime (x_j : j not in S) has localizations that differ."""
+    d = outer.ring.d
+    for r in range(d, -1, -1):
+        for axes in itertools.combinations(range(d), r):
+            if outer.localize(axes) != inner.localize(axes):
+                return r
+    return -1
 
 
 def minimalize(ring: AmbientRing, gens) -> MonomialIdeal:

@@ -11,7 +11,10 @@ oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).  The
 semigroup oracles are the point-list level enumeration, the per-point
 Okounkov body and the flattened-pool additivity spot check that column runs
 replaced, and the gcd of all maximal minors that the echelon pivots of the
-transposed basis replaced.  The set-based staircase kernels (pairwise sums
+transposed basis replaced.  The subset scan for the dimension of R/I and the
+Hilbert-Samuel differences for a module's multiplicity (run out to a fixed
+power, not stopped at the first repeat) are the kernels that localization at
+the monomial primes replaced.  The set-based staircase kernels (pairwise sums
 into a set, minimalizers sorted twice with a Python graded-lex key, pure
 powers read off a built colon, the m^b test that scans every generator's
 degree) are kept as they were, to pin the column-wise ones to the
@@ -34,7 +37,7 @@ import pytest
 
 from monolim import INFINITE, AmbientRing, MonomialIdeal
 from monolim.errors import GeometryError, MonolimError
-from monolim.lattice import _staircase_insert, dominates
+from monolim.lattice import _staircase_insert, dominates, length_mod_power
 
 
 @pytest.fixture(scope="session")
@@ -80,8 +83,7 @@ def joint_box(*ideals, margin: int = 2):
 
 def oracle_colength(I: MonomialIdeal):
     """Count of non-members inside the pure-power box; None if not primary."""
-    d = I.ring.d
-    pure = [I.pure_power(j) for j in range(d)]
+    pure = I.pure_powers()
     if any(p is None for p in pure):
         return None
     if I.is_unit:
@@ -190,6 +192,39 @@ def oracle_maximal_power_degree(gens, d: int):
     if len(gens) != math.comb(b + d - 1, d - 1) or any(sum(g) != b for g in gens):
         return None
     return b
+
+
+# -- dimension and multiplicity oracles: the kernels localization replaced ----
+
+
+def oracle_dim_quotient(I: MonomialIdeal) -> int:
+    """Krull dimension of R/I by the subset scan: the most variables that can
+    be left free while every generator still has a positive exponent off them
+    (d for the zero ideal, -1 for the unit ideal)."""
+    if I.is_zero:
+        return I.ring.d
+    if I.is_unit:
+        return -1
+    d = I.ring.d
+    for r in range(d, 0, -1):
+        for subset in itertools.combinations(range(d), r):
+            free = set(subset)
+            if all(any(c > 0 for j, c in enumerate(g) if j not in free)
+                   for g in I.gens):
+                return r
+    return 0
+
+
+def oracle_module_multiplicity(outer: MonomialIdeal, inner: MonomialIdeal,
+                               s: int, k: int) -> int:
+    """e_s(outer/inner) from the s-th differences of the Hilbert-Samuel
+    function l(outer/(m^j outer + inner)), j = 0..k; the last 10 differences
+    must agree, so ``k`` has to reach past where the function is polynomial."""
+    diffs = [length_mod_power(outer, inner, j) for j in range(k + 1)]
+    for _ in range(s):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    assert len(diffs) >= 10 and len(set(diffs[-10:])) == 1, diffs
+    return diffs[-1]
 
 
 # -- hull oracles: the per-candidate kernels, kept as they were ----------------

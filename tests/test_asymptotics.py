@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_primary_ideal
+from conftest import oracle_module_multiplicity, random_primary_ideal
 from monolim import (
     AmbientRing,
     LengthSequence,
@@ -30,7 +32,9 @@ from monolim import (
     teissier_check,
     volume_equals_multiplicity,
 )
-from monolim.errors import EstimateError, InclusionError, NotPrimaryError
+from monolim.asymptotics import _module_multiplicity
+from monolim.errors import EstimateError, InclusionError, MonolimError, NotPrimaryError
+from monolim.lattice import quotient_dim
 
 
 def test_length_sequence_power_of_maximal(R2):
@@ -48,7 +52,7 @@ def test_length_sequence_example(R2):
 def test_length_sequence_log_closed_form(R2):
     fam = build_family(MaxPowerSpec(R2, "log"))
     seq = length_sequence(fam, [8])
-    assert seq.value_at(8) == 66
+    assert dict(seq.entries)[8] == 66
 
 
 def test_length_sequence_nonprimary_raises(R2):
@@ -196,6 +200,66 @@ def test_symbolic_multiplicity_s0(R2):
                                    parse_ideal(R2, "x, y"), 24)
     assert report.s == 0
     assert abs(report.estimate.point_estimate - Fraction(1, 2)) < Fraction(3, 100)
+
+
+def test_symbolic_multiplicity_by_localization(R3):
+    # For n = 1 the second differences of l(R/(m^k + I)) run 2, 2, 2, 2, 1,
+    # 1, ...: stopping at the first three equal ones read 2n.  Localized at
+    # (y), I^n is (y^n), and at (x) and (z) it is the unit ideal: e = n.
+    report = symbolic_multiplicity(parse_ideal(R3, "y^2, x^2*y*z^2"),
+                                   parse_ideal(R3, "x*y"), 12)
+    assert report.s == 2
+    assert report.samples.entries == tuple((n, n) for n in range(1, 13))
+    assert report.estimate.point_estimate == 1
+
+
+@st.composite
+def _modules(draw, d: int, top: int, gens: int):
+    """(outer, inner) in d variables with exponents up to ``top``: the
+    symbolic shape (I : J^inf, I), a sub-ideal (I, I & J) or (I, I * P),
+    where P is J plus pure powers of some variables, so that I / IP has any
+    dimension r < d.  I and J are proper, nonzero ideals with up to ``gens``
+    generators."""
+    ring = AmbientRing.default(d)
+    first = (1,) + (0,) * (d - 1)
+    exps = st.tuples(*[st.integers(0, top)] * d).map(lambda g: g if any(g) else first)
+    I, J = (MonomialIdeal.from_gens(ring, draw(st.lists(exps, min_size=1,
+                                                         max_size=gens)))
+            for _ in range(2))
+    r = draw(st.integers(0, d - 1))
+    P = J + MonomialIdeal.from_gens(
+        ring, [tuple(top * (i == j) for i in range(d))
+               for j in draw(st.permutations(range(d)))[r:]])
+    return draw(st.sampled_from(((I.saturate(J), I), (I, I & J), (I, I * P))))
+
+
+def _check_module_multiplicity(outer, inner, k):
+    s = quotient_dim(outer, inner)
+    if s < 0:
+        return
+    e = _module_multiplicity(outer, inner, s)
+    assert e == oracle_module_multiplicity(outer, inner, s, k)
+    assert e > 0
+    if s < outer.ring.d:
+        assert _module_multiplicity(outer, inner, s + 1) == 0
+    if s > 0:
+        with pytest.raises(MonolimError):
+            _module_multiplicity(outer, inner, s - 1)
+
+
+# In random runs of these shapes the Hilbert-Samuel differences were constant
+# from k = 9 on in d = 3 (exponents up to 3) and from k = 3 on in d = 4
+# (squarefree); the oracle's last 10 differences end at k.
+@settings(max_examples=60, deadline=None)
+@given(_modules(3, 3, 3))
+def test_module_multiplicity_matches_the_difference_kernel_3d(case):
+    _check_module_multiplicity(*case, k=22)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_modules(4, 1, 2))
+def test_module_multiplicity_matches_the_difference_kernel_4d(case):
+    _check_module_multiplicity(*case, k=13)
 
 
 def test_symbolic_zero_module(R2):

@@ -251,7 +251,8 @@ def test_cli_minkowski_verdict_is_the_exact_decision(tmp_path, monkeypatch, caps
     # a tiny negative float slack must not turn an exact FAIL into exit 0
     def failing(F, G, N):
         return asymptotics.FamilyMinkowskiReport(
-            Fraction(1), Fraction(1), Fraction(4), False, False, -1e-12)
+            Fraction(1), Fraction(1), Fraction(4), False, False, -1e-12,
+            asymptotics.LengthSequence((), 2))
 
     monkeypatch.setattr(asymptotics, "minkowski_family_check", failing)
     code, out = run_cli(tmp_path, "minkowski", "--family", "power(x, y^2)",
@@ -259,6 +260,22 @@ def test_cli_minkowski_verdict_is_the_exact_decision(tmp_path, monkeypatch, caps
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
     assert Path(f"{out}.csv").read_text().splitlines()[1].endswith(",FAIL")
+
+
+def test_cli_minkowski_svg_computes_the_product_lengths_once(tmp_path, monkeypatch):
+    # The SVG draws the product sequence that the check has just computed.
+    asked = []
+
+    def counting_length(self, n, member):
+        asked.append(n)
+        return member(n).colength()
+
+    monkeypatch.setattr(ProductSpec, "length", counting_length)
+    code, out = run_cli(tmp_path, "minkowski", "--family", "power(x, y^2)",
+                        "--family2", "power(x^2, y)", "--N", "12", "--svg")
+    assert code == 0
+    assert Path(f"{out}.svg").exists()
+    assert sorted(asked) == list(range(1, 13))
 
 
 def test_cli_builds_the_parser_once(tmp_path, monkeypatch):
@@ -652,6 +669,31 @@ def test_cli_rejects_a_flag_the_command_does_not_read(tmp_path, capsys):
         assert code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not Path(f"{out}.json").exists()
+
+
+def test_cli_unread_flag_prints_the_command_usage(tmp_path, capsys):
+    for argv in (["limits", "--family", "power(x, y)", "--N", "8", "--to", "1/3"],
+                 ["limits", "--family", "power(x, y)", "--N", "8",
+                  "--region", "1,1 >= 1"]):
+        code, out = run_cli(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage: monolim limits" in err
+        assert "[--tol TOL]" in err
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+        assert not Path(f"{out}.json").exists()
+
+
+def test_cli_symbolic_multiplicity_by_localization(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "symbolic", "--ring", "x,y,z",
+                        "--ideal", "y^2, x^2*y*z^2", "--aux", "x*y", "--N", "12")
+    assert code == 0
+    assert "symbolic: s=2, limit ~ 1" in capsys.readouterr().out
+    doc = json.loads(Path(f"{out}.json").read_text())
+    assert doc["results"]["s"] == 2
+    assert doc["results"]["estimate"]["point_estimate"] == "1"
+    rows = Path(f"{out}.csv").read_text().splitlines()[1:]
+    assert rows == [f"{n},{n},1" for n in range(1, 13)]
 
 
 def test_cli_tolerance_flag_reads_like_the_config(tmp_path):

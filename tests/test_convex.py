@@ -37,7 +37,7 @@ from monolim import (
     teissier_check,
 )
 from monolim import MaxPowerSpec, PowerSpec, ValuationSpec
-from monolim.convex import _hull_halfspaces, support_minimum
+from monolim.convex import _hull_halfspaces
 from monolim.errors import GeometryError, NotCoboundedError, NotPrimaryError
 
 
@@ -249,6 +249,11 @@ def test_covol_3d_permutation_invariant():
             permuted = MonomialIdeal.from_gens(
                 R3, [tuple(g[p] for p in perm) for g in ideal.gens])
             assert covol(hull_region(permuted)) == base
+
+
+def support_minimum(D, normal) -> Fraction:
+    """min over the region of <normal, y> for a nonnegative functional."""
+    return min(sum(Fraction(a) * c for a, c in zip(normal, v)) for v in D.vertices)
 
 
 def test_minkowski_sum_support_additivity():

@@ -14,6 +14,7 @@ from conftest import (
     oracle_colength,
     oracle_colon_members,
     oracle_containment_order,
+    oracle_dim_quotient,
     oracle_maximal_power_degree,
     oracle_minimal_antichain,
     oracle_multiply,
@@ -32,7 +33,7 @@ from monolim import (
     parse_ideal,
     rel_length,
 )
-from monolim.lattice import _colon_pure_powers, _maximal_power_degree
+from monolim.lattice import _colon_pure_powers, _maximal_power_degree, quotient_dim
 from monolim.errors import (
     DimensionMismatchError,
     InclusionError,
@@ -111,6 +112,23 @@ def test_saturate(R2):
     assert I(R2, "x^2, y^3").saturate(m).is_unit
     J = I(R2, "x^3, x^2*y^2")
     assert J.saturate(m).saturate(m) == J.saturate(m)
+
+
+def test_localize_and_dimensions(R3):
+    ideal = I(R3, "y^2, x^2*y*z^2")
+    assert ideal.localize([0]) == I(R3, "y^2, y*z^2")
+    assert ideal.localize((0, 2)) == I(R3, "y")
+    assert ideal.localize([1]).is_unit
+    assert ideal.localize(()) is ideal
+    assert ideal.dim_quotient() == 2
+    assert I(R3, "x^2, y, z^5").dim_quotient() == 0
+    assert I(R3, "x*y, x*z, y*z").dim_quotient() == 1
+    assert MonomialIdeal.zero(R3).dim_quotient() == 3
+    assert MonomialIdeal.unit(R3).dim_quotient() == -1
+    # (I : (x*y)^inf) / I = R / I, and (y) / I has annihilator (y, x^2*z^2)
+    assert quotient_dim(ideal.saturate(I(R3, "x*y")), ideal) == 2
+    assert quotient_dim(I(R3, "y"), ideal) == 1
+    assert quotient_dim(ideal, ideal) == -1
 
 
 def test_colength(R2):
@@ -456,6 +474,22 @@ def test_colon_pure_powers_match_the_colon(case, zero_inner):
     elif inner != outer:
         finite = None not in _colon_pure_powers(inner, outer)
         assert finite == (rel_length(outer, inner) != INFINITE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rings_and_gens(2))
+def test_dimensions_match_the_subset_scan(case):
+    # dim R/I against the scan, and dim outer/inner against the dimension of
+    # R over the annihilator inner : outer, for the saturation shape
+    # (I : J^inf) / I, for a sub-ideal I & J of I and for outer = inner.
+    ring, (g1, g2) = case
+    I1, I2 = minimalize(ring, g1), minimalize(ring, g2)
+    for ideal in (I1, I2, I1 * I2, I1.localize([0]), MonomialIdeal.zero(ring)):
+        assert ideal.dim_quotient() == oracle_dim_quotient(ideal)
+    for outer, inner in ((I1.saturate(I2), I1), (I1, I1 & I2), (I1, I1)):
+        annihilator = inner.colon(outer)
+        assert quotient_dim(outer, inner) == annihilator.dim_quotient() \
+            == oracle_dim_quotient(annihilator)
 
 
 @st.composite
