@@ -10,12 +10,14 @@ explicit tables.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 
-from .errors import FamilyRangeError, FamilySpecError
+from .errors import DimensionMismatchError, FamilyRangeError, FamilySpecError
 from .lattice import (
     INFINITE,
     AmbientRing,
@@ -82,6 +84,37 @@ class FamilySpec:
     def length(self, n: int, member):
         """Colength of I_n (n >= 1)."""
         return member(n).colength()
+
+    def contains(self, a, n: int, member) -> bool:
+        """Whether x^a lies in I_n."""
+        return member(n).contains(a)
+
+    def column_floors(self, n: int, member) -> dict:
+        """Least last coordinate of I_n in each nonempty column over the
+        first d - 1 coordinates, keyed by the column in lex order.
+
+        The columns listed cover every corner of I_n's staircase, so a
+        column beyond them along a coordinate has the floor of the column
+        cut back to them.  The default walks the generators' corners row by
+        row along the last of those coordinates: a column's floor is the
+        least of its own corner, the floor before it in its row and the
+        floors of the same column in the rows one step back.
+        """
+        gens = member(n).gens
+        own = {g[:-1]: g[-1] for g in gens}
+        tops = [max(c) for c in zip(*own)]
+        if not tops:
+            return own
+        span = range(tops[-1] + 1)
+        rows: dict = {}
+        for head in itertools.product(*(range(t + 1) for t in tops[:-1])):
+            row = [own.get((*head, y), math.inf) for y in span]
+            for k, c in enumerate(head):
+                if c:
+                    row = list(map(min, row, rows[head[:k] + (c - 1,) + head[k + 1:]]))
+            rows[head] = list(itertools.accumulate(row, min))
+        return {(*head, y): floor for head, row in rows.items()
+                for y, floor in zip(span, row) if floor != math.inf}
 
     def graded_violation(self, member, N: int):
         """((m, n), detail) for the first I_m * I_n not inside I_{m+n}, else None."""
@@ -270,11 +303,13 @@ def _count_outside_2d(rows) -> int:
 class ValuationSpec(FamilySpec):
     """I_n = monomials a with <weights_j, a> >= threshold_j * n for all j.
 
-    Each constraint is scaled once by the lcm of its denominators, so members
-    and lengths are computed in ints.  A length costs O(k^2 log n) in d = 2
-    and n^(d-2) times that in d > 2, for k constraints; a member is read from
-    the least last coordinate of each column over the first d - 1
-    coordinates.
+    Each constraint is scaled once by the lcm of its denominators, so members,
+    lengths and membership are computed in ints.  A length costs
+    O(k^2 log n) in d = 2 and n^(d-2) times that in d > 2, for k constraints.
+    One scan reads the least last coordinate of each column over the first
+    d - 1 coordinates; it gives the member's generators, and the Okounkov
+    levels' runs with no member built.  Membership of one point is tested
+    on the constraints, also with no member built.
     """
 
     ring: AmbientRing
@@ -306,42 +341,55 @@ class ValuationSpec(FamilySpec):
             for weights, t in constraints))
 
     def member(self, n):
-        """Generators from column floors over the first d - 1 coordinates.
+        """Generators from :meth:`column_floors`: a column gives a minimal
+        generator iff its floor lies strictly below every predecessor
+        neighbour's (an empty column counts as infinitely high)."""
+        floors = self.column_floors(n)
+        return MonomialIdeal.from_gens(self.ring, [
+            col + (floor,) for col, floor in floors.items()
+            if all(floors.get(col[:k] + (c - 1,) + col[k + 1:], math.inf) > floor
+                   for k, c in enumerate(col) if c)])
 
-        A column's floor is its least member's last coordinate; floors never
-        rise along a coordinate, so a column gives a minimal generator iff
-        its floor lies strictly below every predecessor neighbour's (an
-        empty column counts as infinitely high).  Coordinate i is scanned
-        only while some unmet constraint still grows with it.
-        """
-        if n == 0:
-            return MonomialIdeal.unit(self.ring)
+    def contains(self, a, n, member=None):
+        """<w, a> >= t*n for every scaled constraint; no member is built."""
+        if len(a) != self.ring.d:
+            raise DimensionMismatchError(
+                f"exponent {a} has length {len(a)}, expected {self.ring.d}")
+        return all(sum(map(mul, w, a)) >= s * n for w, s in self._scaled)
+
+    def column_floors(self, n, member=None):
+        """A column's floor is the largest ceil(gap / w_d) over the unmet
+        constraints, and the column is empty while one of them has w_d = 0.
+        Coordinate i is scanned only while some unmet constraint still grows
+        with it; past that, no floor changes along i.  The columns of a row
+        along the last of the d - 1 coordinates are read together, one list
+        of ceilings per constraint."""
         last = self.ring.d - 1
+        if last == 0:
+            return {(): max(_ceil_div(s * n, w[0]) for w, s in self._scaled)}
         weights = [w for w, _ in self._scaled]
         floors: dict = {}
-        gens = []
 
         def scan(prefix, gaps):
             i = len(prefix)
-            if i == last:
-                floor = 0
-                for w, g in zip(weights, gaps):
-                    if g > 0:
-                        if w[i] == 0:
-                            return
-                        floor = max(floor, _ceil_div(g, w[i]))
-                if all(floors.get(prefix[:k] + (c - 1,) + prefix[k + 1:], math.inf)
-                       > floor for k, c in enumerate(prefix) if c):
-                    gens.append(prefix + (floor,))
-                floors[prefix] = floor
-                return
             bound = max((_ceil_div(g, w[i]) for w, g in zip(weights, gaps)
                          if g > 0 and w[i] > 0), default=0)
-            for c in range(bound + 1):
-                scan(prefix + (c,), [g - w[i] * c for w, g in zip(weights, gaps)])
+            if i < last - 1:
+                for c in range(bound + 1):
+                    scan(prefix + (c,), [g - w[i] * c for w, g in zip(weights, gaps)])
+                return
+            span = range(bound + 1)
+            row, start = [0] * (bound + 1), 0
+            for w, g in zip(weights, gaps):
+                u, v = w[i], w[last]
+                if v:
+                    row = list(map(max, row, [(g - u * c + v - 1) // v for c in span]))
+                elif g > 0:
+                    start = max(start, _ceil_div(g, u) if u else bound + 1)
+            floors.update(((*prefix, c), row[c]) for c in span[start:])
 
         scan((), [s * n for _, s in self._scaled])
-        return MonomialIdeal.from_gens(self.ring, gens)
+        return floors
 
     def length(self, n, member):
         """I_n is primary iff every constraint with t > 0 has all weights
@@ -511,6 +559,14 @@ class GradedFamily:
         if n not in self._lengths:
             self._lengths[n] = 0 if n == 0 else self.spec.length(n, self.member_ideal)
         return self._lengths[n]
+
+    def contains(self, a, n: int) -> bool:
+        """Whether x^a lies in I_n, by the spec's test."""
+        return self.spec.contains(a, n, self.member_ideal)
+
+    def column_floors(self, n: int) -> dict:
+        """Column floors of I_n, by the spec's scan (see FamilySpec)."""
+        return self.spec.column_floors(n, self.member_ideal)
 
     def saturation_gap(self, n: int):
         """Length of I_n^sat / I_n (the degree-zero local cohomology of R/I_n)."""

@@ -16,7 +16,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb
 from operator import and_, itemgetter, le
 
@@ -217,6 +217,12 @@ class MonomialIdeal:
 
     def pure_powers(self) -> tuple:
         """Least e_j with x_j^e_j in the ideal for every axis j (None if none)."""
+        return self._pure_powers
+
+    @cached_property
+    def _pure_powers(self) -> tuple:
+        """Scanned once per ideal; the cache sits in the instance dict, not
+        in a field, so equality and hashing ignore it."""
         d = self.ring.d
         best = [None] * d
         for g in self.gens:

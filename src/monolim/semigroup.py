@@ -46,7 +46,11 @@ class SemigroupPredicate:
 
         beta defaults to d * c with c the least integer for which m^c lies
         inside I_1 (computed, or supplied and verified on sampled members).
-        The family must be primary to the maximal ideal.
+        The family must be primary to the maximal ideal.  Membership is the
+        family's own test (:meth:`GradedFamily.contains`), and in d = 2 each
+        level is read from the family's column floors, so a family that
+        answers both without members (a valuation family) builds none per
+        level.
         """
         d = F.ring.d
         if not F.member_ideal(1).is_primary:
@@ -64,27 +68,28 @@ class SemigroupPredicate:
             beta = d * c
 
         def member(a, i):
-            if sum(a) > beta * i:
-                return False
-            return F.member_ideal(i).contains(a)
+            return sum(a) <= beta * i and F.contains(a, i)
 
         runs_hook = None
         if d == 2:
             def runs_hook(i):
-                return _column_runs(F.member_ideal(i).gens, beta * i)
+                return _floor_runs(F.column_floors(i), beta * i)
 
         return SemigroupPredicate(d, beta, member, f"family({F.label()})",
                                   runs_hook)
 
 
-def _column_runs(gens, cap: int) -> list:
-    """Column runs ((x,), y_min(x), cap - x) of the members of a 2-D
-    staircase inside the simplex x + y <= cap, one per nonempty column;
-    ``gens`` must be the staircase's minimal generators."""
-    corners = sorted(gens)
-    runs = []
-    for (x, y), (nx, _) in zip(corners, corners[1:] + [(cap + 1, 0)]):
-        runs.extend(((col,), y, cap - col) for col in range(x, min(nx, cap - y + 1)))
+def _floor_runs(floors: dict, cap: int) -> list:
+    """Column runs ((x,), floor(x), cap - x) of a 2-D family level inside
+    the simplex x + y <= cap, one per nonempty column, from its column
+    floors (see :meth:`FamilySpec.column_floors`): the columns past the last
+    one listed keep its floor."""
+    runs = [(col, floor, cap - col[0]) for col, floor in floors.items()
+            if col[0] + floor <= cap]
+    if floors:
+        (x,), floor = next(reversed(floors.items()))
+        tail = range(x + 1, cap - floor + 1)
+        runs += zip(zip(tail), itertools.repeat(floor), map(cap.__sub__, tail))
     return runs
 
 
@@ -226,35 +231,33 @@ def _spot_check_additivity(P: SemigroupPredicate, L: SemigroupLevels,
 # -- lattice invariants -------------------------------------------------------
 
 
-def _row_lattice_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Echelon basis of the integer row lattice (pivot columns increasing)."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    basis: list[list[int]] = []
-    for col in range(ncols):
-        nz = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not nz:
-            work = rest
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            p = nz[0]
-            reduced = [p]
-            for r in nz[1:]:
-                q = r[col] // p[col]
-                r2 = [a - q * b for a, b in zip(r, p)]
-                if r2[col] != 0:
-                    reduced.append(r2)
-                elif any(r2):
-                    rest.append(r2)
-            nz = reduced
-        pivot = nz[0] if nz[0][col] > 0 else [-a for a in nz[0]]
-        basis.append(pivot)
-        work = rest
-    return basis
+def _row_lattice_basis(rows) -> list[list[int]]:
+    """Echelon basis of the integer row lattice (pivot columns increasing,
+    pivots positive).
+
+    Rows are inserted one at a time.  At each column where a row is nonzero
+    and a basis row pivots, Euclid's algorithm on the two rows leaves the
+    gcd in the basis row and clears the column in the inserted row; at the
+    first nonzero column with no pivot the row joins the basis.  Reading
+    stops once every column has pivot 1: the lattice is then all of Z^n.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        v = list(row)
+        for col in range(len(v)):
+            if v[col] == 0:
+                continue
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = v if v[col] > 0 else [-a for a in v]
+                break
+            while v[col]:
+                q = p[col] // v[col]
+                p, v = v, [a - q * b for a, b in zip(p, v)]
+            pivots[col] = p if p[col] > 0 else [-a for a in p]
+        if len(pivots) == len(v) and all(p[c] == 1 for c, p in pivots.items()):
+            break
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def _saturation_index(basis: list[list[int]]) -> int:
@@ -280,12 +283,15 @@ class LatticeInvariants:
     truncated: bool
 
 
-def lattice_invariants(L: SemigroupLevels, vector_cap: int = 2000) -> LatticeInvariants:
+def lattice_invariants(L: SemigroupLevels) -> LatticeInvariants:
     """Invariants of the group generated by the enumerated members.
 
     m divides every nonempty level; ind and q come from an echelon basis of
     the member lattice (level coordinate first), using retained points only
-    (flagged via ``truncated`` when retention was cut off).
+    (flagged via ``truncated`` when retention was cut off).  A run
+    ``(prefix, lo, hi)`` at level i spans the same lattice as
+    ``[i, *prefix, lo]`` together with the last unit vector when hi > lo, so
+    the basis is read from one row per run and that unit vector once.
     """
     nonempty = [i for i, c in sorted(L.counts.items()) if c > 0]
     if len(nonempty) < 2:
@@ -293,15 +299,17 @@ def lattice_invariants(L: SemigroupLevels, vector_cap: int = 2000) -> LatticeInv
     m = 0
     for i in nonempty:
         m = gcd(m, i)
-    vectors = []
-    for i, pts in sorted(L.levels.items()):
-        for a in pts:
-            vectors.append([i, *a])
-            if len(vectors) >= vector_cap:
-                break
-        if len(vectors) >= vector_cap:
-            break
-    basis = _row_lattice_basis(vectors)
+
+    def rows():
+        unit = [0] * L.point_dim + [1]
+        for i, pts in sorted(L.levels.items()):
+            for prefix, lo, hi in pts.runs:
+                yield [i, *prefix, lo]
+                if hi > lo and unit:
+                    yield unit
+                    unit = None
+
+    basis = _row_lattice_basis(rows())
     if not basis or basis[0][0] == 0:
         raise MonolimError("degenerate semigroup data")
     boundary = [row[1:] for row in basis[1:]]
@@ -355,6 +363,26 @@ def convex_hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
+def _column_ends(runs) -> list:
+    """The low and the high end of each column of a level in point
+    dimension 2, less those that cannot be hull vertices: an end collinear
+    with the same ends of both neighbouring columns lies on the segment
+    between them."""
+    columns: list = []
+    for (x,), lo, hi in runs:
+        if columns and columns[-1][0] == x:
+            columns[-1][2] = hi
+        else:
+            columns.append([x, lo, hi])
+    ends = []
+    for j in (1, 2):
+        pts = [(col[0], col[j]) for col in columns]
+        ends += pts[:1] + pts[-1:]
+        ends += [b for a, b, c in zip(pts, pts[1:], pts[2:])
+                 if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])]
+    return ends
+
+
 def require_body_dimension(point_dim: int) -> None:
     """Raise GeometryError unless :func:`okounkov_body` handles ``point_dim``."""
     if not 1 <= point_dim <= 2:
@@ -368,7 +396,8 @@ def okounkov_body(L: SemigroupLevels):
     counterclockwise polygon of :func:`convex_hull_2d`.  Every point of a
     retained level lies between the two ends of its column run, so each
     level is hulled on its raw integer run ends first (scaling commutes with
-    hulls) and only its extreme points are normalized to ``Fraction``s.
+    hulls; see :func:`_column_ends`) and only its extreme points are
+    normalized to ``Fraction``s.
     """
     require_body_dimension(L.point_dim)
     if L.max_level < 3:
@@ -377,9 +406,10 @@ def okounkov_body(L: SemigroupLevels):
     for i, members in sorted(L.levels.items()):
         if i == 0 or not members:
             continue
-        ends = [prefix + (t,) for prefix, lo, hi in members.runs for t in (lo, hi)]
         if L.point_dim == 2:
-            ends = convex_hull_2d(ends)
+            ends = convex_hull_2d(_column_ends(members.runs))
+        else:
+            ends = [prefix + (t,) for prefix, lo, hi in members.runs for t in (lo, hi)]
         for a in ends:
             pts.append(tuple(Fraction(c, i) for c in a))
     if not pts:

@@ -10,8 +10,10 @@ plane-by-plane integration, the grid bracket) and the valuation-family
 oracles (``Fraction`` column floors in d = 2, a box scan in d >= 3).  The
 semigroup oracles are the point-list level enumeration, the per-point
 Okounkov body and the flattened-pool additivity spot check that column runs
-replaced, and the gcd of all maximal minors that the echelon pivots of the
-transposed basis replaced.  The subset scan for the dimension of R/I and the
+replaced, the gcd of all maximal minors that the echelon pivots of the
+transposed basis replaced, the corner walk over a level's member ideal that
+the family's column floors replaced, and the column-at-a-time row reduction
+over every retained point that the per-run, early-stopping one replaced.  The subset scan for the dimension of R/I and the
 Hilbert-Samuel differences for a module's multiplicity (run out to a fixed
 power, not stopped at the first repeat) are the kernels that localization at
 the monomial primes replaced.  The set-based staircase kernels (pairwise sums
@@ -34,8 +36,9 @@ from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from monolim import INFINITE, AmbientRing, MonomialIdeal
+from monolim import INFINITE, AmbientRing, MonomialIdeal, ValuationSpec
 from monolim.errors import GeometryError, MonolimError
 from monolim.lattice import _staircase_insert, dominates, length_mod_power
 
@@ -538,6 +541,20 @@ def oracle_covol_grid(dim, halfspaces, resolution):
 # -- valuation oracles: the Fraction kernels, kept as they were ----------------
 
 
+_weight = st.one_of(st.integers(0, 3),
+                    st.builds(Fraction, st.integers(1, 4), st.sampled_from([2, 3])))
+_threshold = st.one_of(st.integers(0, 2),
+                       st.builds(Fraction, st.integers(0, 4), st.sampled_from([2, 3])))
+
+
+def valuation_specs(d: int):
+    """1-3 constraints with int or Fraction entries; zero weights and zero
+    thresholds occur, and so do non-primary (INFINITE) members."""
+    weights = st.tuples(*[_weight] * d).filter(any)
+    return st.lists(st.tuples(weights, _threshold), min_size=1, max_size=3).map(
+        lambda cons: ValuationSpec.make(AmbientRing.default(d), cons))
+
+
 def _oracle_column_floor(spec, n: int, x: int):
     """Least y with (x, y) a member (d = 2), or None if the column is empty."""
     need = Fraction(0)
@@ -673,6 +690,62 @@ def oracle_saturation_index(basis):
     if g == 0:
         raise MonolimError("degenerate lattice basis")
     return abs(g)
+
+
+def oracle_column_runs(gens, cap: int) -> list:
+    """Column runs ((x,), y_min(x), cap - x) of a 2-D staircase inside the
+    simplex x + y <= cap, walking its minimal generators' corners."""
+    corners = sorted(gens)
+    runs = []
+    for (x, y), (nx, _) in zip(corners, corners[1:] + [(cap + 1, 0)]):
+        runs.extend(((col,), y, cap - col) for col in range(x, min(nx, cap - y + 1)))
+    return runs
+
+
+def _oracle_row_lattice_basis(rows):
+    """Echelon basis of the integer row lattice, one column at a time."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return []
+    ncols = len(work[0])
+    basis = []
+    for col in range(ncols):
+        nz = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        if not nz:
+            work = rest
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda r: abs(r[col]))
+            p = nz[0]
+            reduced = [p]
+            for r in nz[1:]:
+                q = r[col] // p[col]
+                r2 = [a - q * b for a, b in zip(r, p)]
+                if r2[col] != 0:
+                    reduced.append(r2)
+                elif any(r2):
+                    rest.append(r2)
+            nz = reduced
+        basis.append(nz[0] if nz[0][col] > 0 else [-a for a in nz[0]])
+        work = rest
+    return basis
+
+
+def oracle_lattice_invariants(L):
+    """(m, ind, q, truncated) from a row reduction over every retained point."""
+    nonempty = [i for i, c in sorted(L.counts.items()) if c > 0]
+    if len(nonempty) < 2:
+        raise MonolimError("need at least two nonempty levels")
+    m = 0
+    for i in nonempty:
+        m = gcd(m, i)
+    basis = _oracle_row_lattice_basis(
+        [[i, *a] for i, pts in sorted(L.levels.items()) for a in pts])
+    if not basis or basis[0][0] == 0:
+        raise MonolimError("degenerate semigroup data")
+    boundary = [row[1:] for row in basis[1:]]
+    return m, oracle_saturation_index(boundary), len(boundary), L.truncated
 
 
 def oracle_okounkov_body(L):

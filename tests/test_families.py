@@ -1,5 +1,6 @@
 """Family constructors, exponent sequences, and the graded/filtration checks."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -10,6 +11,7 @@ from conftest import (
     oracle_valuation_length,
     oracle_valuation_member,
     timed,
+    valuation_specs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ from monolim import (
     verify_filtration,
     verify_graded,
 )
-from monolim.errors import FamilyRangeError, FamilySpecError
+from monolim.errors import DimensionMismatchError, FamilyRangeError, FamilySpecError
 from monolim.families import FamilySpec, floor_sum
 
 
@@ -315,22 +317,8 @@ def test_family_length_infinite_for_nonprimary(R2):
 # -- integer valuation kernels against the Fraction oracles ---------------------
 
 
-_weight = st.one_of(st.integers(0, 3),
-                    st.builds(Fraction, st.integers(1, 4), st.sampled_from([2, 3])))
-_threshold = st.one_of(st.integers(0, 2),
-                       st.builds(Fraction, st.integers(0, 4), st.sampled_from([2, 3])))
-
-
-def _valuation_specs(d: int):
-    """1-3 constraints with int or Fraction entries; zero weights and zero
-    thresholds occur, and so do non-primary (INFINITE) members."""
-    weights = st.tuples(*[_weight] * d).filter(any)
-    return st.lists(st.tuples(weights, _threshold), min_size=1, max_size=3).map(
-        lambda cons: ValuationSpec.make(AmbientRing.default(d), cons))
-
-
 @settings(max_examples=180, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(_valuation_specs))
+@given(st.sampled_from([2, 3]).flatmap(valuation_specs))
 def test_valuation_kernels_match_the_oracles(spec):
     # the d = 3 oracle scans a box of side O(n)
     for n in range(7 if spec.ring.d == 2 else 4):
@@ -339,8 +327,49 @@ def test_valuation_kernels_match_the_oracles(spec):
             assert spec.length(n, None) == oracle_valuation_length(spec, n)
 
 
+@st.composite
+def _families(draw):
+    """A valuation family (``valuation_specs``) or a power family, in d = 2 or 3."""
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        return build_family(draw(valuation_specs(d)))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4))
+    return build_family(PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(d), gens)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families(), st.data())
+def test_family_contains_matches_the_member(fam, data):
+    d = fam.ring.d
+    point = st.tuples(*[st.integers(0, 12)] * d)
+    for n in range(4):
+        member = fam.member_ideal(n)
+        # generators and their one-step predecessors sit on the boundary
+        near = [g[:k] + (g[k] - 1,) + g[k + 1:]
+                for g in member.gens[:6] for k in range(d) if g[k]]
+        for a in data.draw(st.lists(point, max_size=10)) + list(member.gens) + near:
+            assert fam.contains(a, n) == member.contains(a)
+    with pytest.raises(DimensionMismatchError):
+        fam.contains((1,) * (d + 1), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=5)))
+def test_default_column_floors_are_the_least_members_per_column(gens):
+    d = len(gens[0])
+    ideal = MonomialIdeal.from_gens(AmbientRing.default(d), gens)
+    floors = build_family(PowerSpec(ideal)).column_floors(1)
+    assert list(floors) == sorted(floors)
+    tops = [max(g[k] for g in ideal.gens) for k in range(d - 1)]
+    for col in itertools.product(*(range(t + 3) for t in tops)):
+        want = min((g[-1] for g in ideal.gens
+                    if all(g[k] <= c for k, c in enumerate(col))), default=None)
+        assert floors.get(tuple(map(min, col, tops))) == want
+
+
 @settings(max_examples=60, deadline=None)
-@given(_valuation_specs(4))
+@given(valuation_specs(4))
 def test_valuation_length_matches_colength_4d(spec):
     fam = build_family(spec)
     for n in (1, 2):
@@ -357,7 +386,7 @@ def test_floor_sum_matches_the_direct_sum(n, m, a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(_valuation_specs))
+@given(st.sampled_from([2, 3]).flatmap(valuation_specs))
 def test_valuation_verifiers_match_the_member_path(spec):
     fam = build_family(spec)
     assert spec.graded_violation(fam.member_ideal, 6) == \

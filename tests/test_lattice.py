@@ -1,5 +1,6 @@
 """Monomial ideal arithmetic against worked examples and brute-force oracles."""
 
+import dataclasses
 import math
 import random
 
@@ -281,6 +282,22 @@ def test_colength_finite_iff_primary(R2, R3):
         ring = R2 if rng.random() < 0.5 else R3
         ideal = random_ideal(rng, ring)
         assert (ideal.colength() != INFINITE) == ideal.is_primary
+
+
+def test_pure_powers_are_cached_outside_the_fields(R2, R3):
+    rng = random.Random(2718)
+    for k in range(200):
+        ring = R2 if k % 2 else R3
+        ideal = (random_primary_ideal(rng, ring) if k % 3 else
+                 random_ideal(rng, ring, nonzero=k % 5 != 0))
+        scan = tuple(min((g[j] for g in ideal.gens
+                          if not any(c for i, c in enumerate(g) if i != j)),
+                         default=None) for j in range(ring.d))
+        cached = ideal.pure_powers()
+        assert cached == scan and ideal.pure_powers() is cached
+        fresh = MonomialIdeal(ring, ideal.gens)
+        assert fresh == ideal and hash(fresh) == hash(ideal)
+    assert [f.name for f in dataclasses.fields(MonomialIdeal)] == ["ring", "gens"]
 
 
 def test_colength_matches_oracle(R2, R3):

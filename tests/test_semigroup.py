@@ -1,6 +1,6 @@
 """Semigroup enumeration, lattice invariants and the counting limit."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_column_runs,
     oracle_convex_hull_2d,
     oracle_family_points,
+    oracle_lattice_invariants,
     oracle_okounkov_body,
     oracle_saturation_index,
     oracle_scan_points,
     oracle_spot_check,
+    valuation_specs,
 )
 
 from monolim import (
@@ -34,6 +37,8 @@ from monolim.semigroup import (
     LevelPoints,
     SemigroupLevels,
     _row_lattice_basis,
+    _column_ends,
+    _floor_runs,
     _saturation_index,
     _spot_check_additivity,
     body_volume,
@@ -80,6 +85,15 @@ def test_invariants_index_three():
     L = enumerate_levels(_toy(3, lambda a, i: a[0] % 3 == 0 and a[0] <= 3 * i), 30)
     inv = lattice_invariants(L)
     assert (inv.m, inv.ind, inv.q) == (1, 3, 1)
+
+
+def test_lattice_invariants_read_every_retained_point():
+    # level 1 holds the 2001 even points, and level 2 adds the odd ones
+    P = SemigroupPredicate(1, 4000, lambda a, i: a[0] <= 4000 * i
+                           and (i >= 2 or a[0] % 2 == 0))
+    L = enumerate_levels(P, 4)
+    assert astuple(lattice_invariants(L)) == (1, 1, 1, False)
+    assert semigroup_limit_check(L).expected == 4000
 
 
 def test_okounkov_body_interval():
@@ -374,3 +388,53 @@ def test_level_runs_match_the_point_list_oracles(case, N, budget):
     assert _body_or_error(okounkov_body, L) == _body_or_error(oracle_okounkov_body, O)
     assert (_member_calls(_spot_check_additivity, P, L)
             == _member_calls(oracle_spot_check, P, O))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(valuation_specs(2), st.lists(
+           st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4).map(
+           lambda gens: PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(2), gens)))),
+       st.integers(1, 6), st.integers(1, 6))
+def test_floor_runs_match_the_corner_walk(spec, beta, i):
+    F = build_family(spec)
+    assert (_floor_runs(F.column_floors(i), beta * i)
+            == oracle_column_runs(F.member_ideal(i).gens, beta * i))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_family_cases(), _toy_cases()), st.integers(3, 7),
+       st.integers(0, 3000))
+def test_lattice_invariants_match_the_point_row_reduction(case, N, budget):
+    L = enumerate_levels(case[0], N, retain_budget=budget)
+    try:
+        want = oracle_lattice_invariants(L)
+    except MonolimError as exc:
+        with pytest.raises(MonolimError, match=str(exc)):
+            lattice_invariants(L)
+    else:
+        assert astuple(lattice_invariants(L)) == want
+
+
+@st.composite
+def _level_runs(draw):
+    """Runs of a level in point dimension 2: columns with gaps between them,
+    one or two runs each, the low and high ends near lines so that many are
+    collinear."""
+    xs = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=10)))
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(0, 30))
+    noise = st.sampled_from((0, 0, 0, 1, -1))
+    runs = []
+    for x in xs:
+        lo = a * x + b + draw(noise)
+        for _ in range(draw(st.integers(1, 2))):
+            hi = lo + draw(st.sampled_from((0, 2, 5, 5)))
+            runs.append(((x,), lo, hi))
+            lo = hi + 2
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_runs())
+def test_column_ends_keep_the_hull_of_every_run_end(runs):
+    every_end = [(x, t) for (x,), lo, hi in runs for t in (lo, hi)]
+    assert convex_hull_2d(_column_ends(runs)) == convex_hull_2d(every_end)
