@@ -20,7 +20,14 @@ from .errors import (
     NotFiltrationError,
     NotPrimaryError,
 )
-from .families import GradedFamily, PowerSpec, ProductSpec, build_family, verify_filtration
+from .families import (
+    GradedFamily,
+    PowerSpec,
+    ProductSpec,
+    SymbolicSpec,
+    build_family,
+    verify_filtration,
+)
 from .lattice import (
     INFINITE,
     MonomialIdeal,
@@ -341,12 +348,11 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     if I.ring != J.ring:
         raise MonolimError("ideals live in different rings")
     d = I.ring.d
-    fam = build_family(PowerSpec(I))
+    symbolic = build_family(SymbolicSpec(I, J))
+    powers = symbolic.spec.powers
     samples = [n for n in (2, 3, 4, 5) if n <= N] or [1]
-    dims = set()
-    for n in samples:
-        power = fam.member_ideal(n)
-        dims.add(quotient_dim(power.saturate(J), power))
+    dims = {quotient_dim(symbolic.member_ideal(n), powers.member_ideal(n))
+            for n in samples}
     if dims == {-1}:
         return SymbolicReport(0, None, None, zero_module=True)
     dims.discard(-1)
@@ -355,8 +361,8 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     s = dims.pop()
     entries = []
     for n in range(1, N + 1):
-        power = fam.member_ideal(n)
-        entries.append((n, _module_multiplicity(power.saturate(J), power, s)))
+        entries.append((n, _module_multiplicity(
+            symbolic.member_ideal(n), powers.member_ideal(n), s)))
     seq = LengthSequence(tuple(entries), d - s)
     return SymbolicReport(s, estimate_limit(seq), seq)
 

@@ -422,49 +422,38 @@ class ValuationSpec(FamilySpec):
 class SymbolicSpec(FamilySpec):
     """Generalized symbolic powers I_n = I^n : J^infinity.
 
-    I^n comes from a memoized power family, one product per step.
+    I^n comes from the memoized power family ``powers``, one product per step.
     """
 
     ideal: MonomialIdeal
     aux: MonomialIdeal
-    _powers: GradedFamily = field(init=False, repr=False, compare=False)
+    powers: GradedFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ideal.is_zero or self.aux.is_zero:
             raise FamilySpecError("symbolic family needs nonzero ideals")
         if self.ideal.ring != self.aux.ring:
             raise FamilySpecError("ideals live in different rings")
-        object.__setattr__(self, "_powers", GradedFamily(PowerSpec(self.ideal)))
+        object.__setattr__(self, "powers", GradedFamily(PowerSpec(self.ideal)))
 
     @property
     def ring(self):
         return self.ideal.ring
 
     def member(self, n):
-        return self._powers.member_ideal(n).saturate(self.aux)
+        return self.powers.member_ideal(n).saturate(self.aux)
 
     def label(self):
         return f"symbolic({format_ideal(self.ideal)}; {format_ideal(self.aux)})"
 
 
-@dataclass(frozen=True)
-class SaturationSpec(FamilySpec):
-    """I_n = (I^n)^sat = I^n : m^infinity, with I^n as in SymbolicSpec."""
+class SaturationSpec(SymbolicSpec):
+    """I_n = (I^n)^sat = I^n : m^infinity, the symbolic family at J = m."""
 
-    ideal: MonomialIdeal
-    _powers: GradedFamily = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.ideal.is_zero:
+    def __init__(self, ideal: MonomialIdeal):
+        if ideal.is_zero:
             raise FamilySpecError("saturation family needs a nonzero ideal")
-        object.__setattr__(self, "_powers", GradedFamily(PowerSpec(self.ideal)))
-
-    @property
-    def ring(self):
-        return self.ideal.ring
-
-    def member(self, n):
-        return self._powers.member_ideal(n).saturation()
+        super().__init__(ideal, MonomialIdeal.maximal(ideal.ring))
 
     def label(self):
         return f"saturation({format_ideal(self.ideal)})"

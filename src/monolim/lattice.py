@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
-from operator import and_, itemgetter, le
+from operator import and_, itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -439,10 +439,13 @@ def minimalize(ring: AmbientRing, gens) -> MonomialIdeal:
 def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
     """Count of exponents in ``outer`` but not ``inner`` (requires inner <= outer).
 
-    Finiteness is decided symbolically: the count is finite iff the
-    annihilator ``inner : outer`` is primary (or the ideals coincide).  Only
-    the annihilator's pure powers are needed, and they are read off the
-    generators without building it.
+    The count is finite iff outer / inner has dimension 0, that is, iff its
+    localizations at the primes (x_j : j not in S), S nonempty, all vanish.
+    Then the counted exponents lie in the box a_j < M_j = max_f f_j over the
+    generators f of inner: for a in outer with a_j >= M_j, a with a_j set to
+    0 lies in outer localized at x_j, which is inner localized at x_j, so
+    some f divides a off axis j, and f_j <= M_j <= a_j.  Truncating both
+    ideals by the box loses none of the count.
     """
     outer._check_ring(inner)
     if not inner.issubset(outer):
@@ -452,47 +455,14 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
     co, ci = outer.colength(), inner.colength()
     if co != INFINITE and ci != INFINITE:
         return ci - co
-    pure = _colon_pure_powers(inner, outer)
-    if None in pure:
+    if quotient_dim(outer, inner) > 0:
         return INFINITE
-    # With B_j = max_g g_j + p_j (p_j the pure power of inner : outer), an
-    # exponent a of outer with a_j >= B_j is a - p_j e_j (still in outer)
-    # times x_j^{p_j}, so it lies in inner.  Hence outer \ inner sits inside
-    # the box [0, B) and truncating both ideals by the box loses none of it.
     d = outer.ring.d
-    bounds = [max(g[j] for g in outer.gens) + pure[j] for j in range(d)]
+    tops = [max(col) for col in zip(*inner.gens)]
     box = MonomialIdeal.from_gens(
-        outer.ring, [tuple(b if i == j else 0 for i in range(d))
-                     for j, b in enumerate(bounds)])
+        outer.ring, [tuple(t if i == j else 0 for i in range(d))
+                     for j, t in enumerate(tops)])
     return (inner + box).colength() - (outer + box).colength()
-
-
-def _colon_pure_powers(inner: MonomialIdeal, outer: MonomialIdeal) -> tuple:
-    """``inner.colon(outer).pure_powers()`` without building the colon.
-
-    x_j^p lies in inner : outer iff g + p*e_j lies in inner for every
-    generator g of outer.  For one g the least such p is min(f_j) - g_j,
-    clipped at 0, over the generators f of inner that divide g off axis j
-    (None if there is none), so the pure power on axis j is the largest of
-    these over g.  Scanning inner's generators by increasing f_j, the first
-    one that divides g off axis j gives the minimum: O(|outer| * |inner|)
-    comparisons per axis.
-    """
-    pure = []
-    for j in range(outer.ring.d):
-        candidates = sorted((f[j], f[:j] + f[j + 1:]) for f in inner.gens)
-        power = 0
-        for g in outer.gens:
-            gj, rest = g[j], g[:j] + g[j + 1:]
-            for fj, frest in candidates:
-                if all(map(le, frest, rest)):
-                    power = max(power, fj - gj)
-                    break
-            else:
-                power = None
-                break
-        pure.append(power)
-    return tuple(pure)
 
 
 def length_mod_power(outer: MonomialIdeal, inner: MonomialIdeal, k: int) -> int:

@@ -40,12 +40,11 @@ class SemigroupPredicate:
     runs_hook: Callable | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_family(F: GradedFamily, beta: int | None = None,
-                    c: int | None = None) -> "SemigroupPredicate":
+    def from_family(F: GradedFamily, c: int | None = None) -> "SemigroupPredicate":
         """Semigroup of (a, i) with x^a in I_i, inside the beta-simplex.
 
-        beta defaults to d * c with c the least integer for which m^c lies
-        inside I_1 (computed, or supplied and verified on sampled members).
+        beta is d * c with c the least integer for which m^c lies inside I_1
+        (computed, or supplied and verified on sampled members).
         The family must be primary to the maximal ideal.  Membership is the
         family's own test (:meth:`GradedFamily.contains`), and in d = 2 each
         level is read from the family's column floors, so a family that
@@ -64,8 +63,7 @@ class SemigroupPredicate:
                         F.member_ideal(n)):
                     raise SemigroupError(
                         f"supplied constant fails: m^{c * n} is not inside member {n}")
-        if beta is None:
-            beta = d * c
+        beta = d * c
 
         def member(a, i):
             return sum(a) <= beta * i and F.contains(a, i)
@@ -168,16 +166,20 @@ class SemigroupLevels:
     label: str = ""
 
 
-def enumerate_levels(P: SemigroupPredicate, N: int,
-                     retain_budget: int = 200_000,
-                     spot_checks: int = 200,
-                     seed: int = 2024) -> SemigroupLevels:
+#: Retained points across all levels; past it a result is flagged truncated.
+RETAIN_BUDGET = 200_000
+#: Random pairs of retained points checked for additivity, and their seed.
+SPOT_CHECKS = 200
+SPOT_SEED = 2024
+
+
+def enumerate_levels(P: SemigroupPredicate, N: int) -> SemigroupLevels:
     """Enumerate all member points per level i <= N.
 
     Counts are exact for every level; levels are kept (as column runs) until
-    the running point total exceeds ``retain_budget`` (the result is then
+    the running point total exceeds ``RETAIN_BUDGET`` (the result is then
     flagged truncated).  Additivity of the predicate is spot-checked on
-    random retained pairs and violations abort.
+    ``SPOT_CHECKS`` random retained pairs and violations abort.
     """
     counts: dict[int, int] = {}
     levels: dict[int, LevelPoints] = {}
@@ -187,14 +189,14 @@ def enumerate_levels(P: SemigroupPredicate, N: int,
         runs = P.runs_hook(i) if P.runs_hook is not None else _member_runs(P, i)
         pts = LevelPoints(runs)
         counts[i] = len(pts)
-        if not truncated and retained_total + counts[i] <= retain_budget:
+        if not truncated and retained_total + counts[i] <= RETAIN_BUDGET:
             levels[i] = pts
             retained_total += counts[i]
         else:
             truncated = True
     result = SemigroupLevels(P.point_dim, P.beta, N, counts, levels,
                              truncated, P.label)
-    _spot_check_additivity(P, result, spot_checks, seed)
+    _spot_check_additivity(P, result, SPOT_CHECKS, SPOT_SEED)
     return result
 
 

@@ -213,6 +213,21 @@ def test_symbolic_multiplicity_by_localization(R3):
     assert report.estimate.point_estimate == 1
 
 
+def test_symbolic_multiplicity_saturates_each_power_once(R3, monkeypatch):
+    calls = []
+    saturate = MonomialIdeal.saturate
+
+    def counting_saturate(self, other):
+        calls.append(1)
+        return saturate(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "saturate", counting_saturate)
+    report = symbolic_multiplicity(parse_ideal(R3, "x*y, y*z, x*z"),
+                                   parse_ideal(R3, "x, y"), 8)
+    assert report.samples is not None
+    assert len(calls) == 8
+
+
 @st.composite
 def _modules(draw, d: int, top: int, gens: int):
     """(outer, inner) in d variables with exponents up to ``top``: the

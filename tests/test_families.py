@@ -141,10 +141,21 @@ def test_valuation_rejects_bad_weights(R2):
         ValuationSpec.make(R2, [((1, 1), -2)])
 
 
-def test_saturation_family(R2):
-    fam = build_family(SaturationSpec(parse_ideal(R2, "x^2, x*y")))
+def test_saturation_family(R2, R3):
+    spec = SaturationSpec(parse_ideal(R2, "x^2, x*y"))
+    assert spec.label() == "saturation(x*y, x^2)"
+    fam = build_family(spec)
     assert fam.member_ideal(5) == parse_ideal(R2, "x^5")
     assert verify_graded(fam, 10).passed
+    # x^n (x, y, z)^n saturates to x^n; x*y*z*(x, y, z) to (x*y*z)^n
+    for text, member in (("x^2, x*y, x*z", "x^{n}"),
+                         ("x^2*y*z, x*y^2*z, x*y*z^2", "x^{n}*y^{n}*z^{n}")):
+        fam = build_family(SaturationSpec(parse_ideal(R3, text)))
+        for n in range(1, 6):
+            assert fam.member_ideal(n) == parse_ideal(R3, member.format(n=n))
+        assert verify_graded(fam, 8).passed
+    with pytest.raises(FamilySpecError, match="saturation family needs a nonzero ideal"):
+        SaturationSpec(MonomialIdeal.zero(R2))
 
 
 def test_symbolic_family(R2):

@@ -34,7 +34,7 @@ from monolim import (
     parse_ideal,
     rel_length,
 )
-from monolim.lattice import _colon_pure_powers, _maximal_power_degree, quotient_dim
+from monolim.lattice import _maximal_power_degree, quotient_dim
 from monolim.errors import (
     DimensionMismatchError,
     InclusionError,
@@ -477,20 +477,17 @@ def test_multiply_and_from_gens_match_the_set_kernels(case):
 
 @settings(max_examples=80, deadline=None)
 @given(_rings_and_gens(3), st.booleans())
-def test_colon_pure_powers_match_the_colon(case, zero_inner):
-    # Random pairs (inner need not lie in outer), the rel_length shape
-    # outer * P + (outer & J), whose pure powers may be missing (INFINITE),
-    # and a zero inner, which has none on any axis.
+def test_rel_length_is_finite_iff_the_annihilator_is_primary(case, zero_inner):
+    # The rel_length shape outer * P + (outer & J), whose annihilator
+    # inner : outer may miss pure powers (INFINITE), and a zero inner, whose
+    # annihilator is zero.
     ring, (go, gp, gj) = case
     outer, P, J = (minimalize(ring, g) for g in (go, gp, gj))
     inner = MonomialIdeal.zero(ring) if zero_inner else outer * P + (outer & J)
-    for a, b in ((inner, outer), (P, outer), (J, P), (outer, outer)):
-        assert _colon_pure_powers(a, b) == a.colon(b).pure_powers()
+    finite = rel_length(outer, inner) != INFINITE
+    assert finite == inner.colon(outer).is_primary
     if zero_inner:
-        assert _colon_pure_powers(inner, outer) == (None,) * ring.d
-    elif inner != outer:
-        finite = None not in _colon_pure_powers(inner, outer)
-        assert finite == (rel_length(outer, inner) != INFINITE)
+        assert not finite
 
 
 @settings(max_examples=80, deadline=None)
@@ -576,3 +573,13 @@ def test_rel_length_huge_exponents_3d(R3):
     outer = I(R3, "x*y*z")
     inner = I(R3, f"x^{E}*y*z, x*y^{E}*z, x*y*z^{E}, x^2*y^2*z^2")
     assert timed(lambda: rel_length(outer, inner)) == (E - 1) ** 3 - (E - 2) ** 3
+
+
+def test_rel_length_huge_exponents_4d():
+    # outer / inner = R / (x^(E-1), y^(E-1), z^(E-1), w^(E-1), x*y*z*w),
+    # through the truncation box of inner's largest exponents.
+    R4 = AmbientRing.default(4)
+    outer = I(R4, "x*y*z*w")
+    inner = I(R4, f"x^{E}*y*z*w, x*y^{E}*z*w, x*y*z^{E}*w, x*y*z*w^{E}, "
+                  "x^2*y^2*z^2*w^2")
+    assert timed(lambda: rel_length(outer, inner)) == (E - 1) ** 4 - (E - 2) ** 4

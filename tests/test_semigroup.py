@@ -2,6 +2,7 @@
 
 from dataclasses import astuple, replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from monolim import (
     parse_ideal,
     semigroup_limit_check,
 )
+from monolim import semigroup
 from monolim.errors import MonolimError, SemigroupError
 from monolim.semigroup import (
     LevelPoints,
@@ -94,6 +96,18 @@ def test_lattice_invariants_read_every_retained_point():
     L = enumerate_levels(P, 4)
     assert astuple(lattice_invariants(L)) == (1, 1, 1, False)
     assert semigroup_limit_check(L).expected == 4000
+
+
+def test_enumerate_levels_truncates_past_the_retain_budget():
+    # level i holds 4000 * i + 1 points; levels 1..9 hold 180,009 and level
+    # 10 would take the total past the 200,000 retained points
+    L = enumerate_levels(_toy(4000, lambda a, i: a[0] <= 4000 * i), 12)
+    assert L.truncated
+    assert sorted(L.levels) == list(range(1, 10))
+    assert [L.counts[i] for i in (10, 11, 12)] == [40001, 44001, 48001]
+    report = semigroup_limit_check(L)
+    assert report.invariants.truncated
+    assert report.expected == 4000
 
 
 def test_okounkov_body_interval():
@@ -368,7 +382,8 @@ def _body_or_error(body, L):
        st.integers(0, 3000))
 def test_level_runs_match_the_point_list_oracles(case, N, budget):
     P, oracle_points = case
-    L = enumerate_levels(P, N, retain_budget=budget)
+    with mock.patch.object(semigroup, "RETAIN_BUDGET", budget):
+        L = enumerate_levels(P, N)
     want = {i: oracle_points(i) for i in range(1, N + 1)}
     assert L.counts == {i: len(pts) for i, pts in want.items()}
     kept, total = [], 0
@@ -405,7 +420,8 @@ def test_floor_runs_match_the_corner_walk(spec, beta, i):
 @given(st.one_of(_family_cases(), _toy_cases()), st.integers(3, 7),
        st.integers(0, 3000))
 def test_lattice_invariants_match_the_point_row_reduction(case, N, budget):
-    L = enumerate_levels(case[0], N, retain_budget=budget)
+    with mock.patch.object(semigroup, "RETAIN_BUDGET", budget):
+        L = enumerate_levels(case[0], N)
     try:
         want = oracle_lattice_invariants(L)
     except MonolimError as exc:
