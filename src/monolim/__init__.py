@@ -34,7 +34,7 @@ from .convex import (
 )
 from .errors import MonolimError
 from .families import (
-    GradedFamily,
+    FamilySpec,
     MaxPowerSpec,
     PowerSpec,
     ProductSpec,
@@ -42,7 +42,6 @@ from .families import (
     SymbolicSpec,
     TableSpec,
     ValuationSpec,
-    build_family,
     log_exponent,
     sigma_exponent,
     sigma_multiplier,

@@ -7,7 +7,7 @@ decided by integer bracketing, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -21,11 +21,10 @@ from .errors import (
     NotPrimaryError,
 )
 from .families import (
-    GradedFamily,
+    FamilySpec,
     PowerSpec,
     ProductSpec,
     SymbolicSpec,
-    build_family,
     verify_filtration,
 )
 from .lattice import (
@@ -117,7 +116,7 @@ def estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
                          verdict, (tail[0][0], tail[-1][0]))
 
 
-def length_sequence(F: GradedFamily, ns) -> LengthSequence:
+def length_sequence(F: FamilySpec, ns) -> LengthSequence:
     """Exact lengths of R/I_n.
 
     ``ns`` is either an upper bound N (samples 1..N) or an iterable of
@@ -181,9 +180,8 @@ def multiplicity(I: MonomialIdeal, N: int = 64) -> MultiplicityReport:
         raise EstimateError("need N >= 8 for the sequence estimate")
     d = I.ring.d
     e_exact = exact_multiplicity(I)
-    fam = build_family(PowerSpec(I))
     ns = sorted({max(1, (N * k) // 8) for k in range(1, 9)})
-    raw = length_sequence(fam, ns)
+    raw = length_sequence(PowerSpec(I), ns)
     scaled = LengthSequence(tuple((n, v * factorial(d)) for n, v in raw.entries), d)
     return MultiplicityReport(I, e_exact, estimate_limit(scaled), raw)
 
@@ -199,7 +197,7 @@ class VolumeMultiplicityReport:
     multiplicity_estimate: LimitEstimate
 
 
-def volume_equals_multiplicity(F: GradedFamily, N: int) -> VolumeMultiplicityReport:
+def volume_equals_multiplicity(F: FamilySpec, N: int) -> VolumeMultiplicityReport:
     """Compare d! lim l(R/I_n)/n^d against lim e(I_p)/p^d."""
     d = F.ring.d
     left_est = estimate_limit(length_sequence(F, N))
@@ -246,10 +244,10 @@ class FamilyMinkowskiReport:
     product: LengthSequence
 
 
-def minkowski_family_check(F: GradedFamily, G: GradedFamily,
+def minkowski_family_check(F: FamilySpec, G: FamilySpec,
                            N: int) -> FamilyMinkowskiReport:
     d = F.ring.d
-    product = length_sequence(build_family(ProductSpec(F.spec, G.spec)), N)
+    product = length_sequence(ProductSpec(F, G), N)
     a = estimate_limit(length_sequence(F, N)).point_estimate
     b = estimate_limit(length_sequence(G, N)).point_estimate
     c = estimate_limit(product).point_estimate
@@ -271,21 +269,12 @@ class EpsilonReport:
 
 
 def epsilon_ideal(I: MonomialIdeal, N: int) -> EpsilonReport:
-    """Limit of l((I^n)^sat / I^n) / n^d (colength sequence if I is primary)."""
+    """Limit of l((I^n)^sat / I^n) / n^d: :func:`epsilon_module` of the
+    rank-one module I, whose degree-n piece is I^n."""
     if I.is_zero:
         raise MonolimError("epsilon multiplicity needs a nonzero ideal")
-    d = I.ring.d
-    fam = build_family(PowerSpec(I))
-    entries = []
-    for n in range(1, N + 1):
-        gap = fam.saturation_gap(n)
-        if gap == INFINITE:
-            raise MonolimError(f"saturation gap of member {n} is unbounded")
-        entries.append((n, gap))
-    seq = LengthSequence(tuple(entries), d)
-    est = estimate_limit(seq)
-    return EpsilonReport(est, est.point_estimate * factorial(d), seq, d, 1,
-                         primary_flag=I.is_primary)
+    return replace(epsilon_module(MonomialModule(I.ring, (I,)), N),
+                   primary_flag=I.is_primary)
 
 
 def epsilon_module(E: MonomialModule, N: int) -> EpsilonReport:
@@ -348,8 +337,8 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     if I.ring != J.ring:
         raise MonolimError("ideals live in different rings")
     d = I.ring.d
-    symbolic = build_family(SymbolicSpec(I, J))
-    powers = symbolic.spec.powers
+    symbolic = SymbolicSpec(I, J)
+    powers = symbolic.powers
     samples = [n for n in (2, 3, 4, 5) if n <= N] or [1]
     dims = {quotient_dim(symbolic.member_ideal(n), powers.member_ideal(n))
             for n in samples}
@@ -400,7 +389,7 @@ class FiltrationBoundReport:
     max_ratio: float
 
 
-def filtration_difference_bound(F: GradedFamily, N: int) -> FiltrationBoundReport:
+def filtration_difference_bound(F: FamilySpec, N: int) -> FiltrationBoundReport:
     report = verify_filtration(F, N)
     if not report.passed:
         raise NotFiltrationError(f"not a filtration: {report.detail}")

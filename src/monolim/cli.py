@@ -30,7 +30,7 @@ from .errors import (
     NotPrimaryError,
     SemigroupError,
 )
-from .families import GradedFamily, build_family, verify_filtration, verify_graded
+from .families import FamilySpec, verify_filtration, verify_graded
 from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
     SemigroupPredicate,
@@ -94,11 +94,11 @@ class Job:
             return AmbientRing.default(2)
         return rio.ring_from_config(str(value))
 
-    def family(self, which: str = "family") -> GradedFamily:
+    def family(self, which: str = "family") -> FamilySpec:
         text = self.param(which, which, "spec")
         if text is None:
             raise ConfigError(f"missing --{which}")
-        return build_family(rio.parse_family_spec(self.ring(), str(text)))
+        return rio.parse_family_spec(self.ring(), str(text))
 
     def out_prefix(self, command: str) -> Path:
         value = self.param("out")
@@ -364,13 +364,12 @@ def _cmd_kt(job: Job) -> tuple[int, dict, str]:
 def _cmd_counterexample(job: Job) -> tuple[int, dict, str]:
     which = job.args.which
     ring = job.ring()
-    fam = build_family(rio.parse_family_spec(ring, f"maxpower({which})"))
+    fam = rio.parse_family_spec(ring, f"maxpower({which})")
     N = job.number("N", 64)
-    spec = fam.spec
     d = ring.d
     rows = []
     for n in range(1, N + 1):
-        b = spec.exponent(n)
+        b = fam.exponent(n)
         length = fam.length(n)
         delta = fam.length(n + 1) - length
         profile = Fraction(-delta if which == "sigma" else delta, n ** (d - 1))

@@ -1,11 +1,15 @@
 """Graded families and filtrations of monomial ideals.
 
-A family is a lazily evaluated, memoized map n -> I_n with I_0 = R and the
-contract I_m * I_n <= I_{m+n}.  Besides powers of a fixed ideal, the built-in
-constructors cover exponent-driven powers of the maximal ideal (including the
-two sequences whose normalized length differences diverge or oscillate),
-valuation-style weight thresholds, symbolic powers, saturations, products and
-explicit tables.
+A family is a spec: a frozen description (an ideal, an exponent sequence,
+weight constraints, ...) that is also a lazily evaluated map n -> I_n with
+I_0 = R and the contract I_m * I_n <= I_{m+n}.  It memoizes its own members
+and lengths outside its dataclass fields, so two specs with the same fields
+are equal whatever each has computed, and a family built from other families
+(a product, or the powers behind a symbolic family) reads their memos.
+Besides powers of a fixed ideal, the built-in specs cover exponent-driven
+powers of the maximal ideal (including the two sequences whose normalized
+length differences diverge or oscillate), valuation-style weight thresholds,
+symbolic powers, saturations, products and explicit tables.
 """
 
 from __future__ import annotations
@@ -14,17 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from operator import mul
 
 from .errors import DimensionMismatchError, FamilyRangeError, FamilySpecError
-from .lattice import (
-    INFINITE,
-    AmbientRing,
-    MonomialIdeal,
-    format_ideal,
-    rel_length,
-)
+from .lattice import INFINITE, AmbientRing, MonomialIdeal, format_ideal
 
 # -- exponent sequences ------------------------------------------------------
 
@@ -71,8 +70,33 @@ def log_exponent(n: int) -> int:
 
 class FamilySpec:
     """Base class: a spec provides ``ring``, ``member(n)`` and a label; it
-    overrides the defaults below where it knows a shortcut.  A ``member``
-    argument is the memoized lookup ``GradedFamily.member_ideal``."""
+    overrides the defaults below where it knows a shortcut.  Callers read
+    the memoized :meth:`member_ideal` and :meth:`length`."""
+
+    @cached_property
+    def _members(self) -> dict:
+        """The memos sit in the instance dict, not in fields, so equality,
+        hashing and repr ignore them."""
+        return {}
+
+    @cached_property
+    def _lengths(self) -> dict:
+        return {}
+
+    def member_ideal(self, n: int) -> MonomialIdeal:
+        """I_n, computed once."""
+        if n < 0:
+            raise FamilySpecError("family index must be nonnegative")
+        if n not in self._members:
+            self._members[n] = MonomialIdeal.unit(self.ring) if n == 0 else \
+                self.next_member(self._members.get(n - 1), n)
+        return self._members[n]
+
+    def length(self, n: int):
+        """Colength of I_n (exact; INFINITE when not primary), computed once."""
+        if n not in self._lengths:
+            self._lengths[n] = 0 if n == 0 else self.colength(n)
+        return self._lengths[n]
 
     def member(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
@@ -81,15 +105,15 @@ class FamilySpec:
         """I_n, given the memoized I_(n-1) when there is one."""
         return self.member(n)
 
-    def length(self, n: int, member):
+    def colength(self, n: int):
         """Colength of I_n (n >= 1)."""
-        return member(n).colength()
+        return self.member_ideal(n).colength()
 
-    def contains(self, a, n: int, member) -> bool:
+    def contains(self, a, n: int) -> bool:
         """Whether x^a lies in I_n."""
-        return member(n).contains(a)
+        return self.member_ideal(n).contains(a)
 
-    def column_floors(self, n: int, member) -> dict:
+    def column_floors(self, n: int) -> dict:
         """Least last coordinate of I_n in each nonempty column over the
         first d - 1 coordinates, keyed by the column in lex order.
 
@@ -100,7 +124,7 @@ class FamilySpec:
         least of its own corner, the floor before it in its row and the
         floors of the same column in the rows one step back.
         """
-        gens = member(n).gens
+        gens = self.member_ideal(n).gens
         own = {g[:-1]: g[-1] for g in gens}
         tops = [max(c) for c in zip(*own)]
         if not tops:
@@ -116,11 +140,11 @@ class FamilySpec:
         return {(*head, y): floor for head, row in rows.items()
                 for y, floor in zip(span, row) if floor != math.inf}
 
-    def graded_violation(self, member, N: int):
+    def graded_violation(self, N: int):
         """((m, n), detail) for the first I_m * I_n not inside I_{m+n}, else None."""
         for m in range(1, N + 1):
             for n in range(m, N - m + 1):
-                Im, In, Imn = member(m), member(n), member(m + n)
+                Im, In, Imn = map(self.member_ideal, (m, n, m + n))
                 for g in Im.gens:
                     for h in In.gens:
                         s = tuple(a + b for a, b in zip(g, h))
@@ -128,10 +152,10 @@ class FamilySpec:
                             return (m, n), f"generator product {s} escapes I_{m + n}"
         return None
 
-    def filtration_violation(self, member, N: int):
+    def filtration_violation(self, N: int):
         """((n, n + 1), detail) for the first I_{n+1} not inside I_n, else None."""
         for n in range(N):
-            if not member(n + 1).issubset(member(n)):
+            if not self.member_ideal(n + 1).issubset(self.member_ideal(n)):
                 return (n, n + 1), f"I_{n + 1} is not inside I_{n}"
         return None
 
@@ -196,11 +220,11 @@ class MaxPowerSpec(FamilySpec):
     def member(self, n):
         return MonomialIdeal.maximal_power(self.ring, self.exponent(n))
 
-    def length(self, n, member):
+    def colength(self, n):
         b, d = self.exponent(n), self.ring.d
         return comb(b + d - 1, d)
 
-    def graded_violation(self, member, N):
+    def graded_violation(self, N):
         exps = [self.exponent(n) for n in range(N + 1)]
         for m in range(1, N + 1):
             for n in range(m, N - m + 1):
@@ -208,7 +232,7 @@ class MaxPowerSpec(FamilySpec):
                     return (m, n), f"exponent {exps[m]}+{exps[n]} < {exps[m + n]}"
         return None
 
-    def filtration_violation(self, member, N):
+    def filtration_violation(self, N):
         for n in range(N):
             if self.exponent(n + 1) < self.exponent(n):
                 return (n, n + 1), \
@@ -350,14 +374,14 @@ class ValuationSpec(FamilySpec):
             if all(floors.get(col[:k] + (c - 1,) + col[k + 1:], math.inf) > floor
                    for k, c in enumerate(col) if c)])
 
-    def contains(self, a, n, member=None):
+    def contains(self, a, n):
         """<w, a> >= t*n for every scaled constraint; no member is built."""
         if len(a) != self.ring.d:
             raise DimensionMismatchError(
                 f"exponent {a} has length {len(a)}, expected {self.ring.d}")
         return all(sum(map(mul, w, a)) >= s * n for w, s in self._scaled)
 
-    def column_floors(self, n, member=None):
+    def column_floors(self, n):
         """A column's floor is the largest ceil(gap / w_d) over the unmet
         constraints, and the column is empty while one of them has w_d = 0.
         Coordinate i is scanned only while some unmet constraint still grows
@@ -391,7 +415,7 @@ class ValuationSpec(FamilySpec):
         scan((), [s * n for _, s in self._scaled])
         return floors
 
-    def length(self, n, member):
+    def colength(self, n):
         """I_n is primary iff every constraint with t > 0 has all weights
         positive; then the standard monomials are the a >= 0 that fail some
         such constraint."""
@@ -402,11 +426,11 @@ class ValuationSpec(FamilySpec):
             return INFINITE
         return _count_outside(rows)
 
-    def graded_violation(self, member, N):
+    def graded_violation(self, N):
         """None: <w, a + b> = <w, a> + <w, b> >= t*m + t*n for a in I_m, b in I_n."""
         return None
 
-    def filtration_violation(self, member, N):
+    def filtration_violation(self, N):
         """None: t >= 0, so the threshold t*n never falls as n grows."""
         return None
 
@@ -422,23 +446,25 @@ class ValuationSpec(FamilySpec):
 class SymbolicSpec(FamilySpec):
     """Generalized symbolic powers I_n = I^n : J^infinity.
 
-    I^n comes from the memoized power family ``powers``, one product per step.
+    I^n comes from the power family ``powers``, one product per step.
     """
 
     ideal: MonomialIdeal
     aux: MonomialIdeal
-    powers: GradedFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ideal.is_zero or self.aux.is_zero:
             raise FamilySpecError("symbolic family needs nonzero ideals")
         if self.ideal.ring != self.aux.ring:
             raise FamilySpecError("ideals live in different rings")
-        object.__setattr__(self, "powers", GradedFamily(PowerSpec(self.ideal)))
 
     @property
     def ring(self):
         return self.ideal.ring
+
+    @cached_property
+    def powers(self) -> PowerSpec:
+        return PowerSpec(self.ideal)
 
     def member(self, n):
         return self.powers.member_ideal(n).saturate(self.aux)
@@ -463,27 +489,24 @@ class SaturationSpec(SymbolicSpec):
 class ProductSpec(FamilySpec):
     """Memberwise product I_n = F_n * G_n of two families.
 
-    Each factor's members come from a memoized family of its own, so a power
-    factor takes one product per step, as a power family does.
+    The factors' members come from their own memos, so a power factor takes
+    one product per step, and a factor that has already been evaluated
+    computes no member again.
     """
 
     left: FamilySpec
     right: FamilySpec
-    _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.left.ring != self.right.ring:
             raise FamilySpecError("factors live in different rings")
-        object.__setattr__(self, "_factors",
-                           (GradedFamily(self.left), GradedFamily(self.right)))
 
     @property
     def ring(self):
         return self.left.ring
 
     def member(self, n):
-        left, right = self._factors
-        return left.member_ideal(n) * right.member_ideal(n)
+        return self.left.member_ideal(n) * self.right.member_ideal(n)
 
     def label(self):
         return f"product({self.left.label()}; {self.right.label()})"
@@ -516,63 +539,6 @@ class TableSpec(FamilySpec):
         return "table(" + " | ".join(format_ideal(i) for i in self.ideals) + ")"
 
 
-# -- graded family wrapper ----------------------------------------------------
-
-
-@dataclass
-class GradedFamily:
-    """Lazily evaluated family with a memo of canonical members and lengths."""
-
-    spec: FamilySpec
-    _members: dict = field(default_factory=dict, repr=False)
-    _lengths: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def ring(self) -> AmbientRing:
-        return self.spec.ring
-
-    def member_ideal(self, n: int) -> MonomialIdeal:
-        if n < 0:
-            raise FamilySpecError("family index must be nonnegative")
-        if n in self._members:
-            return self._members[n]
-        if n == 0:
-            ideal = MonomialIdeal.unit(self.ring)
-        else:
-            ideal = self.spec.next_member(self._members.get(n - 1), n)
-        self._members[n] = ideal
-        return ideal
-
-    def length(self, n: int):
-        """Colength of I_n (exact; INFINITE when not primary)."""
-        if n not in self._lengths:
-            self._lengths[n] = 0 if n == 0 else self.spec.length(n, self.member_ideal)
-        return self._lengths[n]
-
-    def contains(self, a, n: int) -> bool:
-        """Whether x^a lies in I_n, by the spec's test."""
-        return self.spec.contains(a, n, self.member_ideal)
-
-    def column_floors(self, n: int) -> dict:
-        """Column floors of I_n, by the spec's scan (see FamilySpec)."""
-        return self.spec.column_floors(n, self.member_ideal)
-
-    def saturation_gap(self, n: int):
-        """Length of I_n^sat / I_n (the degree-zero local cohomology of R/I_n)."""
-        member = self.member_ideal(n)
-        return rel_length(member.saturation(), member)
-
-    def label(self) -> str:
-        return self.spec.label()
-
-
-def build_family(spec: FamilySpec) -> GradedFamily:
-    """Wrap a validated spec into a lazily evaluated family."""
-    if not isinstance(spec, FamilySpec):
-        raise FamilySpecError("not a family spec")
-    return GradedFamily(spec)
-
-
 # -- verification -------------------------------------------------------------
 
 
@@ -589,13 +555,13 @@ class VerificationReport:
         return self.passed
 
 
-def verify_graded(F: GradedFamily, N: int) -> VerificationReport:
+def verify_graded(F: FamilySpec, N: int) -> VerificationReport:
     """Check I_m * I_n <= I_{m+n} for all m + n <= N."""
-    violation = F.spec.graded_violation(F.member_ideal, N)
+    violation = F.graded_violation(N)
     return VerificationReport(violation is None, N, *(violation or ()))
 
 
-def verify_filtration(F: GradedFamily, N: int) -> VerificationReport:
+def verify_filtration(F: FamilySpec, N: int) -> VerificationReport:
     """Check the descending chain I_{n+1} <= I_n for n < N."""
-    violation = F.spec.filtration_violation(F.member_ideal, N)
+    violation = F.filtration_violation(N)
     return VerificationReport(violation is None, N, *(violation or ()))

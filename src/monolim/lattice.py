@@ -422,13 +422,19 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
 
 def quotient_dim(outer: MonomialIdeal, inner: MonomialIdeal) -> int:
     """Krull dimension of outer/inner (inner <= outer; -1 if equal): the
-    largest |S| whose prime (x_j : j not in S) has localizations that differ."""
+    largest |S| whose prime (x_j : j not in S) has localizations that differ.
+
+    Localizing at S is localizing at T inside S and then at S minus T, so
+    where the localizations agree at T they agree at S: the sets S at which
+    they differ are closed under subsets.  The scan runs up the sizes and
+    stops at the first size r at which every r-subset agrees.
+    """
     d = outer.ring.d
-    for r in range(d, -1, -1):
-        for axes in itertools.combinations(range(d), r):
-            if outer.localize(axes) != inner.localize(axes):
-                return r
-    return -1
+    for r in range(d + 1):
+        if all(outer.localize(axes) == inner.localize(axes)
+               for axes in itertools.combinations(range(d), r)):
+            return r - 1
+    return d
 
 
 def minimalize(ring: AmbientRing, gens) -> MonomialIdeal:

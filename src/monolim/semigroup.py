@@ -19,7 +19,7 @@ from math import gcd, prod
 from typing import Callable
 
 from .errors import GeometryError, MonolimError, NotPrimaryError, SemigroupError
-from .families import GradedFamily
+from .families import FamilySpec
 from .lattice import MonomialIdeal, containment_order
 
 
@@ -40,13 +40,13 @@ class SemigroupPredicate:
     runs_hook: Callable | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_family(F: GradedFamily, c: int | None = None) -> "SemigroupPredicate":
+    def from_family(F: FamilySpec, c: int | None = None) -> "SemigroupPredicate":
         """Semigroup of (a, i) with x^a in I_i, inside the beta-simplex.
 
         beta is d * c with c the least integer for which m^c lies inside I_1
         (computed, or supplied and verified on sampled members).
         The family must be primary to the maximal ideal.  Membership is the
-        family's own test (:meth:`GradedFamily.contains`), and in d = 2 each
+        family's own test (:meth:`FamilySpec.contains`), and in d = 2 each
         level is read from the family's column floors, so a family that
         answers both without members (a valuation family) builds none per
         level.

@@ -25,7 +25,6 @@ from monolim import (
     PowerSpec,
     SemigroupPredicate,
     ValuationSpec,
-    build_family,
     difference_profile,
     enumerate_levels,
     epsilon_ideal,
@@ -131,10 +130,10 @@ def test_criterion_02_multiplicity_identity():
 def test_criterion_03_volume_equals_multiplicity():
     with _criterion(3, 60, "volume = multiplicity within 2% at N=200 for a "
                            "valuation family and a power family"):
-        val = build_family(ValuationSpec.make(R2, [((2, 1), 2)]))
+        val = ValuationSpec.make(R2, [((2, 1), 2)])
         report = volume_equals_multiplicity(val, 200)
         assert report.rel_gap < 0.02
-        pw = build_family(PowerSpec(parse_ideal(R2, "x^3, x*y, y^2")))
+        pw = PowerSpec(parse_ideal(R2, "x^3, x*y, y^2"))
         report = volume_equals_multiplicity(pw, 200)
         assert report.rel_gap < 0.02
 
@@ -142,8 +141,8 @@ def test_criterion_03_volume_equals_multiplicity():
 def test_criterion_04_minkowski_for_families():
     with _criterion(4, 60, "family Minkowski: limits 1,1,3 within 2%, slack "
                            ">= -1e-9; 20 random valuation pairs"):
-        F = build_family(PowerSpec(parse_ideal(R2, "x, y^2")))
-        G = build_family(PowerSpec(parse_ideal(R2, "x^2, y")))
+        F = PowerSpec(parse_ideal(R2, "x, y^2"))
+        G = PowerSpec(parse_ideal(R2, "x^2, y"))
         report = minkowski_family_check(F, G, 100)
         for got, want in ((report.limit_left, 1), (report.limit_right, 1),
                           (report.limit_product, 3)):
@@ -167,8 +166,8 @@ def test_criterion_04_minkowski_for_families():
             vS = covol(minkowski_sum(DF, DG))
             assert root_sum_at_least(vF, vG, vS, 2)[0]
             rep = minkowski_family_check(
-                build_family(ValuationSpec.make(R2, cF)),
-                build_family(ValuationSpec.make(R2, cG)), 48)
+                ValuationSpec.make(R2, cF),
+                ValuationSpec.make(R2, cG), 48)
             assert rep.holds or rep.slack >= -0.02
 
 
@@ -186,7 +185,7 @@ def test_criterion_05_teissier_for_ideals():
 def test_criterion_06_sigma_counterexample():
     with _criterion(6, 5, "sigma family: exact normalized differences at the "
                           "jump points, strictly increasing"):
-        fam = build_family(MaxPowerSpec(R2, "sigma"))
+        fam = MaxPowerSpec(R2, "sigma")
         ms = [2 ** (2 ** n) - 1 for n in (2, 3, 4)]
         seq = length_sequence(fam, sorted(ms + [m + 1 for m in ms]))
         rows = {r.n: r.decrease for r in difference_profile(seq)}
@@ -207,7 +206,7 @@ def test_criterion_06_sigma_counterexample():
 def test_criterion_07_log_filtration_behavior():
     with _criterion(7, 30, "log family: limit 1/2 within 1% at N=1000, jump "
                            "profile near 2, elsewhere near 1, bound exact"):
-        fam = build_family(MaxPowerSpec(R2, "log"))
+        fam = MaxPowerSpec(R2, "log")
         seq = length_sequence(fam, 1001)
         est = estimate_limit(seq)
         assert abs(est.point_estimate - Fraction(1, 2)) / Fraction(1, 2) < Fraction(1, 100)
@@ -257,7 +256,7 @@ def test_criterion_10_okounkov_counting():
         report = semigroup_limit_check(enumerate_levels(even, 200))
         assert report.expected == 1 and report.invariants.ind == 2
         assert report.rel_gap < 0.03
-        fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+        fam = PowerSpec(parse_ideal(R2, "x, y"))
         pred = SemigroupPredicate.from_family(fam)
         report = semigroup_limit_check(enumerate_levels(pred, 200))
         assert report.volume == Fraction(3, 2)

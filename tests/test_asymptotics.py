@@ -16,7 +16,6 @@ from monolim import (
     MonomialModule,
     PowerSpec,
     ValuationSpec,
-    build_family,
     difference_profile,
     epsilon_ideal,
     epsilon_module,
@@ -28,6 +27,7 @@ from monolim import (
     monomial_quotient_bound,
     multiplicity,
     parse_ideal,
+    rel_length,
     symbolic_multiplicity,
     teissier_check,
     volume_equals_multiplicity,
@@ -38,29 +38,29 @@ from monolim.lattice import quotient_dim
 
 
 def test_length_sequence_power_of_maximal(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     seq = length_sequence(fam, 4)
     assert seq.entries == ((1, 1), (2, 3), (3, 6), (4, 10))
 
 
 def test_length_sequence_example(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^3, x*y, y^2")))
+    fam = PowerSpec(parse_ideal(R2, "x^3, x*y, y^2"))
     seq = length_sequence(fam, 2)
     assert seq.entries == ((1, 4), (2, 13))
 
 
 def test_length_sequence_log_closed_form(R2):
-    fam = build_family(MaxPowerSpec(R2, "log"))
+    fam = MaxPowerSpec(R2, "log")
     seq = length_sequence(fam, [8])
     assert dict(seq.entries)[8] == 66
 
 
 def test_length_sequence_nonprimary_raises(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, x*y")))
+    fam = PowerSpec(parse_ideal(R2, "x^2, x*y"))
     with pytest.raises(NotPrimaryError):
         length_sequence(fam, 3)
-    gaps = tuple((n, fam.saturation_gap(n)) for n in range(1, 7))
-    assert gaps == tuple((n, n * (n + 1) // 2) for n in range(1, 7))
+    gaps = epsilon_ideal(fam.ideal, 8).samples.entries
+    assert gaps == tuple((n, n * (n + 1) // 2) for n in range(1, 9))
 
 
 def test_estimate_limit_triangle():
@@ -84,20 +84,20 @@ def test_estimate_limit_needs_samples():
 
 
 def test_difference_profile_power(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     rows = difference_profile(length_sequence(fam, 10))
     assert [r.increase for r in rows] == [Fraction(n + 1, n) for n in range(1, 10)]
 
 
 def test_difference_profile_sigma_jump(R2):
-    fam = build_family(MaxPowerSpec(R2, "sigma"))
+    fam = MaxPowerSpec(R2, "sigma")
     seq = length_sequence(fam, [15, 16])
     row = difference_profile(seq)[0]
     assert row.decrease == Fraction(22, 5)
 
 
 def test_difference_profile_log_jumps(R2):
-    fam = build_family(MaxPowerSpec(R2, "log"))
+    fam = MaxPowerSpec(R2, "log")
     rows = difference_profile(length_sequence(fam, 130))
     by_n = {r.n: r.increase for r in rows}
     assert abs(by_n[127] - 2) < Fraction(2, 10)
@@ -131,7 +131,7 @@ def test_multiplicity_high_dimension_exact():
 
 
 def test_volume_equals_multiplicity_stationary(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, y^3")))
+    fam = PowerSpec(parse_ideal(R2, "x^2, y^3"))
     report = volume_equals_multiplicity(fam, 64)
     assert report.multiplicity_side == 6
     assert report.rel_gap < 0.02
@@ -150,11 +150,28 @@ def test_teissier_examples(R2):
 
 
 def test_minkowski_family_equality_case(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     report = minkowski_family_check(fam, fam, 24)
     assert (report.limit_left, report.limit_right) == (Fraction(1, 2), Fraction(1, 2))
     assert report.limit_product == 2
     assert report.holds and report.equality
+
+
+def test_minkowski_product_reuses_the_factor_members(R2, monkeypatch):
+    # The product family reads F's and G's memos, so each factor steps
+    # once per n, for the factor's own limit and the product's together.
+    F, G = PowerSpec(parse_ideal(R2, "x, y^2")), PowerSpec(parse_ideal(R2, "x^2, y"))
+    calls = []
+    next_member = PowerSpec.next_member
+
+    def counting_next_member(self, prev, n):
+        calls.append(n)
+        return next_member(self, prev, n)
+
+    monkeypatch.setattr(PowerSpec, "next_member", counting_next_member)
+    report = minkowski_family_check(F, G, 40)
+    assert len(calls) == 80
+    assert (report.limit_left, report.limit_right, report.limit_product) == (1, 1, 3)
 
 
 def test_epsilon_ideal_examples(R2):
@@ -181,11 +198,22 @@ def test_epsilon_module_example(R2):
     assert epsilon_module(full, 12).epsilon == 0
 
 
-def test_epsilon_module_ideal_specialization(R2):
+def test_epsilon_module_ideal_specialization(R2, R3):
     E = MonomialModule.from_components(R2, [parse_ideal(R2, "x, y")])
     report = epsilon_module(E, 24)
     assert report.degree == 2
     assert report.epsilon == 1
+    # a d = 3 ideal and a non-primary one: the rank-one module's samples are
+    # the saturation gaps of the powers, as epsilon_ideal reports them
+    for ideal in (parse_ideal(R3, "x^2*y, y^2*z, z^2*x"), parse_ideal(R2, "x^2, x*y")):
+        E = MonomialModule.from_components(ideal.ring, [ideal])
+        report, direct = epsilon_module(E, 9), epsilon_ideal(ideal, 9)
+        gaps = tuple((n, rel_length((ideal ** n).saturation(), ideal ** n))
+                     for n in range(1, 10))
+        assert report.samples.entries == direct.samples.entries == gaps
+        assert report.epsilon == direct.epsilon
+        assert report.degree == direct.degree == ideal.ring.d and direct.rank == 1
+        assert direct.primary_flag == ideal.is_primary
 
 
 def test_symbolic_multiplicity_s1(R2):
@@ -308,36 +336,35 @@ def test_quotient_bound_random(R2, R3):
 
 
 def test_filtration_bound_power(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     report = filtration_difference_bound(fam, 50)
     assert report.c == 1 and report.holds
 
 
 def test_filtration_bound_log(R2):
-    fam = build_family(MaxPowerSpec(R2, "log"))
+    fam = MaxPowerSpec(R2, "log")
     report = filtration_difference_bound(fam, 200)
     assert report.c == 2 and report.holds
 
 
 def test_filtration_bound_valuation(R2):
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2)])
     report = filtration_difference_bound(fam, 100)
     assert report.holds
 
 
 def test_filtration_bound_rejects_sigma(R2):
     from monolim.errors import NotFiltrationError
-    fam = build_family(MaxPowerSpec(R2, "sigma"))
+    fam = MaxPowerSpec(R2, "sigma")
     with pytest.raises(NotFiltrationError):
         filtration_difference_bound(fam, 20)
 
 
 def test_profile_respects_filtration_bound(R2):
     # normalized differences of any verified filtration stay under c^d (n+1)^(d-1) / n^(d-1)
-    for spec in (PowerSpec(parse_ideal(R2, "x^2, x*y^2, y^3")),
-                 MaxPowerSpec(R2, "log"),
-                 ValuationSpec.make(R2, [((1, 2), 2), ((2, 1), 2)])):
-        fam = build_family(spec)
+    for fam in (PowerSpec(parse_ideal(R2, "x^2, x*y^2, y^3")),
+                MaxPowerSpec(R2, "log"),
+                ValuationSpec.make(R2, [((1, 2), 2), ((2, 1), 2)])):
         report = filtration_difference_bound(fam, 60)
         rows = difference_profile(length_sequence(fam, 61))
         c = report.c
@@ -352,7 +379,7 @@ def test_estimate_limit_diverging_verdict():
 
 
 def test_sigma_family_slow_convergence_diagnostics(R2):
-    fam = build_family(MaxPowerSpec(R2, "sigma"))
+    fam = MaxPowerSpec(R2, "sigma")
     est = estimate_limit(length_sequence(fam, 64))
     assert est.verdict in ("CONVERGED", "OSCILLATING", "INCONCLUSIVE")
     # at this window the sequence still tracks the multiplier 5/4

@@ -22,7 +22,7 @@ from monolim.reportio import (
     render_csv,
 )
 from monolim.lattice import AmbientRing, format_ideal, parse_ideal
-from monolim.families import ProductSpec, ValuationSpec, build_family
+from monolim.families import ProductSpec, ValuationSpec
 from monolim.semigroup import SemigroupPredicate
 
 
@@ -266,11 +266,11 @@ def test_cli_minkowski_svg_computes_the_product_lengths_once(tmp_path, monkeypat
     # The SVG draws the product sequence that the check has just computed.
     asked = []
 
-    def counting_length(self, n, member):
+    def counting_colength(self, n):
         asked.append(n)
-        return member(n).colength()
+        return self.member_ideal(n).colength()
 
-    monkeypatch.setattr(ProductSpec, "length", counting_length)
+    monkeypatch.setattr(ProductSpec, "colength", counting_colength)
     code, out = run_cli(tmp_path, "minkowski", "--family", "power(x, y^2)",
                         "--family2", "power(x^2, y)", "--N", "12", "--svg")
     assert code == 0
@@ -385,7 +385,7 @@ def test_cli_okounkov_csv_from_runs_matches_the_point_rows(tmp_path):
     for spec in ("power(x^3, x*y, y^2)", "valuation(2,1 >= 2; 1,3 >= 1)"):
         code, out = run_cli(tmp_path, "okounkov", "--family", spec, "--N", "20")
         assert code == 0
-        fam = build_family(parse_family_spec(ring, spec))
+        fam = parse_family_spec(ring, spec)
         beta = SemigroupPredicate.from_family(fam).beta
         rows = [(i, *a) for i in range(1, 21)
                 for a in oracle_family_points(fam, beta, i)]

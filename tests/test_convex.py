@@ -24,7 +24,6 @@ from conftest import (
 from monolim import (
     AmbientRing,
     MonomialIdeal,
-    build_family,
     covol,
     exact_multiplicity,
     hull_region,
@@ -190,14 +189,14 @@ def test_power_scaling_of_multiplicity(R2, R3):
 
 
 def test_limit_newton_region(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^3, x*y, y^2")))
+    fam = PowerSpec(parse_ideal(R2, "x^3, x*y, y^2"))
     base = hull_region(parse_ideal(R2, "x^3, x*y, y^2"))
     for n in (1, 2, 5):
         assert limit_newton_region(fam, n) == base
-    val = build_family(ValuationSpec.make(R2, [((2, 1), 2)]))
+    val = ValuationSpec.make(R2, [((2, 1), 2)])
     for n in (1, 3, 7):
         assert limit_newton_region(val, n) == region(2, [((2, 1), 2)])
-    sig = build_family(MaxPowerSpec(R2, "sigma"))
+    sig = MaxPowerSpec(R2, "sigma")
     assert limit_newton_region(sig, 16) == region(2, [((1, 1), Fraction(20, 16))])
 
 

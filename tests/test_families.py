@@ -27,7 +27,6 @@ from monolim import (
     SymbolicSpec,
     TableSpec,
     ValuationSpec,
-    build_family,
     length_sequence,
     log_exponent,
     parse_ideal,
@@ -79,7 +78,7 @@ def test_log_offset_bracket():
 
 
 def test_power_family(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     assert fam.member_ideal(0).is_unit
     assert fam.member_ideal(3) == parse_ideal(R2, "x, y") ** 3
     assert verify_graded(fam, 12).passed
@@ -87,16 +86,16 @@ def test_power_family(R2):
 
 
 def test_power_member_example(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, x*y")))
+    fam = PowerSpec(parse_ideal(R2, "x^2, x*y"))
     assert fam.member_ideal(2) == parse_ideal(R2, "x^4, x^3*y, x^2*y^2")
 
 
 def test_maxpower_lengths_match_members(R2, R3):
     for ring in (R2, R3):
-        fam = build_family(MaxPowerSpec(ring, "log"))
+        fam = MaxPowerSpec(ring, "log")
         for n in (0, 1, 2, 5, 9):
             assert fam.length(n) == fam.member_ideal(n).colength()
-        fam = build_family(MaxPowerSpec(ring, "sigma"))
+        fam = MaxPowerSpec(ring, "sigma")
         for n in (15, 16, 255, 256):
             assert fam.length(n) == fam.member_ideal(n).colength()
         for n in (15, 16):
@@ -104,7 +103,7 @@ def test_maxpower_lengths_match_members(R2, R3):
 
 
 def test_valuation_member_example(R2):
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2)])
     assert fam.member_ideal(3).gens == ((3, 0), (2, 2), (1, 4), (0, 6))
 
 
@@ -114,20 +113,20 @@ def test_valuation_length_matches_colength(R2):
         weights = tuple(Fraction(rng.randint(0, 3)) for _ in range(2))
         if not any(weights):
             weights = (Fraction(1), Fraction(2))
-        fam = build_family(ValuationSpec.make(
-            R2, [(weights, Fraction(rng.randint(1, 3)))]))
+        fam = ValuationSpec.make(
+            R2, [(weights, Fraction(rng.randint(1, 3)))])
         for n in (1, 2, 5):
             assert fam.length(n) == fam.member_ideal(n).colength()
 
 
 def test_valuation_three_dim_member():
     R3 = AmbientRing.default(3)
-    fam = build_family(ValuationSpec.make(R3, [((1, 1, 1), 1)]))
+    fam = ValuationSpec.make(R3, [((1, 1, 1), 1)])
     assert fam.member_ideal(2) == MonomialIdeal.maximal_power(R3, 2)
 
 
 def test_valuation_is_graded_and_filtration(R2):
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)])
     assert verify_graded(fam, 10).passed
     assert verify_filtration(fam, 10).passed
 
@@ -142,15 +141,14 @@ def test_valuation_rejects_bad_weights(R2):
 
 
 def test_saturation_family(R2, R3):
-    spec = SaturationSpec(parse_ideal(R2, "x^2, x*y"))
-    assert spec.label() == "saturation(x*y, x^2)"
-    fam = build_family(spec)
+    fam = SaturationSpec(parse_ideal(R2, "x^2, x*y"))
+    assert fam.label() == "saturation(x*y, x^2)"
     assert fam.member_ideal(5) == parse_ideal(R2, "x^5")
     assert verify_graded(fam, 10).passed
     # x^n (x, y, z)^n saturates to x^n; x*y*z*(x, y, z) to (x*y*z)^n
     for text, member in (("x^2, x*y, x*z", "x^{n}"),
                          ("x^2*y*z, x*y^2*z, x*y*z^2", "x^{n}*y^{n}*z^{n}")):
-        fam = build_family(SaturationSpec(parse_ideal(R3, text)))
+        fam = SaturationSpec(parse_ideal(R3, text))
         for n in range(1, 6):
             assert fam.member_ideal(n) == parse_ideal(R3, member.format(n=n))
         assert verify_graded(fam, 8).passed
@@ -160,28 +158,26 @@ def test_saturation_family(R2, R3):
 
 def test_symbolic_family(R2):
     # x^n(x,y)^n : x^inf saturates all the way to the unit ideal
-    fam = build_family(SymbolicSpec(parse_ideal(R2, "x^2, x*y"),
-                                    parse_ideal(R2, "x")))
+    fam = SymbolicSpec(parse_ideal(R2, "x^2, x*y"), parse_ideal(R2, "x"))
     assert fam.member_ideal(3).is_unit
     assert verify_graded(fam, 10).passed
     # against a genuinely two-component ideal the x-primary part is stripped
-    fam2 = build_family(SymbolicSpec(parse_ideal(R2, "x^2, x*y"),
-                                     parse_ideal(R2, "y")))
+    fam2 = SymbolicSpec(parse_ideal(R2, "x^2, x*y"), parse_ideal(R2, "y"))
     assert fam2.member_ideal(2) == parse_ideal(R2, "x^2")
 
 
 def test_product_family(R2):
     F = PowerSpec(parse_ideal(R2, "x, y^2"))
     G = PowerSpec(parse_ideal(R2, "x^2, y"))
-    fam = build_family(ProductSpec(F, G))
+    fam = ProductSpec(F, G)
     assert fam.member_ideal(1) == parse_ideal(R2, "x^3, x*y, y^3")
     assert verify_graded(fam, 8).passed
 
 
 def test_table_family(R2):
-    fam = build_family(TableSpec((MonomialIdeal.unit(R2),
-                                  parse_ideal(R2, "x"),
-                                  parse_ideal(R2, "x^3"))))
+    fam = TableSpec((MonomialIdeal.unit(R2),
+                     parse_ideal(R2, "x"),
+                     parse_ideal(R2, "x^3")))
     report = verify_graded(fam, 2)
     assert not report.passed and report.first_violation == (1, 1)
     with pytest.raises(FamilyRangeError):
@@ -191,14 +187,14 @@ def test_table_family(R2):
 
 
 def test_sigma_family_checks(R2):
-    fam = build_family(MaxPowerSpec(R2, "sigma"))
+    fam = MaxPowerSpec(R2, "sigma")
     assert verify_graded(fam, 64).passed
     report = verify_filtration(fam, 20)
     assert not report.passed and report.first_violation == (15, 16)
 
 
 def test_log_family_checks(R2):
-    fam = build_family(MaxPowerSpec(R2, "log"))
+    fam = MaxPowerSpec(R2, "log")
     assert verify_graded(fam, 64).passed
     assert verify_filtration(fam, 100).passed
 
@@ -216,24 +212,24 @@ def test_builtin_specs_are_graded(R2):
     ]
     for spec in specs:
         N = 64 if isinstance(spec, MaxPowerSpec) else 10
-        assert verify_graded(build_family(spec), N).passed, spec.label()
+        assert verify_graded(spec, N).passed, spec.label()
 
 
 def test_verification_details(R2):
-    graded = verify_graded(build_family(MaxPowerSpec(R2, "table", (1, 1, 3))), 3)
+    graded = verify_graded(MaxPowerSpec(R2, "table", (1, 1, 3)), 3)
     assert (graded.passed, graded.first_violation, graded.detail) == \
         (False, (1, 2), "exponent 1+1 < 3")
-    filt = verify_filtration(build_family(MaxPowerSpec(R2, "table", (2, 1))), 2)
+    filt = verify_filtration(MaxPowerSpec(R2, "table", (2, 1)), 2)
     assert (filt.passed, filt.first_violation, filt.detail) == \
         (False, (1, 2), "exponent drops 2 -> 1")
-    fam = build_family(MaxPowerSpec(R2, "sigma"))
+    fam = MaxPowerSpec(R2, "sigma")
     assert verify_graded(fam, 64).passed
     assert fam._members == {}  # exponents alone decide; no member is built
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)])
     assert verify_graded(fam, 64).passed and verify_filtration(fam, 64).passed
     assert fam._members == {}  # linear weights decide; no member is built
     def table(*texts):
-        return build_family(TableSpec(tuple(parse_ideal(R2, t) for t in texts)))
+        return TableSpec(tuple(parse_ideal(R2, t) for t in texts))
 
     graded = verify_graded(table("1", "x", "x^3"), 2)
     assert (graded.passed, graded.first_violation, graded.detail) == \
@@ -241,6 +237,14 @@ def test_verification_details(R2):
     filt = verify_filtration(table("1", "x^2", "x"), 2)
     assert (filt.passed, filt.first_violation, filt.detail) == \
         (False, (1, 2), "I_2 is not inside I_1")
+
+
+def test_the_memo_stays_outside_equality_hash_and_repr(R2):
+    I = parse_ideal(R2, "x^3, x*y, y^2")
+    used, fresh = PowerSpec(I), PowerSpec(I)
+    assert used.length(5) == (I ** 5).colength() and used.member_ideal(5) == I ** 5
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used._members and not fresh._members
 
 
 def test_power_members_in_order_take_one_power(R2, monkeypatch):
@@ -253,7 +257,7 @@ def test_power_members_in_order_take_one_power(R2, monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "power", counting_power)
     I = parse_ideal(R2, "x^3, x*y, y^2")
-    fam = build_family(PowerSpec(I))
+    fam = PowerSpec(I)
     members = [fam.member_ideal(n) for n in range(1, 11)]
     assert calls == [1]
     monkeypatch.undo()
@@ -272,7 +276,7 @@ def test_product_of_powers_steps_each_factor_once(R2, monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
     monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
-    fam = build_family(ProductSpec(PowerSpec(I), PowerSpec(J)))
+    fam = ProductSpec(PowerSpec(I), PowerSpec(J))
     lengths = dict(length_sequence(fam, N).entries)
     assert len(calls) <= 3 * N
     monkeypatch.undo()
@@ -294,15 +298,16 @@ def test_symbolic_and_saturation_powers_step_once(R3, monkeypatch):
 
     cases = ((SymbolicSpec(I, J), lambda n: I.power(n).saturate(J)),
              (SaturationSpec(I), lambda n: I.power(n).saturation()))
-    for spec, oracle in cases:
+    for fam, oracle in cases:
         calls.clear()
         monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
         monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
-        fam = build_family(spec)
         lengths = {}
         for n in range(1, N + 1):
             length = fam.length(n)
-            lengths[n] = fam.saturation_gap(n) if length == INFINITE else length
+            member = fam.member_ideal(n)
+            lengths[n] = rel_length(member.saturation(), member) \
+                if length == INFINITE else length
         assert len(calls) <= N
         monkeypatch.undo()
         for n in range(1, N + 1):
@@ -320,9 +325,10 @@ def test_zero_power_family_rejected(R2):
 
 
 def test_family_length_infinite_for_nonprimary(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, x*y")))
+    fam = PowerSpec(parse_ideal(R2, "x^2, x*y"))
     assert fam.length(2) == INFINITE
-    assert fam.saturation_gap(2) == 3
+    member = fam.member_ideal(2)
+    assert rel_length(member.saturation(), member) == 3
 
 
 # -- integer valuation kernels against the Fraction oracles ---------------------
@@ -335,7 +341,7 @@ def test_valuation_kernels_match_the_oracles(spec):
     for n in range(7 if spec.ring.d == 2 else 4):
         assert spec.member(n).gens == oracle_valuation_member(spec, n).gens
         if n:
-            assert spec.length(n, None) == oracle_valuation_length(spec, n)
+            assert spec.colength(n) == oracle_valuation_length(spec, n)
 
 
 @st.composite
@@ -343,9 +349,9 @@ def _families(draw):
     """A valuation family (``valuation_specs``) or a power family, in d = 2 or 3."""
     d = draw(st.sampled_from([2, 3]))
     if draw(st.booleans()):
-        return build_family(draw(valuation_specs(d)))
+        return draw(valuation_specs(d))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4))
-    return build_family(PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(d), gens)))
+    return PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(d), gens))
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,7 +376,7 @@ def test_family_contains_matches_the_member(fam, data):
 def test_default_column_floors_are_the_least_members_per_column(gens):
     d = len(gens[0])
     ideal = MonomialIdeal.from_gens(AmbientRing.default(d), gens)
-    floors = build_family(PowerSpec(ideal)).column_floors(1)
+    floors = PowerSpec(ideal).column_floors(1)
     assert list(floors) == sorted(floors)
     tops = [max(g[k] for g in ideal.gens) for k in range(d - 1)]
     for col in itertools.product(*(range(t + 3) for t in tops)):
@@ -381,8 +387,7 @@ def test_default_column_floors_are_the_least_members_per_column(gens):
 
 @settings(max_examples=60, deadline=None)
 @given(valuation_specs(4))
-def test_valuation_length_matches_colength_4d(spec):
-    fam = build_family(spec)
+def test_valuation_length_matches_colength_4d(fam):
     for n in (1, 2):
         box = oracle_colength(fam.member_ideal(n))
         assert fam.length(n) == fam.member_ideal(n).colength() == \
@@ -399,30 +404,27 @@ def test_floor_sum_matches_the_direct_sum(n, m, a, b):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]).flatmap(valuation_specs))
 def test_valuation_verifiers_match_the_member_path(spec):
-    fam = build_family(spec)
-    assert spec.graded_violation(fam.member_ideal, 6) == \
-        FamilySpec.graded_violation(spec, fam.member_ideal, 6)
-    assert spec.filtration_violation(fam.member_ideal, 6) == \
-        FamilySpec.filtration_violation(spec, fam.member_ideal, 6)
+    assert spec.graded_violation(6) == FamilySpec.graded_violation(spec, 6)
+    assert spec.filtration_violation(6) == FamilySpec.filtration_violation(spec, 6)
 
 
 def test_valuation_lengths_at_huge_n(R2, R3):
     n = 10 ** 9
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)])
     # the column floor is 2n - 2x for x < n
     assert timed(lambda: fam.length(n)) == n * n + n
-    fam = build_family(ValuationSpec.make(R2, [((1, 1), 1)]))
+    fam = ValuationSpec.make(R2, [((1, 1), 1)])
     assert timed(lambda: fam.length(n)) == comb(n + 1, 2)
     n = 10 ** 4
-    fam = build_family(ValuationSpec.make(R3, [((1, 1, 1), 1)]))
+    fam = ValuationSpec.make(R3, [((1, 1, 1), 1)])
     assert timed(lambda: fam.length(n)) == comb(n + 2, 3)
 
 
 def test_valuation_length_sequences_in_budget(R2, R3):
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)])
     seq = timed(lambda: length_sequence(fam, 1000), 0.5)
     assert all(v == n * n + n for n, v in seq.entries)
-    fam = build_family(ValuationSpec.make(R3, [((2, 1, 1), 2), ((1, 3, 1), 1)]))
+    fam = ValuationSpec.make(R3, [((2, 1, 1), 2), ((1, 3, 1), 1)])
     seq = timed(lambda: length_sequence(fam, 20))
     for n, v in seq.entries[-3:]:
         assert v == fam.member_ideal(n).colength()

@@ -583,3 +583,22 @@ def test_rel_length_huge_exponents_4d():
     inner = I(R4, f"x^{E}*y*z*w, x*y^{E}*z*w, x*y*z^{E}*w, x*y*z*w^{E}, "
                   "x^2*y^2*z^2*w^2")
     assert timed(lambda: rel_length(outer, inner)) == (E - 1) ** 4 - (E - 2) ** 4
+
+
+def test_finite_rel_length_localizes_once_per_singleton(monkeypatch):
+    # The differing subsets are closed under subsets, so a finite count in
+    # d = 4 compares only the empty set and the four singletons: 10
+    # localizations.
+    R4 = AmbientRing.default(4)
+    outer = I(R4, "x*y*z*w")
+    inner = I(R4, "x^3*y*z*w, x*y^3*z*w, x*y*z^3*w, x*y*z*w^3, x^2*y^2*z^2*w^2")
+    calls = []
+    localize = MonomialIdeal.localize
+
+    def counting_localize(self, axes):
+        calls.append(1)
+        return localize(self, axes)
+
+    monkeypatch.setattr(MonomialIdeal, "localize", counting_localize)
+    assert rel_length(outer, inner) == 2 ** 4 - 1 ** 4
+    assert len(calls) == 10

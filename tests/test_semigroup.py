@@ -26,7 +26,6 @@ from monolim import (
     PowerSpec,
     SemigroupPredicate,
     ValuationSpec,
-    build_family,
     enumerate_levels,
     lattice_invariants,
     okounkov_body,
@@ -139,7 +138,7 @@ def test_limit_check_sublattice():
 
 
 def test_family_predicate_beta(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     pred = SemigroupPredicate.from_family(fam)
     assert pred.beta == 2
     assert pred.member((1, 0), 1) and not pred.member((0, 0), 1)
@@ -147,14 +146,14 @@ def test_family_predicate_beta(R2):
 
 
 def test_family_predicate_supplied_constant_checked(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x^2, y^2, x*y")))
+    fam = PowerSpec(parse_ideal(R2, "x^2, y^2, x*y"))
     SemigroupPredicate.from_family(fam, c=2)
     with pytest.raises(SemigroupError):
         SemigroupPredicate.from_family(fam, c=1)
 
 
 def test_family_counts_match_generic_scan(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     pred = SemigroupPredicate.from_family(fam)
     generic = SemigroupPredicate(pred.point_dim, pred.beta, pred.member)
     L_fast = enumerate_levels(pred, 12)
@@ -165,7 +164,7 @@ def test_family_counts_match_generic_scan(R2):
 
 
 def test_family_limit_matches_body(R2):
-    fam = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    fam = PowerSpec(parse_ideal(R2, "x, y"))
     pred = SemigroupPredicate.from_family(fam)
     L = enumerate_levels(pred, 150)
     report = semigroup_limit_check(L)
@@ -176,7 +175,7 @@ def test_family_limit_matches_body(R2):
 
 def test_body_grows_with_levels(R2):
     from monolim.semigroup import convex_hull_2d
-    fam = build_family(ValuationSpec.make(R2, [((2, 1), 2)]))
+    fam = ValuationSpec.make(R2, [((2, 1), 2)])
     pred = SemigroupPredicate.from_family(fam)
     small = okounkov_body(enumerate_levels(pred, 4))
     large = okounkov_body(enumerate_levels(pred, 12))
@@ -184,7 +183,7 @@ def test_body_grows_with_levels(R2):
     assert convex_hull_2d(small + large) == convex_hull_2d(large)
     assert body_volume(large, 2) >= body_volume(small, 2)
     # powers of a fixed ideal stabilize immediately
-    pw = build_family(PowerSpec(parse_ideal(R2, "x, y")))
+    pw = PowerSpec(parse_ideal(R2, "x, y"))
     pred = SemigroupPredicate.from_family(pw)
     assert okounkov_body(enumerate_levels(pred, 6)) == okounkov_body(
         enumerate_levels(pred, 18))
@@ -234,7 +233,7 @@ def test_family_counts_complement_colength(R2):
     # monomials, so simplex count - level count = colength at every level
     from math import comb
     for text in ("x, y", "x^2, x*y, y^2", "x^3, x*y, y^2"):
-        fam = build_family(PowerSpec(parse_ideal(R2, text)))
+        fam = PowerSpec(parse_ideal(R2, text))
         pred = SemigroupPredicate.from_family(fam)
         L = enumerate_levels(pred, 20)
         for i in range(1, 21):
@@ -305,7 +304,7 @@ def test_level_points_index_and_iterate_in_run_order():
 def test_family_levels_store_one_run_per_column(R2):
     for spec in (PowerSpec(parse_ideal(R2, "x^3, x*y, y^2")),
                  ValuationSpec.make(R2, [((2, 1), 2), ((1, 3), 1)])):
-        pred = SemigroupPredicate.from_family(build_family(spec))
+        pred = SemigroupPredicate.from_family(spec)
         L = enumerate_levels(pred, 20)
         assert not L.truncated and sorted(L.levels) == list(range(1, 21))
         for i, pts in L.levels.items():
@@ -326,11 +325,10 @@ def _family_cases(draw):
         gens = [(draw(_small), 0), (0, draw(_small))]
         gens += draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
                               max_size=3))
-        spec = PowerSpec(MonomialIdeal.from_gens(ring, gens))
+        F = PowerSpec(MonomialIdeal.from_gens(ring, gens))
     else:
-        spec = ValuationSpec.make(ring, draw(st.lists(
+        F = ValuationSpec.make(ring, draw(st.lists(
             st.tuples(st.tuples(_small, _small), _small), min_size=1, max_size=3)))
-    F = build_family(spec)
     P = SemigroupPredicate.from_family(F)
     return P, lambda i: oracle_family_points(F, P.beta, i)
 
@@ -410,8 +408,7 @@ def test_level_runs_match_the_point_list_oracles(case, N, budget):
            st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4).map(
            lambda gens: PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(2), gens)))),
        st.integers(1, 6), st.integers(1, 6))
-def test_floor_runs_match_the_corner_walk(spec, beta, i):
-    F = build_family(spec)
+def test_floor_runs_match_the_corner_walk(F, beta, i):
     assert (_floor_runs(F.column_floors(i), beta * i)
             == oracle_column_runs(F.member_ideal(i).gens, beta * i))
 
