@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -48,7 +49,6 @@ _NUMBERS = {
     "N": (int, "N must be an integer", "N must be >= 1"),
     "tol": (Fraction, "tolerance must be a rational number",
             "tolerance must be positive"),
-    "c": (int, "--c must be an integer", "--c must be >= 1"),
 }
 
 
@@ -72,7 +72,7 @@ class Job:
         return value
 
     def number(self, name: str, default=_REQUIRED):
-        """The positive number ``name`` (N, tol or c), parsed alike from the
+        """The positive number ``name`` (N or tol), parsed alike from the
         flag's text and from the config; ``default`` when both are unset."""
         value = self.param(name)
         if value is None:
@@ -113,16 +113,6 @@ def _write_artifacts(prefix: Path, artifacts: dict[str, str]) -> None:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     for suffix, content in artifacts.items():
         Path(f"{prefix}{suffix}").write_text(content)
-
-
-def _estimate_dict(est) -> dict:
-    return {
-        "point_estimate": est.point_estimate,
-        "tail_min": est.tail_min,
-        "tail_max": est.tail_max,
-        "verdict": est.verdict,
-        "window": list(est.window),
-    }
 
 
 def _sequence_artifacts(job: Job, seq, value_name: str, js: str, window,
@@ -167,7 +157,7 @@ def _cmd_limits(job: Job) -> tuple[int, dict, str]:
     seq = asy.length_sequence(fam, N)
     est = asy.estimate_limit(seq, tol)
     js = rio.render_json("limits", {"family": fam.label(), "N": N, "tol": tol},
-                         {"estimate": _estimate_dict(est), "degree": seq.degree})
+                         {"estimate": asdict(est), "degree": seq.degree})
     limit = f"{float(est.point_estimate):.6g}"
     artifacts = _sequence_artifacts(job, seq, "raw", js, est.window,
                                     f"limit ~ {limit}")
@@ -254,7 +244,7 @@ def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
                           "degree": report.degree,
                           "rank": report.rank,
                           "primary_flag": report.primary_flag,
-                          "estimate": _estimate_dict(report.estimate)})
+                          "estimate": asdict(report.estimate)})
     epsilon = f"{float(report.epsilon):.6g}"
     artifacts = _sequence_artifacts(job, report.samples, "saturation_gap", js,
                                     report.estimate.window, f"epsilon ~ {epsilon}")
@@ -277,7 +267,7 @@ def _cmd_symbolic(job: Job) -> tuple[int, dict, str]:
             "symbolic: zero module"
     js = rio.render_json("symbolic", params,
                          {"s": report.s,
-                          "estimate": _estimate_dict(report.estimate),
+                          "estimate": asdict(report.estimate),
                           "zero_module": False})
     limit = f"{float(report.estimate.point_estimate):.6g}"
     artifacts = _sequence_artifacts(job, report.samples, "module_multiplicity", js,
@@ -290,7 +280,7 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     N = job.number("N")
     if N < 3:
         raise ConfigError("okounkov needs --N >= 3")
-    pred = SemigroupPredicate.from_family(fam, c=job.number("c", None))
+    pred = SemigroupPredicate.from_family(fam)
     require_body_dimension(pred.point_dim)
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
@@ -301,9 +291,7 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
         ["level"] + [f"a{i + 1}" for i in range(levels.point_dim)], runs)
     js = rio.render_json(
         "okounkov", {"family": fam.label(), "N": N, "beta": pred.beta},
-        {"invariants": {"m": report.invariants.m, "ind": report.invariants.ind,
-                        "q": report.invariants.q,
-                        "truncated": report.invariants.truncated},
+        {"invariants": asdict(report.invariants),
          "volume": report.volume,
          "expected": report.expected,
          "rel_gap": report.rel_gap,
@@ -430,7 +418,7 @@ COMMANDS = {
     "symbolic": Command(_cmd_symbolic, "generalized symbolic power multiplicity",
                         ("--ideal", "--aux", "--N")),
     "okounkov": Command(_cmd_okounkov, "semigroup enumeration and counting limit",
-                        ("--family", "--N", "--c")),
+                        ("--family", "--N")),
     "kt": Command(_cmd_kt, "covolume Minkowski (reversed Brunn-Minkowski) check",
                   ("--region", "--region2", "--ideal", "--ideal2")),
     "counterexample": Command(_cmd_counterexample,

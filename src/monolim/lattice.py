@@ -17,7 +17,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import comb
 from operator import and_, itemgetter
 
 from .errors import (
@@ -343,11 +342,7 @@ class MonomialIdeal:
         """Number of exponents outside the staircase; INFINITE if not primary."""
         if not self.is_primary:
             return INFINITE
-        d = self.ring.d
-        b = _maximal_power_degree(self.gens, d)
-        if b is not None:
-            return comb(b + d - 1, d)
-        return _standard_monomials(self.gens, d)[0]
+        return _standard_monomials(self.gens, self.ring.d)[0]
 
     def dim_quotient(self) -> int:
         """Krull dimension of R/I (0 for primary, d for the zero ideal)."""
@@ -368,20 +363,6 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _maximal_power_degree(gens: tuple[Exponent, ...], d: int):
-    """If the ideal is m^b, return b; else None.
-
-    ``gens`` is in graded-lex order, so all have degree b = sum(gens[0]) iff
-    the last one has; then they are all comb(b + d - 1, d - 1) of degree b.
-    """
-    if not gens:
-        return None
-    b = sum(gens[0])
-    if len(gens) != comb(b + d - 1, d - 1) or sum(gens[-1]) != b:
-        return None
-    return b
 
 
 def _standard_monomials(gens, d: int) -> tuple[int, int]:
@@ -482,17 +463,12 @@ def length_mod_power(outer: MonomialIdeal, inner: MonomialIdeal, k: int) -> int:
 def containment_order(ideal: MonomialIdeal) -> int:
     """Least c with m^c contained in the ideal (the ideal must be primary).
 
-    Equals one plus the largest total degree of a standard monomial.
+    Equals one plus the largest total degree of a standard monomial, so 0
+    for the unit ideal, which has none.
     """
     if not ideal.is_primary:
         raise InclusionError("no power of the maximal ideal fits in a non-primary ideal")
-    if ideal.is_unit:
-        return 0
-    d = ideal.ring.d
-    b = _maximal_power_degree(ideal.gens, d)
-    if b is not None:
-        return b
-    return _standard_monomials(ideal.gens, d)[1] + 1
+    return _standard_monomials(ideal.gens, ideal.ring.d)[1] + 1
 
 
 @dataclass(frozen=True)
@@ -538,7 +514,8 @@ class MonomialModule:
         Each piece maps a multidegree over the free generators (total degree
         k) to the coefficient ideal of E^k in that coordinate of F^k; the
         convolution is incremental, so consuming the whole iterator costs one
-        step per k.
+        step per k.  Every path to a multidegree beta yields the same ideal
+        prod_j I_j^beta_j, so each is multiplied out once.
         """
         if upto < 0:
             raise MonolimError("negative power")
@@ -556,8 +533,8 @@ class MonomialModule:
             for beta, ideal in current.items():
                 for db, dideal in first.items():
                     key = tuple(a + b for a, b in zip(beta, db))
-                    prod = ideal * dideal
-                    nxt[key] = prod if key not in nxt else nxt[key] + prod
+                    if key not in nxt:
+                        nxt[key] = ideal * dideal
             current = nxt
             yield k, current
 

@@ -15,12 +15,12 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable
 
 from .errors import GeometryError, MonolimError, NotPrimaryError, SemigroupError
 from .families import FamilySpec
-from .lattice import MonomialIdeal, containment_order
+from .lattice import containment_order
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,12 @@ class SemigroupPredicate:
     runs_hook: Callable | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_family(F: FamilySpec, c: int | None = None) -> "SemigroupPredicate":
+    def from_family(F: FamilySpec) -> "SemigroupPredicate":
         """Semigroup of (a, i) with x^a in I_i, inside the beta-simplex.
 
-        beta is d * c with c the least integer for which m^c lies inside I_1
-        (computed, or supplied and verified on sampled members).
+        beta is d * c with c the least integer for which m^c lies inside
+        I_1.  No member past I_1 needs a check: for a graded family
+        m^(c i) lies in I_1^i, which lies in I_i, for every i.
         The family must be primary to the maximal ideal.  Membership is the
         family's own test (:meth:`FamilySpec.contains`), and in d = 2 each
         level is read from the family's column floors, so a family that
@@ -55,15 +56,7 @@ class SemigroupPredicate:
         if not F.member_ideal(1).is_primary:
             raise NotPrimaryError(
                 f"{F.label()}: no power of the maximal ideal lies inside member 1")
-        if c is None:
-            c = containment_order(F.member_ideal(1))
-        else:
-            for n in (1, 2, 3):
-                if not MonomialIdeal.maximal_power(F.ring, c * n).issubset(
-                        F.member_ideal(n)):
-                    raise SemigroupError(
-                        f"supplied constant fails: m^{c * n} is not inside member {n}")
-        beta = d * c
+        beta = d * containment_order(F.member_ideal(1))
 
         def member(a, i):
             return sum(a) <= beta * i and F.contains(a, i)
@@ -429,22 +422,12 @@ def body_volume(vertices, q: int) -> Fraction:
         return Fraction(1)
     p = len(vertices[0])
     if q == 1:
-        if p == 1:
-            xs = [v[0] for v in vertices]
-            return max(xs) - min(xs)
+        # A segment: its lattice length is the gcd of its integer direction
+        # over the common denominator of that direction.
         lo, hi = min(vertices), max(vertices)
         diff = [b - a for a, b in zip(lo, hi)]
-        nz = [c for c in diff if c != 0]
-        if not nz:
-            return Fraction(0)
-        denom_lcm = 1
-        for c in nz:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in diff]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        return Fraction(g, denom_lcm)
+        den = lcm(*(c.denominator for c in diff))
+        return Fraction(gcd(*(int(c * den) for c in diff)), den)
     if q == 2 and p == 2:
         pts = list(vertices)
         return abs(Fraction(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)

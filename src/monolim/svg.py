@@ -7,6 +7,7 @@ from .lattice import MonomialIdeal
 
 _SIZE = 420
 _MARGIN = 36
+_CELLS = 64  # grid cells per axis at most, however large the exponents
 
 
 def _fmt(x: float) -> str:
@@ -26,20 +27,22 @@ def _close(parts: list[str]) -> str:
 
 
 def _grid(span, stroke: str):
-    """``px`` for data coordinates on [0, span]^2, the cell size, and grid
-    lines at the integers 0..span."""
+    """``px`` for data coordinates on [0, span]^2, the unit size, the grid
+    step (the least integer giving at most ``_CELLS`` cells per axis) and
+    grid lines at its multiples in 0..span."""
     scale = (_SIZE - 2 * _MARGIN) / span
+    step = -(-int(span) // _CELLS) or 1
 
     def px(x, y):
         return (_MARGIN + float(x) * scale,
                 _SIZE - _MARGIN - float(y) * scale)
 
     lines = []
-    for i in range(int(span) + 1):
+    for i in range(0, int(span) + 1, step):
         for (x0, y0), (x1, y1) in ((px(i, 0), px(i, span)), (px(0, i), px(span, i))):
             lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
                          f'y2="{_fmt(y1)}" stroke="{stroke}" stroke-width="0.5"/>')
-    return px, scale, lines
+    return px, scale, step, lines
 
 
 def _chain(px, points) -> str:
@@ -52,20 +55,22 @@ def _title(title: str) -> list[str]:
 
 
 def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> str:
-    """Staircase cells of a 2-D ideal with the hull boundary overlaid."""
+    """Staircase cells of a 2-D ideal (a grid cell is shaded when its
+    lower-left corner is in the ideal) with the hull boundary overlaid."""
     if ideal.ring.d != 2:
         raise ValueError("staircase plots are two-dimensional only")
     gens = ideal.gens
     span = max([g[0] for g in gens] + [g[1] for g in gens] + [4]) + 2
-    px, scale, grid = _grid(span, "#dddddd")
+    px, scale, step, grid = _grid(span, "#dddddd")
     parts = _header()
-    for x in range(span):
-        for y in range(span):
+    for x in range(0, span, step):
+        for y in range(0, span, step):
             if ideal.contains((x, y)):
-                x0, y0 = px(x, y + 1)
+                w, h = min(step, span - x), min(step, span - y)
+                x0, y0 = px(x, y + h)
                 parts.append(
-                    f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(scale)}" '
-                    f'height="{_fmt(scale)}" fill="#c8d8f0" stroke="none"/>')
+                    f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w * scale)}" '
+                    f'height="{_fmt(h * scale)}" fill="#c8d8f0" stroke="none"/>')
     parts += grid
     if region is not None and region.halfspaces:
         parts.append(f'<polyline points="{_chain(px, region.vertices)}" fill="none" '
@@ -83,7 +88,7 @@ def regions_svg(regions, labels=()) -> str:
     chains = [D.vertices for D in regions]
     span = max((float(c) for verts in chains for v in verts for c in v),
                default=1.0) * 1.15 + 0.5
-    px, _, grid = _grid(span, "#eeeeee")
+    px, _, _, grid = _grid(span, "#eeeeee")
     parts = _header() + grid
     for idx, verts in enumerate(chains):
         color = colors[idx % len(colors)]
@@ -140,7 +145,7 @@ def polygon_svg(points, title: str = "") -> str:
     """A closed exact-rational polygon (e.g. a counting body) on a grid."""
     pts = [(float(x), float(y)) for x, y in points]
     span = max([c for p in pts for c in p] + [1.0]) * 1.15 + 0.5
-    px, _, grid = _grid(span, "#eeeeee")
+    px, _, _, grid = _grid(span, "#eeeeee")
     parts = _header() + grid
     parts.append(f'<polygon points="{_chain(px, pts)}" fill="#c8d8f0" '
                  f'stroke="#204080" stroke-width="2" fill-opacity="0.6"/>')

@@ -187,16 +187,6 @@ def oracle_multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ring, oracle_minimal_antichain(sums, I.ring.d))
 
 
-def oracle_maximal_power_degree(gens, d: int):
-    """b if the generators are those of m^b, else None: a scan of every degree."""
-    if not gens:
-        return None
-    b = sum(gens[0])
-    if len(gens) != math.comb(b + d - 1, d - 1) or any(sum(g) != b for g in gens):
-        return None
-    return b
-
-
 # -- dimension and multiplicity oracles: the kernels localization replaced ----
 
 

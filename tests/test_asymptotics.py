@@ -1,5 +1,6 @@
 """Length sequences, limits, difference profiles and the inequality checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -196,6 +197,35 @@ def test_epsilon_module_example(R2):
     assert abs(report.epsilon - 1) < Fraction(5, 100)
     full = MonomialModule.from_components(R2, [MonomialIdeal.unit(R2)] * 2)
     assert epsilon_module(full, 12).epsilon == 0
+
+
+def test_epsilon_module_multiplies_each_multidegree_once(R2, monkeypatch):
+    # Every path to a multidegree beta yields prod_j I_j^beta_j, so the
+    # convolution multiplies once per multidegree: 65 products at rank 2,
+    # N = 10 (110 when every path was summed) and 164 at rank 3, N = 8 (360).
+    components = [parse_ideal(R2, t) for t in ("x^2, x*y", "x, y^3", "y^2, x^3")]
+    multiply = MonomialIdeal.multiply
+    for rank, N, products in ((2, 10, 65), (3, 8, 164)):
+        E = MonomialModule.from_components(R2, components[:rank])
+        calls = []
+
+        def counting_multiply(self, other):
+            calls.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
+        monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
+        epsilon_module(E, N)
+        assert len(calls) == products
+        monkeypatch.undo()
+        powers = [PowerSpec(c) for c in components[:rank]]
+        for k, piece in E.pieces(N):
+            assert len(piece) == math.comb(k + rank - 1, rank - 1)
+            for beta, ideal in piece.items():
+                expected = MonomialIdeal.unit(R2)
+                for spec, b in zip(powers, beta):
+                    expected = expected * spec.member_ideal(b)
+                assert ideal == expected
 
 
 def test_epsilon_module_ideal_specialization(R2, R3):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import oracle_family_points
+from conftest import oracle_family_points, timed
 
 from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
 from monolim.cli import run
@@ -400,24 +400,13 @@ def test_cli_okounkov_needs_three_levels(tmp_path, capsys):
     assert "--N >= 3" in capsys.readouterr().err
 
 
-def test_cli_okounkov_rejects_a_negative_constant(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "okounkov", "--family", "power(x, y)",
-                      "--N", "10", "--c", "-1")
+def test_cli_okounkov_constant_flag_is_gone(tmp_path, capsys):
+    # the simplex bound comes from the least c with m^c inside I_1
+    code, out = run_cli(tmp_path, "okounkov", "--family", "power(x, y)",
+                        "--N", "10", "--c", "1")
     assert code == 2
-    assert "--c must be >= 1" in capsys.readouterr().err
-
-
-def test_cli_okounkov_rejects_a_zero_constant(tmp_path, capsys):
-    # 0 is a value, not "unset": it must not fall back to the computed constant
-    code, _ = run_cli(tmp_path, "okounkov", "--family", "power(x, y)",
-                      "--N", "10", "--c", "0")
-    assert code == 2
-    assert "--c must be >= 1" in capsys.readouterr().err
-    config = tmp_path / "job.conf"
-    config.write_text("params:\n  c = 0\n")
-    code, _ = run_cli(tmp_path, "okounkov", "--config", str(config),
-                      "--family", "power(x, y)", "--N", "10")
-    assert code == 2
+    assert "unrecognized arguments: --c 1" in capsys.readouterr().err
+    assert not Path(f"{out}.json").exists()
 
 
 def test_cli_limits_rejects_a_zero_n_over_the_config(tmp_path, capsys):
@@ -456,9 +445,7 @@ def test_cli_rejects_non_numeric_config_values(tmp_path, capsys):
     # A JSON config can hold a fraction or a list where an integer belongs.
     config = tmp_path / "job.json"
     for params, command, message in (({"N": [8]}, "limits", "N must be an integer"),
-                                     ({"N": 8.5}, "limits", "N must be an integer"),
-                                     ({"N": 10, "c": [1]}, "okounkov",
-                                      "--c must be an integer")):
+                                     ({"N": 8.5}, "limits", "N must be an integer")):
         config.write_text(json.dumps({"params": params}))
         code, _ = run_cli(tmp_path, command, "--config", str(config),
                           "--family", "power(x, y)")
@@ -512,17 +499,6 @@ def test_cli_diff_non_filtration(tmp_path):
     assert doc["results"]["graded"]["passed"] is True
 
 
-def test_cli_okounkov_with_supplied_constant(tmp_path):
-    code, out = run_cli(tmp_path, "okounkov", "--family", "power(x, y)",
-                        "--N", "30", "--c", "1")
-    assert code == 0
-    doc = json.loads(Path(f"{out}.json").read_text())
-    assert doc["params"]["beta"] == 2
-    code, _ = run_cli(tmp_path / "bad", "okounkov", "--family",
-                      "power(x^2, y^2, x*y)", "--N", "10", "--c", "1")
-    assert code == 1
-
-
 def test_cli_threads_flag_is_gone(tmp_path):
     code, _ = run_cli(tmp_path, "limits", "--family", "power(x^2, y)",
                       "--N", "8", "--threads", "4")
@@ -535,6 +511,30 @@ def test_cli_family_eval_svg(tmp_path):
     assert code == 0
     svg = Path(f"{out}.svg").read_text()
     assert svg.startswith("<svg") and "circle" in svg
+
+
+# SVG grids step past 64 cells per axis, so drawing costs time and bytes in
+# the cell cap, not in the exponents.
+E = 10 ** 7
+
+
+def test_cli_staircase_svg_huge_exponents(tmp_path):
+    code, out = timed(lambda: run_cli(tmp_path, "family", "eval", "--family",
+                                      f"power(x^{E}, y^{E}, x*y)", "--N", "2",
+                                      "--svg"))
+    assert code == 0
+    svg = Path(f"{out}.svg")
+    assert svg.stat().st_size < 1_000_000
+    assert svg.read_text().count("<rect") <= 1 + 64 * 64
+
+
+def test_cli_kt_svg_huge_region(tmp_path):
+    code, out = timed(lambda: run_cli(tmp_path, "kt", "--region", f"1,1 >= {E}",
+                                      "--region2", f"2,1 >= {E}", "--svg"))
+    assert code == 0
+    svg = Path(f"{out}.svg")
+    assert svg.stat().st_size < 64_000
+    assert svg.read_text().count("<line") <= 2 * 65
 
 
 def test_cli_nonprimary_limits_exits_2(tmp_path):
@@ -713,9 +713,7 @@ def test_cli_numeric_flags_share_the_config_messages(tmp_path, capsys):
     for argv, message in ((["limits", "--family", "power(x, y)", "--N", "abc"],
                            "N must be an integer, got 'abc'"),
                           (["limits", "--family", "power(x, y)", "--N", "8",
-                            "--tol", "1/0"], "tolerance must be a rational"),
-                          (["okounkov", "--family", "power(x, y)", "--N", "8",
-                            "--c", "1.5"], "--c must be an integer, got '1.5'")):
+                            "--tol", "1/0"], "tolerance must be a rational")):
         code, _ = run_cli(tmp_path, *argv)
         assert code == 2
         assert message in capsys.readouterr().err

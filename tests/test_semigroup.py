@@ -115,6 +115,15 @@ def test_okounkov_body_interval():
     assert body_volume(okounkov_body(L), 1) == 2
 
 
+def test_body_volume_of_a_segment_is_its_lattice_length():
+    # one formula for every point dimension: gcd of the integer direction
+    # over its common denominator
+    assert body_volume([(Fraction(0), Fraction(0)),
+                        (Fraction(3, 2), Fraction(3, 4))], 1) == Fraction(3, 4)
+    assert body_volume([(Fraction(1, 3),), (Fraction(2),)], 1) == Fraction(5, 3)
+    assert body_volume([(Fraction(7, 2), Fraction(1))], 1) == 0
+
+
 def test_okounkov_body_simplex():
     pred = SemigroupPredicate(2, 1, lambda a, i: a[0] + a[1] <= i)
     L = enumerate_levels(pred, 12)
@@ -143,13 +152,6 @@ def test_family_predicate_beta(R2):
     assert pred.beta == 2
     assert pred.member((1, 0), 1) and not pred.member((0, 0), 1)
     assert not pred.member((5, 0), 2)
-
-
-def test_family_predicate_supplied_constant_checked(R2):
-    fam = PowerSpec(parse_ideal(R2, "x^2, y^2, x*y"))
-    SemigroupPredicate.from_family(fam, c=2)
-    with pytest.raises(SemigroupError):
-        SemigroupPredicate.from_family(fam, c=1)
 
 
 def test_family_counts_match_generic_scan(R2):
