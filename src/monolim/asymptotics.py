@@ -394,7 +394,7 @@ def filtration_difference_bound(F: FamilySpec, N: int) -> FiltrationBoundReport:
     if not report.passed:
         raise NotFiltrationError(f"not a filtration: {report.detail}")
     d = F.ring.d
-    c = containment_order(F.member_ideal(1))
+    c = F.containment_order()
     holds = True
     first = None
     max_ratio = 0.0

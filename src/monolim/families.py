@@ -22,8 +22,20 @@ from functools import cached_property
 from math import comb
 from operator import mul
 
-from .errors import DimensionMismatchError, FamilyRangeError, FamilySpecError
-from .lattice import INFINITE, AmbientRing, MonomialIdeal, format_ideal
+from .convex import hull_region
+from .errors import (
+    DimensionMismatchError,
+    FamilyRangeError,
+    FamilySpecError,
+    InclusionError,
+)
+from .lattice import (
+    INFINITE,
+    AmbientRing,
+    MonomialIdeal,
+    containment_order,
+    format_ideal,
+)
 
 # -- exponent sequences ------------------------------------------------------
 
@@ -113,6 +125,11 @@ class FamilySpec:
         """Whether x^a lies in I_n."""
         return self.member_ideal(n).contains(a)
 
+    def containment_order(self) -> int:
+        """Least c with m^c inside I_1; ``InclusionError`` when I_1 is
+        not primary."""
+        return containment_order(self.member_ideal(1))
+
     def column_floors(self, n: int) -> dict:
         """Least last coordinate of I_n in each nonempty column over the
         first d - 1 coordinates, keyed by the column in lex order.
@@ -165,7 +182,17 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class PowerSpec(FamilySpec):
-    """I_n = I^n for a fixed nonzero ideal I."""
+    """I_n = I^n for a fixed nonzero ideal I.
+
+    A length costs O(k^2 log n) for k Newton-polygon edges when d <= 2 and I
+    is primary and integrally closed.  A product of integrally closed ideals
+    in two variables is integrally closed (Zariski), so I^n is then the set
+    of lattice points of n * NP(I), which the valuation family of NP(I)
+    counts.  Otherwise a length builds I^n, one product per n.  In d >= 3
+    Reid-Roberts-Vitulli (2003) gives I normal once I, ..., I^(d-1) are
+    integrally closed, but that test and the valuation count both slice
+    along x, so their cost grows with the exponents.
+    """
 
     ideal: MonomialIdeal
 
@@ -176,6 +203,22 @@ class PowerSpec(FamilySpec):
     @property
     def ring(self):
         return self.ideal.ring
+
+    @cached_property
+    def _closure(self) -> ValuationSpec | None:
+        """The valuation family of NP(I) when it equals this family, else
+        None.  I lies inside its closure and both colengths are finite, so
+        one comparison of them decides whether I is integrally closed."""
+        I = self.ideal
+        if self.ring.d > 2 or not I.is_primary:
+            return None
+        closure = ValuationSpec.make(self.ring, hull_region(I).halfspaces)
+        return closure if closure.length(1) == I.colength() else None
+
+    def colength(self, n):
+        if self._closure is None:
+            return super().colength(n)
+        return self._closure.colength(n)
 
     def member(self, n):
         return self.ideal.power(n)
@@ -414,6 +457,15 @@ class ValuationSpec(FamilySpec):
 
         scan((), [s * n for _, s in self._scaled])
         return floors
+
+    def containment_order(self):
+        """max over the constraints of ceil(t / least weight): the least
+        degree-c monomials meet <w, a> >= t exactly when c * min(w) >= t."""
+        rows = [(min(w), s) for w, s in self._scaled if s]
+        if any(low == 0 for low, _ in rows):
+            raise InclusionError(
+                "no power of the maximal ideal fits in a non-primary ideal")
+        return max((_ceil_div(s, low) for low, s in rows), default=0)
 
     def colength(self, n):
         """I_n is primary iff every constraint with t > 0 has all weights

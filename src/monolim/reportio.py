@@ -218,10 +218,14 @@ def parse_region_spec(dim: int, text: str):
         if ">=" not in part:
             raise ConfigError(f"region halfspace needs '>=': {part!r}")
         lhs, rhs = part.split(">=", 1)
-        normal = tuple(Fraction(w.strip()) for w in lhs.strip().split(","))
+        try:
+            normal = tuple(Fraction(w.strip()) for w in lhs.strip().split(","))
+            offset = Fraction(rhs.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad number in region halfspace {part!r}") from exc
         if len(normal) != dim:
             raise ConfigError("halfspace normal has wrong length")
-        halfspaces.append((normal, Fraction(rhs.strip())))
+        halfspaces.append((normal, offset))
     return region(dim, halfspaces)
 
 

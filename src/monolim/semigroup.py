@@ -18,9 +18,14 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Callable
 
-from .errors import GeometryError, MonolimError, NotPrimaryError, SemigroupError
+from .errors import (
+    GeometryError,
+    InclusionError,
+    MonolimError,
+    NotPrimaryError,
+    SemigroupError,
+)
 from .families import FamilySpec
-from .lattice import containment_order
 
 
 @dataclass(frozen=True)
@@ -44,19 +49,21 @@ class SemigroupPredicate:
         """Semigroup of (a, i) with x^a in I_i, inside the beta-simplex.
 
         beta is d * c with c the least integer for which m^c lies inside
-        I_1.  No member past I_1 needs a check: for a graded family
-        m^(c i) lies in I_1^i, which lies in I_i, for every i.
-        The family must be primary to the maximal ideal.  Membership is the
+        I_1 (:meth:`FamilySpec.containment_order`, which a valuation family
+        reads off its constraints).  No member past I_1 needs a check: for
+        a graded family m^(c i) lies in I_1^i, which lies in I_i, for every
+        i.  The family must be primary to the maximal ideal.  Membership is the
         family's own test (:meth:`FamilySpec.contains`), and in d = 2 each
         level is read from the family's column floors, so a family that
         answers both without members (a valuation family) builds none per
         level.
         """
         d = F.ring.d
-        if not F.member_ideal(1).is_primary:
-            raise NotPrimaryError(
-                f"{F.label()}: no power of the maximal ideal lies inside member 1")
-        beta = d * containment_order(F.member_ideal(1))
+        try:
+            beta = d * F.containment_order()
+        except InclusionError as exc:
+            raise NotPrimaryError(f"{F.label()}: no power of the maximal ideal "
+                                  "lies inside member 1") from exc
 
         def member(a, i):
             return sum(a) <= beta * i and F.contains(a, i)

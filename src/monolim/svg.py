@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .convex import ConvexRegion
 from .lattice import MonomialIdeal
 
@@ -29,16 +31,20 @@ def _close(parts: list[str]) -> str:
 def _grid(span, stroke: str):
     """``px`` for data coordinates on [0, span]^2, the unit size, the grid
     step (the least integer giving at most ``_CELLS`` cells per axis) and
-    grid lines at its multiples in 0..span."""
+    grid lines at its multiples in 0..span.  A coarse grid also gets a line
+    at span itself, so the plot keeps its far edges."""
     scale = (_SIZE - 2 * _MARGIN) / span
-    step = -(-int(span) // _CELLS) or 1
+    step = max(1, math.ceil(span / _CELLS))
 
     def px(x, y):
         return (_MARGIN + float(x) * scale,
                 _SIZE - _MARGIN - float(y) * scale)
 
+    ticks = list(range(0, int(span) + 1, step))
+    if step > 1 and ticks[-1] != span:
+        ticks.append(span)
     lines = []
-    for i in range(0, int(span) + 1, step):
+    for i in ticks:
         for (x0, y0), (x1, y1) in ((px(i, 0), px(i, span)), (px(0, i), px(span, i))):
             lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
                          f'y2="{_fmt(y1)}" stroke="{stroke}" stroke-width="0.5"/>')
@@ -55,22 +61,35 @@ def _title(title: str) -> list[str]:
 
 
 def staircase_svg(ideal: MonomialIdeal, region: ConvexRegion | None = None) -> str:
-    """Staircase cells of a 2-D ideal (a grid cell is shaded when its
-    lower-left corner is in the ideal) with the hull boundary overlaid."""
+    """Staircase of a 2-D ideal, shaded, with the hull boundary overlaid.
+
+    On a unit grid each cell whose lower-left corner is in the ideal is
+    shaded; on a coarser grid the staircase is one polygon through the
+    generators' exact corners."""
     if ideal.ring.d != 2:
         raise ValueError("staircase plots are two-dimensional only")
     gens = ideal.gens
     span = max([g[0] for g in gens] + [g[1] for g in gens] + [4]) + 2
     px, scale, step, grid = _grid(span, "#dddddd")
     parts = _header()
-    for x in range(0, span, step):
-        for y in range(0, span, step):
-            if ideal.contains((x, y)):
-                w, h = min(step, span - x), min(step, span - y)
-                x0, y0 = px(x, y + h)
-                parts.append(
-                    f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w * scale)}" '
-                    f'height="{_fmt(h * scale)}" fill="#c8d8f0" stroke="none"/>')
+    if step == 1:
+        for x in range(span):
+            for y in range(span):
+                if ideal.contains((x, y)):
+                    x0, y0 = px(x, y + 1)
+                    parts.append(
+                        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(scale)}" '
+                        f'height="{_fmt(scale)}" fill="#c8d8f0" stroke="none"/>')
+    else:
+        # sorted by x the generators fall in y: the boundary steps down to
+        # each one, then across to the next one's column
+        ordered = sorted(gens)
+        corners = [(ordered[0][0], span)]
+        for (x, y), (nx, _) in zip(ordered, ordered[1:] + [(span, 0)]):
+            corners += [(x, y), (nx, y)]
+        corners.append((span, span))
+        parts.append(f'<polygon points="{_chain(px, corners)}" fill="#c8d8f0" '
+                     f'stroke="none"/>')
     parts += grid
     if region is not None and region.halfspaces:
         parts.append(f'<polyline points="{_chain(px, region.vertices)}" fill="none" '

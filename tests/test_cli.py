@@ -94,6 +94,13 @@ def test_parse_region_spec():
     assert len(D.halfspaces) == 2
 
 
+def test_cli_region_with_a_bad_number_exits_2(tmp_path, capsys):
+    for text in ("1,1 >= 1/0", "1,1 >= abc", "abc,1 >= 1", "1/0,1 >= 1"):
+        code, _ = run_cli(tmp_path, "kt", "--region", text)
+        assert code == 2
+        assert f"bad number in region halfspace {text!r}" in capsys.readouterr().err
+
+
 def test_parse_family_spec_rejections():
     from monolim.errors import ConfigError
     ring = AmbientRing.default(2)
@@ -526,6 +533,43 @@ def test_cli_staircase_svg_huge_exponents(tmp_path):
     svg = Path(f"{out}.svg")
     assert svg.stat().st_size < 1_000_000
     assert svg.read_text().count("<rect") <= 1 + 64 * 64
+
+
+def test_cli_staircase_svg_keeps_its_far_edges(tmp_path):
+    code, out = timed(lambda: run_cli(tmp_path, "family", "eval", "--family",
+                                      f"power(x^{E}, y^{E}, x*y)", "--N", "1",
+                                      "--svg"))
+    assert code == 0
+    svg = Path(f"{out}.svg").read_text()
+    # the plot spans [36, 384] in pixels; y grows downwards
+    top = '<line x1="36.00" y1="36.00" x2="384.00" y2="36.00"'
+    right = '<line x1="384.00" y1="384.00" x2="384.00" y2="36.00"'
+    assert top in svg and right in svg
+    # on a grid of step 2 the staircase still turns at x*y, pixel
+    # (36 + 348/102, 384 - 348/102), not at the step cell (2, 2)
+    code, out = run_cli(tmp_path, "family", "eval", "--family",
+                        "power(x^100, y^100, x*y)", "--N", "1", "--svg")
+    assert code == 0
+    svg = Path(f"{out}.svg").read_text()
+    assert " 39.41,380.59 " in svg and svg.count("<rect") == 1
+
+
+def test_cli_limits_huge_exponents_in_two_variables(tmp_path):
+    code, out = timed(lambda: run_cli(tmp_path, "limits", "--family",
+                                      f"power(x^{E}, y^{E}, x*y)", "--N", "300"))
+    assert code == 0
+    rows = Path(f"{out}.csv").read_text().splitlines()
+    assert rows[1].startswith(f"1,{2 * E - 1},")
+    assert rows[3].startswith(f"3,{12 * E - 3},")
+
+
+def test_cli_diff_huge_valuation_thresholds(tmp_path):
+    code, out = timed(lambda: run_cli(
+        tmp_path, "diff", "--family", f"valuation(1,{E} >= {E}; {E},1 >= {E})",
+        "--N", "20"))
+    assert code == 0
+    doc = json.loads(Path(f"{out}.json").read_text())
+    assert doc["results"]["difference_bound"]["c"] == E
 
 
 def test_cli_kt_svg_huge_region(tmp_path):

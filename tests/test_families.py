@@ -36,7 +36,12 @@ from monolim import (
     verify_filtration,
     verify_graded,
 )
-from monolim.errors import DimensionMismatchError, FamilyRangeError, FamilySpecError
+from monolim.errors import (
+    DimensionMismatchError,
+    FamilyRangeError,
+    FamilySpecError,
+    InclusionError,
+)
 from monolim.families import FamilySpec, floor_sum
 
 
@@ -406,6 +411,62 @@ def test_floor_sum_matches_the_direct_sum(n, m, a, b):
 def test_valuation_verifiers_match_the_member_path(spec):
     assert spec.graded_violation(6) == FamilySpec.graded_violation(spec, 6)
     assert spec.filtration_violation(6) == FamilySpec.filtration_violation(spec, 6)
+
+
+@st.composite
+def _primary_ideals(draw):
+    """A primary ideal in d = 1 or 2: pure powers plus up to three more
+    generators, integrally closed or not."""
+    d = draw(st.sampled_from([1, 2]))
+    gens = [tuple(draw(st.integers(1, 4)) if k == j else 0 for k in range(d))
+            for j in range(d)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=3))
+    return MonomialIdeal.from_gens(AmbientRing.default(d), [g for g in gens if any(g)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_primary_ideals())
+def test_power_lengths_match_the_box_count(I):
+    fam = PowerSpec(I)
+    for n in range(1, 7):
+        assert fam.length(n) == oracle_colength(I ** n)
+
+
+def test_power_lengths_count_the_newton_polygon_when_integrally_closed(R2):
+    R1 = AmbientRing.default(1)
+    # closed: the lengths are counted, no member is built
+    for ideal in (parse_ideal(R2, "x^3, x*y, y^2"), parse_ideal(R1, "x^5")):
+        fam = PowerSpec(ideal)
+        assert [fam.length(n) for n in range(1, 9)] == \
+            [(ideal ** n).colength() for n in range(1, 9)]
+        assert fam._closure is not None and not fam._members
+    # x*y and x*y^2 lie in the closures: each length builds its member
+    for text in ("x^2, y^2", "x^4, x^2*y, y^3"):
+        fam = PowerSpec(parse_ideal(R2, text))
+        assert fam.length(3) == (fam.ideal ** 3).colength()
+        assert fam._closure is None and 3 in fam._members
+    # not primary, and d = 3: the member walk
+    for fam in (PowerSpec(parse_ideal(R2, "x^2, x*y")),
+                PowerSpec(parse_ideal(AmbientRing.default(3), "x, y, z"))):
+        assert fam._closure is None
+
+
+def test_power_lengths_at_huge_exponents(R2):
+    E = 10 ** 7
+    fam = PowerSpec(parse_ideal(R2, f"x^{E}, y^{E}, x*y"))
+    assert timed(lambda: [fam.length(n) for n in (1, 2, 3)]) == \
+        [2 * E - 1, 6 * E - 2, 12 * E - 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(valuation_specs))
+def test_valuation_containment_order_matches_member_1(spec):
+    member = spec.member_ideal(1)
+    if member.is_primary:
+        assert spec.containment_order() == FamilySpec.containment_order(spec)
+    else:
+        with pytest.raises(InclusionError):
+            spec.containment_order()
 
 
 def test_valuation_lengths_at_huge_n(R2, R3):
