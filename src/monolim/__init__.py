@@ -27,7 +27,6 @@ from .convex import (
     covol,
     hull_region,
     kt_check,
-    limit_newton_region,
     minkowski_sum,
     region,
     scale_region,

@@ -19,6 +19,7 @@ from .errors import (
     MonolimError,
     NotFiltrationError,
     NotPrimaryError,
+    ZeroIdealError,
 )
 from .families import (
     FamilySpec,
@@ -272,7 +273,7 @@ def epsilon_ideal(I: MonomialIdeal, N: int) -> EpsilonReport:
     """Limit of l((I^n)^sat / I^n) / n^d: :func:`epsilon_module` of the
     rank-one module I, whose degree-n piece is I^n."""
     if I.is_zero:
-        raise MonolimError("epsilon multiplicity needs a nonzero ideal")
+        raise ZeroIdealError("epsilon multiplicity needs a nonzero ideal")
     return replace(epsilon_module(MonomialModule(I.ring, (I,)), N),
                    primary_flag=I.is_primary)
 
@@ -282,7 +283,7 @@ def epsilon_module(E: MonomialModule, N: int) -> EpsilonReport:
     d = E.ring.d
     e = E.rank
     if e == 0:
-        raise MonolimError("module has rank zero")
+        raise ZeroIdealError("module has rank zero")
     deg = d + e - 1
     entries = []
     for k, piece in E.pieces(N):

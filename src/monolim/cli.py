@@ -36,7 +36,6 @@ from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
     SemigroupPredicate,
     enumerate_levels,
-    require_body_dimension,
     semigroup_limit_check,
 )
 from .svg import polygon_svg, regions_svg, sequence_svg, staircase_svg
@@ -228,13 +227,14 @@ def _cmd_minkowski(job: Job) -> tuple[int, dict, str]:
 def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
     N = job.number("N")
-    module_text = job.param("module")
+    module_text, ideal_text = job.param("module"), job.param("ideal")
+    if module_text and ideal_text:
+        raise ConfigError("epsilon takes --ideal or --module, not both")
     if module_text:
         module = rio.parse_module_spec(ring, str(module_text))
         report = asy.epsilon_module(module, N)
         subject = f"module({module_text})"
     else:
-        ideal_text = job.param("ideal")
         if not ideal_text:
             raise ConfigError("epsilon needs --ideal or --module")
         report = asy.epsilon_ideal(parse_ideal(ring, str(ideal_text)), N)
@@ -281,7 +281,6 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     if N < 3:
         raise ConfigError("okounkov needs --N >= 3")
     pred = SemigroupPredicate.from_family(fam)
-    require_body_dimension(pred.point_dim)
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
     body = report.body
@@ -310,14 +309,15 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
 
 def _region_or_ideal(job: Job, ring: AmbientRing, region: str, ideal: str,
                      missing: str):
-    """The region of the ``region`` flag, else the hull of the ``ideal`` one."""
-    text = job.param(region)
-    if text:
-        return rio.parse_region_spec(ring.d, str(text))
-    text = job.param(ideal)
-    if not text:
+    """The region of the ``region`` flag, or the hull of the ``ideal`` one."""
+    region_text, ideal_text = job.param(region), job.param(ideal)
+    if region_text and ideal_text:
+        raise ConfigError(f"kt takes --{region} or --{ideal}, not both")
+    if region_text:
+        return rio.parse_region_spec(ring.d, str(region_text))
+    if not ideal_text:
         raise ConfigError(missing)
-    return hull_region(parse_ideal(ring, str(text)))
+    return hull_region(parse_ideal(ring, str(ideal_text)))
 
 
 def _cmd_kt(job: Job) -> tuple[int, dict, str]:

@@ -249,6 +249,43 @@ def covol(D: ConvexRegion) -> Fraction:
     return total / d
 
 
+# -- bounded polytopes ---------------------------------------------------------
+
+
+def _lifted_hull(points):
+    """(t, U): U is the upward hull of the points x lifted to (t - |x|, x),
+    with t their largest 1-norm.  The lifted points lie on U's face
+    sum(y) = t, which is their hull; so U's vertices are the lifted vertices
+    of conv(points), and U's rows with y_0 = t - |x| describe conv(points)."""
+    t = max(sum(x) for x in points)
+    lifted = [(t - sum(x), *x) for x in points]
+    width = len(lifted[0])
+    return t, region(width, _hull_halfspaces(lifted))
+
+
+def hull_vertices(points) -> list:
+    """Vertices of the convex hull of points of the orthant: in boundary
+    order, counterclockwise from the least, in dimension 2, and in
+    lexicographic order otherwise."""
+    vertices = sorted(v[1:] for v in _lifted_hull(points)[1].vertices)
+    if len(vertices[0]) == 2:
+        # by slope from the least vertex; the one straight above it comes last
+        x0, y0 = vertices[0]
+        vertices[1:] = sorted(vertices[1:], key=lambda v: (
+            v[0] == x0, (v[1] - y0) / (v[0] - x0 or 1)))
+    return vertices
+
+
+def polytope_volume(vertices) -> Fraction:
+    """Volume of the full-dimensional convex hull of points of the orthant:
+    Lasserre's recursion on the rows n.y >= b of the lifted hull and of the
+    orthant, with y_0 = t - |x| substituted."""
+    t, U = _lifted_hull(vertices)
+    units = [(tuple(int(j == k) for k in range(U.dim)), 0) for j in range(U.dim)]
+    return _volume([(tuple(c - n[0] for c in n[1:]), b - n[0] * t)
+                    for n, b in [*U.halfspaces, *units]], U.dim - 1)
+
+
 # -- constructions -----------------------------------------------------------
 
 
@@ -297,9 +334,3 @@ def kt_check(D1: ConvexRegion, D2: ConvexRegion) -> KTReport:
     holds, equality = root_sum_at_least(c1, c2, cs, D1.dim)
     return KTReport(c1, c2, cs, holds, equality, D1.dim)
 
-
-def limit_newton_region(family, n: int) -> ConvexRegion:
-    """Scaled hull (1/n) * hull_region(I_n); compare across n for convergence."""
-    if n < 1:
-        raise GeometryError("need n >= 1")
-    return scale_region(hull_region(family.member_ideal(n)), Fraction(1, n))

@@ -13,10 +13,6 @@ class RingMismatchError(MonolimError):
     """Two operands live in different ambient rings."""
 
 
-class ZeroIdealError(MonolimError):
-    """Operation undefined for the zero ideal (e.g. colon by zero)."""
-
-
 class NotPrimaryError(MonolimError):
     """Ideal is not primary to the maximal monomial ideal."""
 
@@ -31,10 +27,6 @@ class NotFiltrationError(MonolimError):
 
 class FamilyRangeError(MonolimError):
     """Table-backed family queried beyond its stored range."""
-
-
-class FamilySpecError(MonolimError):
-    """Malformed family specification."""
 
 
 class NotCoboundedError(MonolimError):
@@ -54,4 +46,16 @@ class EstimateError(MonolimError):
 
 
 class ConfigError(MonolimError):
-    """Bad CLI configuration or arguments."""
+    """Bad CLI configuration or arguments: a user's mistake (exit 2)."""
+
+
+class InputError(ConfigError):
+    """Malformed ideal, ring or module text."""
+
+
+class ZeroIdealError(ConfigError):
+    """Operation undefined for the zero ideal (e.g. colon by zero)."""
+
+
+class FamilySpecError(ConfigError):
+    """Malformed family specification."""

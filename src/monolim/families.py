@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from operator import mul
 
-from .convex import hull_region
+from .convex import hull_region, minkowski_sum, region
 from .errors import (
     DimensionMismatchError,
     FamilyRangeError,
@@ -130,6 +130,11 @@ class FamilySpec:
         not primary."""
         return containment_order(self.member_ideal(1))
 
+    def limit_region(self):
+        """The limiting Newton region, the closure of the union of the
+        NP(I_n)/n, when the spec knows it in closed form; else None."""
+        return None
+
     def column_floors(self, n: int) -> dict:
         """Least last coordinate of I_n in each nonempty column over the
         first d - 1 coordinates, keyed by the column in lex order.
@@ -207,18 +212,27 @@ class PowerSpec(FamilySpec):
     @cached_property
     def _closure(self) -> ValuationSpec | None:
         """The valuation family of NP(I) when it equals this family, else
-        None.  I lies inside its closure and both colengths are finite, so
+        None; it answers lengths, membership and column floors with no member
+        built.  I lies inside its closure and both colengths are finite, so
         one comparison of them decides whether I is integrally closed."""
         I = self.ideal
-        if self.ring.d > 2 or not I.is_primary:
+        if self.ring.d > 2 or not I.is_primary or I.is_unit:
             return None
-        closure = ValuationSpec.make(self.ring, hull_region(I).halfspaces)
+        closure = ValuationSpec.make(self.ring, self.limit_region().halfspaces)
         return closure if closure.length(1) == I.colength() else None
 
+    def limit_region(self):
+        """NP(I), since NP(I^n) = n * NP(I)."""
+        return hull_region(self.ideal)
+
     def colength(self, n):
-        if self._closure is None:
-            return super().colength(n)
-        return self._closure.colength(n)
+        return (self._closure or super()).colength(n)
+
+    def contains(self, a, n):
+        return (self._closure or super()).contains(a, n)
+
+    def column_floors(self, n):
+        return (self._closure or super()).column_floors(n)
 
     def member(self, n):
         return self.ideal.power(n)
@@ -478,6 +492,10 @@ class ValuationSpec(FamilySpec):
             return INFINITE
         return _count_outside(rows)
 
+    def limit_region(self):
+        """The constraints' region: I_n is the lattice points of its n-fold dilate."""
+        return region(self.ring.d, self.constraints)
+
     def graded_violation(self, N):
         """None: <w, a + b> = <w, a> + <w, b> >= t*m + t*n for a in I_m, b in I_n."""
         return None
@@ -559,6 +577,11 @@ class ProductSpec(FamilySpec):
 
     def member(self, n):
         return self.left.member_ideal(n) * self.right.member_ideal(n)
+
+    def limit_region(self):
+        """The Minkowski sum of the factors' regions: NP(IJ) = NP(I) + NP(J)."""
+        regions = self.left.limit_region(), self.right.limit_region()
+        return None if None in regions else minkowski_sum(*regions)
 
     def label(self):
         return f"product({self.left.label()}; {self.right.label()})"

@@ -22,6 +22,7 @@ from operator import and_, itemgetter
 from .errors import (
     DimensionMismatchError,
     InclusionError,
+    InputError,
     MonolimError,
     RingMismatchError,
     ZeroIdealError,
@@ -44,11 +45,11 @@ class AmbientRing:
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise MonolimError("ring dimension must be >= 1")
+            raise InputError("ring dimension must be >= 1")
         if len(self.var_names) != self.d:
-            raise MonolimError("need exactly one name per variable")
+            raise InputError("need exactly one name per variable")
         if len(set(self.var_names)) != self.d:
-            raise MonolimError("variable names must be distinct")
+            raise InputError("variable names must be distinct")
 
     @classmethod
     def default(cls, d: int) -> "AmbientRing":
@@ -561,16 +562,16 @@ def parse_ideal(ring: AmbientRing, text: str) -> MonomialIdeal:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            raise MonolimError("empty monomial in ideal text")
+            raise InputError("empty monomial in ideal text")
         e = [0] * ring.d
         if chunk != "1":
             for factor in chunk.split("*"):
                 m = _FACTOR_RE.match(factor.strip())
                 if not m:
-                    raise MonolimError(f"bad monomial factor {factor!r}")
+                    raise InputError(f"bad monomial factor {factor!r}")
                 name, exp = m.group(1), m.group(2)
                 if name not in index:
-                    raise MonolimError(f"unknown variable {name!r}")
+                    raise InputError(f"unknown variable {name!r}")
                 e[index[name]] += int(exp) if exp else 1
         gens.append(tuple(e))
     return MonomialIdeal.from_gens(ring, gens)

@@ -203,9 +203,9 @@ def parse_family_spec(ring: AmbientRing, text: str) -> FamilySpec:
             ideals = tuple(parse_ideal(ring, part.strip())
                            for part in body.split("|"))
             return TableSpec(ideals)
-    except ConfigError:
-        raise
     except Exception as exc:
+        if type(exc) is ConfigError:  # this parser's own, or a factor's: final
+            raise
         raise ConfigError(f"bad family spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown family constructor {head!r}")
 

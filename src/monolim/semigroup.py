@@ -3,8 +3,9 @@
 A semigroup lives in N^p x N (points with a level); members at level i stay
 inside the 1-norm box ||a||_1 <= beta * i.  Enumeration records exact level
 counts, retains levels as column runs up to a budget, and the counting limit
-lim #S_{m k} / k^q is compared against vol_q(body) / ind computed from the
-lattice invariants of the generated group.
+lim #S_{m k} / k^q is compared against vol_q(body) / ind: in closed form
+for a family with a limit region (Kaveh-Khovanskii, Ann. Math. 2012), else
+from the hull and the lattice of the retained points.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import itertools
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
 
+from .convex import covol, hull_vertices, polytope_volume
 from .errors import (
     GeometryError,
     InclusionError,
@@ -34,15 +36,14 @@ class SemigroupPredicate:
 
     ``member(point, level)`` must be closed under addition (spot-checked at
     enumeration time); ``beta`` bounds members at level i to the simplex
-    ||point||_1 <= beta * i.  An optional ``runs_hook(i)`` returns a whole
-    level as column runs (see :class:`LevelPoints`) in place of the scan.
+    ||point||_1 <= beta * i.  ``family`` is the graded family whose
+    semigroup this is (see :meth:`from_family`), or None.
     """
 
     point_dim: int
     beta: int
     member: Callable
-    label: str = ""
-    runs_hook: Callable | None = field(default=None, compare=False)
+    family: FamilySpec | None = None
 
     @staticmethod
     def from_family(F: FamilySpec) -> "SemigroupPredicate":
@@ -52,11 +53,8 @@ class SemigroupPredicate:
         I_1 (:meth:`FamilySpec.containment_order`, which a valuation family
         reads off its constraints).  No member past I_1 needs a check: for
         a graded family m^(c i) lies in I_1^i, which lies in I_i, for every
-        i.  The family must be primary to the maximal ideal.  Membership is the
-        family's own test (:meth:`FamilySpec.contains`), and in d = 2 each
-        level is read from the family's column floors, so a family that
-        answers both without members (a valuation family) builds none per
-        level.
+        i.  The family must be primary to the maximal ideal.  Membership is
+        the family's own test (:meth:`FamilySpec.contains`).
         """
         d = F.ring.d
         try:
@@ -68,13 +66,7 @@ class SemigroupPredicate:
         def member(a, i):
             return sum(a) <= beta * i and F.contains(a, i)
 
-        runs_hook = None
-        if d == 2:
-            def runs_hook(i):
-                return _floor_runs(F.column_floors(i), beta * i)
-
-        return SemigroupPredicate(d, beta, member, f"family({F.label()})",
-                                  runs_hook)
+        return SemigroupPredicate(d, beta, member, F)
 
 
 def _floor_runs(floors: dict, cap: int) -> list:
@@ -163,7 +155,7 @@ class SemigroupLevels:
     counts: dict[int, int]
     levels: dict[int, LevelPoints]
     truncated: bool
-    label: str = ""
+    family: FamilySpec | None = None
 
 
 #: Retained points across all levels; past it a result is flagged truncated.
@@ -176,26 +168,37 @@ SPOT_SEED = 2024
 def enumerate_levels(P: SemigroupPredicate, N: int) -> SemigroupLevels:
     """Enumerate all member points per level i <= N.
 
-    Counts are exact for every level; levels are kept (as column runs) until
-    the running point total exceeds ``RETAIN_BUDGET`` (the result is then
-    flagged truncated).  Additivity of the predicate is spot-checked on
-    ``SPOT_CHECKS`` random retained pairs and violations abort.
+    Counts are exact for every level: a family's level i is the beta-simplex
+    less the l(R/I_i) standard monomials, all of degree below c * i.  Levels
+    are kept (as column runs, a family's in point dimension 2 from its
+    column floors) until the running point total would exceed
+    ``RETAIN_BUDGET`` (the result is then flagged truncated).  Additivity of
+    the predicate is spot-checked on ``SPOT_CHECKS`` random retained pairs
+    and violations abort.
     """
+    F, d = P.family, P.point_dim
     counts: dict[int, int] = {}
     levels: dict[int, LevelPoints] = {}
     retained_total = 0
     truncated = False
     for i in range(1, N + 1):
-        runs = P.runs_hook(i) if P.runs_hook is not None else _member_runs(P, i)
-        pts = LevelPoints(runs)
-        counts[i] = len(pts)
+        if F is None:
+            pts = LevelPoints(_member_runs(P, i))
+            counts[i] = len(pts)
+        else:
+            counts[i] = comb(P.beta * i + d, d) - F.length(i)
         if not truncated and retained_total + counts[i] <= RETAIN_BUDGET:
+            if F is not None:
+                pts = LevelPoints(_floor_runs(F.column_floors(i), P.beta * i)
+                                  if d == 2 else _member_runs(P, i))
+                if len(pts) != counts[i]:
+                    raise SemigroupError(f"level {i} does not count C(beta i + d, d) "
+                                         "- l(R/I_i): the family is not graded")
             levels[i] = pts
             retained_total += counts[i]
         else:
             truncated = True
-    result = SemigroupLevels(P.point_dim, P.beta, N, counts, levels,
-                             truncated, P.label)
+    result = SemigroupLevels(d, P.beta, N, counts, levels, truncated, F)
     _spot_check_additivity(P, result, SPOT_CHECKS, SPOT_SEED)
     return result
 
@@ -323,104 +326,21 @@ def lattice_invariants(L: SemigroupLevels) -> LatticeInvariants:
 # -- the body and the counting limit -----------------------------------------
 
 
-def convex_hull_2d(points):
-    """Counterclockwise convex hull of exact rational points.
-
-    The vertices start at the least point in (x, y) order; points on an edge
-    are not vertices.  Only the lowest and highest point of each x-column can
-    be a vertex, so the chain runs on those alone.
-    """
-    columns: dict = {}
-    for x, y in points:
-        span = columns.get(x)
-        if span is None:
-            columns[x] = [y, y]
-        elif y < span[0]:
-            span[0] = y
-        elif y > span[1]:
-            span[1] = y
-    pts = []
-    for x in sorted(columns):
-        lo, hi = columns[x]
-        pts.append((x, lo))
-        if hi != lo:
-            pts.append((x, hi))
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                (x0, y0), (x1, y1) = out[-2], out[-1]
-                if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]
-
-
-def _column_ends(runs) -> list:
-    """The low and the high end of each column of a level in point
-    dimension 2, less those that cannot be hull vertices: an end collinear
-    with the same ends of both neighbouring columns lies on the segment
-    between them."""
-    columns: list = []
-    for (x,), lo, hi in runs:
-        if columns and columns[-1][0] == x:
-            columns[-1][2] = hi
-        else:
-            columns.append([x, lo, hi])
-    ends = []
-    for j in (1, 2):
-        pts = [(col[0], col[j]) for col in columns]
-        ends += pts[:1] + pts[-1:]
-        ends += [b for a, b, c in zip(pts, pts[1:], pts[2:])
-                 if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])]
-    return ends
-
-
-def require_body_dimension(point_dim: int) -> None:
-    """Raise GeometryError unless :func:`okounkov_body` handles ``point_dim``."""
-    if not 1 <= point_dim <= 2:
-        raise GeometryError("exact bodies are limited to point dimension <= 2")
-
-
 def okounkov_body(L: SemigroupLevels):
-    """Vertices of the convex hull of the normalized points {point / level}.
+    """Vertices of the convex hull of the normalized retained points
+    {point / level} (see :func:`convex.hull_vertices`).
 
-    Point dimension 1 gives the interval's endpoints; point dimension 2 the
-    counterclockwise polygon of :func:`convex_hull_2d`.  Every point of a
-    retained level lies between the two ends of its column run, so each
-    level is hulled on its raw integer run ends first (scaling commutes with
-    hulls; see :func:`_column_ends`) and only its extreme points are
-    normalized to ``Fraction``s.
+    Every point of a retained level lies between the two ends of its column
+    run, so only the run ends are normalized to ``Fraction``s and hulled.
     """
-    require_body_dimension(L.point_dim)
     if L.max_level < 3:
         raise MonolimError("enumerate at least 3 levels first")
-    pts = []
-    for i, members in sorted(L.levels.items()):
-        if i == 0 or not members:
-            continue
-        if L.point_dim == 2:
-            ends = convex_hull_2d(_column_ends(members.runs))
-        else:
-            ends = [prefix + (t,) for prefix, lo, hi in members.runs for t in (lo, hi)]
-        for a in ends:
-            pts.append(tuple(Fraction(c, i) for c in a))
+    pts = {tuple(Fraction(c, i) for c in prefix + (t,))
+           for i, members in L.levels.items()
+           for prefix, lo, hi in members.runs for t in (lo, hi)}
     if not pts:
         raise MonolimError("empty semigroup")
-    if L.point_dim == 1:
-        xs = [p[0] for p in pts]
-        lo, hi = min(xs), max(xs)
-        return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    return convex_hull_2d(pts)
+    return hull_vertices(pts)
 
 
 def body_volume(vertices, q: int) -> Fraction:
@@ -435,10 +355,8 @@ def body_volume(vertices, q: int) -> Fraction:
         diff = [b - a for a, b in zip(lo, hi)]
         den = lcm(*(c.denominator for c in diff))
         return Fraction(gcd(*(int(c * den) for c in diff)), den)
-    if q == 2 and p == 2:
-        pts = list(vertices)
-        return abs(Fraction(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
-                                in zip(pts, pts[1:] + pts[:1])), 2))
+    if q == p:
+        return polytope_volume(vertices)
     raise GeometryError("volume unavailable for this dimension")
 
 
@@ -458,13 +376,28 @@ class SemigroupLimitReport:
 def semigroup_limit_check(L: SemigroupLevels) -> SemigroupLimitReport:
     """Compare the normalized level counts against vol/ind.
 
+    A family with a limit region D, in point dimension d >= 2 and with
+    c >= 1, has the body Delta_beta ∩ D: D's vertices (of degree <= c <
+    beta) and the points beta * e_j (the face |a| = beta lies inside D), of
+    volume beta^d/d! - covol(D).  Level 1 holds a point of degree c and its
+    d unit steps (beta = d c >= c + 1), so m = ind = 1 and q = d.  Any other
+    semigroup takes :func:`lattice_invariants` and :func:`okounkov_body`.
+
     Also reports the boundedness diagnostic max_k #S_{mk}/k^q (a bounded
-    value is the finite-data signal that the counting exponent q suffices)
-    and the vertices of the body from :func:`okounkov_body`.
+    value is the finite-data signal that the counting exponent q suffices).
     """
-    inv = lattice_invariants(L)
-    body = okounkov_body(L)
-    vol = body_volume(body, inv.q)
+    F, d = L.family, L.point_dim
+    D = F.limit_region() if F is not None and d >= 2 and L.beta >= 1 else None
+    if D is None:
+        inv = lattice_invariants(L)
+        body = okounkov_body(L)
+        vol = body_volume(body, inv.q)
+    else:
+        inv = LatticeInvariants(1, 1, d, L.truncated)
+        beta = Fraction(L.beta)
+        body = [*D.vertices, *(tuple(beta if j == k else Fraction(0)
+                                     for k in range(d)) for j in range(d))]
+        vol = beta ** d / factorial(d) - covol(D)
     expected = vol / inv.ind
     ratios = []
     for k in range(1, L.max_level // inv.m + 1):

@@ -3,7 +3,6 @@
 import argparse
 import hashlib
 import json
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -355,14 +354,20 @@ def test_cli_okounkov(tmp_path):
 
 
 def test_cli_okounkov_builds_the_body_once(tmp_path, monkeypatch):
-    body = semigroup.okounkov_body
+    # a family's body is the simplex cut by its limit region: one covolume,
+    # no hull of the retained levels, and the same body at every N
+    covol = semigroup.covol
     calls = []
 
-    def counting_body(levels):
-        calls.append(levels.max_level)
-        return body(levels)
+    def counting_covol(D):
+        calls.append(D)
+        return covol(D)
 
-    monkeypatch.setattr(semigroup, "okounkov_body", counting_body)
+    def no_hull(levels):
+        raise AssertionError("a family's body hulls no level")
+
+    monkeypatch.setattr(semigroup, "covol", counting_covol)
+    monkeypatch.setattr(semigroup, "okounkov_body", no_hull)
     pinned = {
         "power(x^3, x*y, y^2)": [["0", "2"], ["1", "1"], ["3", "0"], ["6", "0"],
                                  ["0", "6"]],
@@ -370,21 +375,45 @@ def test_cli_okounkov_builds_the_body_once(tmp_path, monkeypatch):
                                           ["0", "4"]],
     }
     for spec, vertices in pinned.items():
-        calls.clear()
-        code, out = run_cli(tmp_path, "okounkov", "--family", spec, "--N", "12")
+        for N in ("3", "12"):
+            calls.clear()
+            code, out = run_cli(tmp_path, "okounkov", "--family", spec, "--N", N)
+            assert code == 0
+            assert len(calls) == 1
+            doc = json.loads(Path(f"{out}.json").read_text())
+            assert doc["results"]["body_vertices"] == vertices
+
+
+def test_cli_okounkov_in_point_dimension_3(tmp_path):
+    # the body is Delta_12 cut by NP(I): 12^3/3! - e(I)/3! = 288 - 2
+    gaps = []
+    for N in ("4", "8"):
+        code, out = timed(lambda: run_cli(
+            tmp_path, "okounkov", "--ring", "x,y,z", "--family",
+            "power(x^2, y^3, z^2, x*y*z)", "--N", N), 5.0)
         assert code == 0
-        assert calls == [12]
-        doc = json.loads(Path(f"{out}.json").read_text())
-        assert doc["results"]["body_vertices"] == vertices
+        doc = json.loads(Path(f"{out}.json").read_text())["results"]
+        assert doc["volume"] == doc["expected"] == "286"
+        assert doc["invariants"] == {"ind": 1, "m": 1, "q": 3,
+                                     "truncated": N == "8"}
+        ratios = [Fraction(c, k ** 3) for k, c in doc["counts_tail"]]
+        assert all(a > b > 286 for a, b in zip(ratios, ratios[1:]))
+        gaps.append(doc["rel_gap"])
+    assert gaps[1] < gaps[0] < 0.13
 
 
-def test_cli_okounkov_rejects_point_dimension_3_before_enumerating(tmp_path, capsys):
-    t0 = time.perf_counter()
-    code, _ = run_cli(tmp_path, "okounkov", "--ring", "x,y,z", "--family",
-                      "power(x^2, y^3, z^2, x*y*z)", "--N", "60")
-    assert time.perf_counter() - t0 < 2.0
-    assert code == 2
-    assert "exact bodies are limited to point dimension <= 2" in capsys.readouterr().err
+def test_cli_okounkov_counts_huge_levels_without_enumerating(tmp_path):
+    # level 1 of the first family holds about 2 * 10^6 points, over the
+    # retain budget, so no level is kept; the second has 2 * 10^7 columns
+    for spec, volume in (("power(x^1000, y^1000, x*y)", "1999000"),
+                         ("power(x^10000000, y)", "199999995000000")):
+        code, out = timed(lambda: run_cli(tmp_path, "okounkov", "--family", spec,
+                                          "--N", "4"))
+        assert code == 0
+        doc = json.loads(Path(f"{out}.json").read_text())["results"]
+        assert doc["volume"] == doc["expected"] == volume
+        assert doc["invariants"]["truncated"] is True
+        assert Path(f"{out}.csv").read_text() == "level,a1,a2\n"
 
 
 def test_cli_okounkov_csv_from_runs_matches_the_point_rows(tmp_path):
@@ -399,6 +428,31 @@ def test_cli_okounkov_csv_from_runs_matches_the_point_rows(tmp_path):
         assert len(rows) < 200_000  # every level retained
         want = render_csv(["level", "a1", "a2"], rows).encode()
         assert Path(f"{out}.csv").read_bytes() == want
+
+
+def test_cli_input_mistakes_exit_2(tmp_path, capsys):
+    for argv, message in (
+            (["epsilon", "--ideal", "x^"], "bad monomial factor 'x^'"),
+            (["kt", "--ideal", "x^", "--ideal2", "x, y"], "bad monomial factor 'x^'"),
+            (["symbolic", "--ideal", "q", "--aux", "x"], "unknown variable 'q'"),
+            (["epsilon", "--ring", "x,x", "--ideal", "x"],
+             "variable names must be distinct"),
+            (["epsilon", "--module", "|"], "empty monomial in ideal text"),
+            (["epsilon", "--ideal", "0"], "epsilon multiplicity needs a nonzero ideal"),
+            (["symbolic", "--ideal", "0", "--aux", "x"],
+             "symbolic family needs nonzero ideals"),
+            (["epsilon", "--ideal", "x", "--module", "x | y"],
+             "epsilon takes --ideal or --module, not both"),
+            (["kt", "--region", "1,1 >= 1", "--ideal", "x, y", "--region2", "1,2 >= 2"],
+             "kt takes --region or --ideal, not both"),
+            (["kt", "--region", "1,1 >= 1", "--region2", "1,2 >= 2", "--ideal2", "x"],
+             "kt takes --region2 or --ideal2, not both")):
+        if argv[0] != "kt":
+            argv = argv + ["--N", "8"]
+        code, out = run_cli(tmp_path, *argv)
+        assert code == 2, argv
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not Path(f"{out}.json").exists()
 
 
 def test_cli_okounkov_needs_three_levels(tmp_path, capsys):

@@ -28,14 +28,13 @@ from monolim import (
     exact_multiplicity,
     hull_region,
     kt_check,
-    limit_newton_region,
     minkowski_sum,
     parse_ideal,
     region,
     scale_region,
     teissier_check,
 )
-from monolim import MaxPowerSpec, PowerSpec, ValuationSpec
+from monolim import MaxPowerSpec, PowerSpec, ProductSpec, ValuationSpec
 from monolim.convex import _hull_halfspaces
 from monolim.errors import GeometryError, NotCoboundedError, NotPrimaryError
 
@@ -188,16 +187,32 @@ def test_power_scaling_of_multiplicity(R2, R3):
             assert exact_multiplicity(ideal ** k) == k ** ring.d * e
 
 
-def test_limit_newton_region(R2):
-    fam = PowerSpec(parse_ideal(R2, "x^3, x*y, y^2"))
-    base = hull_region(parse_ideal(R2, "x^3, x*y, y^2"))
-    for n in (1, 2, 5):
-        assert limit_newton_region(fam, n) == base
+def test_limit_region(R2):
+    I, J = parse_ideal(R2, "x^3, x*y, y^2"), parse_ideal(R2, "x, y^2")
+    power = PowerSpec(I)
     val = ValuationSpec.make(R2, [((2, 1), 2)])
-    for n in (1, 3, 7):
-        assert limit_newton_region(val, n) == region(2, [((2, 1), 2)])
-    sig = MaxPowerSpec(R2, "sigma")
-    assert limit_newton_region(sig, 16) == region(2, [((1, 1), Fraction(20, 16))])
+    assert power.limit_region() == hull_region(I)
+    assert val.limit_region() == region(2, [((2, 1), 2)])
+    # these members' hulls are the region scaled by n
+    for F in (power, val):
+        for n in (1, 2, 5):
+            assert scale_region(hull_region(F.member_ideal(n)), Fraction(1, n)) == \
+                F.limit_region()
+    assert ProductSpec(power, PowerSpec(J)).limit_region() == minkowski_sum(
+        hull_region(I), hull_region(J))
+    sigma = MaxPowerSpec(R2, "sigma")
+    assert sigma.limit_region() is None
+    assert ProductSpec(power, sigma).limit_region() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 2 ** 32))
+def test_product_limit_region_covolume_is_the_multiplicity_of_the_product(d, seed):
+    rng = random.Random(seed)
+    ring = AmbientRing.default(d)
+    I, J = (random_primary_ideal(rng, ring, max_exp=4, extra_gens=2) for _ in "IJ")
+    D = ProductSpec(PowerSpec(I), PowerSpec(J)).limit_region()
+    assert factorial(d) * covol(D) == exact_multiplicity(I * J)
 
 
 def test_minkowski_3d_with_seeds():

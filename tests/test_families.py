@@ -381,7 +381,7 @@ def test_family_contains_matches_the_member(fam, data):
 def test_default_column_floors_are_the_least_members_per_column(gens):
     d = len(gens[0])
     ideal = MonomialIdeal.from_gens(AmbientRing.default(d), gens)
-    floors = PowerSpec(ideal).column_floors(1)
+    floors = FamilySpec.column_floors(PowerSpec(ideal), 1)
     assert list(floors) == sorted(floors)
     tops = [max(g[k] for g in ideal.gens) for k in range(d - 1)]
     for col in itertools.product(*(range(t + 3) for t in tops)):
@@ -434,21 +434,28 @@ def test_power_lengths_match_the_box_count(I):
 
 def test_power_lengths_count_the_newton_polygon_when_integrally_closed(R2):
     R1 = AmbientRing.default(1)
-    # closed: the lengths are counted, no member is built
+    # closed: lengths, membership and column floors build no member
     for ideal in (parse_ideal(R2, "x^3, x*y, y^2"), parse_ideal(R1, "x^5")):
         fam = PowerSpec(ideal)
         assert [fam.length(n) for n in range(1, 9)] == \
             [(ideal ** n).colength() for n in range(1, 9)]
+        floors = fam.column_floors(3)
+        assert all(fam.contains(tuple(3 * c for c in g), 3) for g in ideal.gens)
+        assert not fam.contains((0,) * ideal.ring.d, 3)
         assert fam._closure is not None and not fam._members
+        assert floors == FamilySpec.column_floors(fam, 3)
     # x*y and x*y^2 lie in the closures: each length builds its member
     for text in ("x^2, y^2", "x^4, x^2*y, y^3"):
         fam = PowerSpec(parse_ideal(R2, text))
         assert fam.length(3) == (fam.ideal ** 3).colength()
         assert fam._closure is None and 3 in fam._members
-    # not primary, and d = 3: the member walk
+    # not primary, d = 3, and the unit ideal (whose hull has no facet): the
+    # member walk
     for fam in (PowerSpec(parse_ideal(R2, "x^2, x*y")),
-                PowerSpec(parse_ideal(AmbientRing.default(3), "x, y, z"))):
+                PowerSpec(parse_ideal(AmbientRing.default(3), "x, y, z")),
+                PowerSpec(parse_ideal(R2, "1"))):
         assert fam._closure is None
+    assert PowerSpec(parse_ideal(R2, "1")).length(4) == 0
 
 
 def test_power_lengths_at_huge_exponents(R2):

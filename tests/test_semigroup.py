@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     oracle_column_runs,
+    oracle_containment_order,
     oracle_convex_hull_2d,
     oracle_family_points,
     oracle_lattice_invariants,
@@ -17,6 +18,7 @@ from conftest import (
     oracle_saturation_index,
     oracle_scan_points,
     oracle_spot_check,
+    timed,
     valuation_specs,
 )
 
@@ -25,6 +27,7 @@ from monolim import (
     MonomialIdeal,
     PowerSpec,
     SemigroupPredicate,
+    TableSpec,
     ValuationSpec,
     enumerate_levels,
     lattice_invariants,
@@ -33,22 +36,21 @@ from monolim import (
     semigroup_limit_check,
 )
 from monolim import semigroup
+from monolim.convex import hull_vertices
 from monolim.errors import MonolimError, SemigroupError
 from monolim.semigroup import (
     LevelPoints,
-    SemigroupLevels,
-    _row_lattice_basis,
-    _column_ends,
     _floor_runs,
+    _member_runs,
+    _row_lattice_basis,
     _saturation_index,
     _spot_check_additivity,
     body_volume,
-    convex_hull_2d,
 )
 
 
-def _toy(beta, member, label=""):
-    return SemigroupPredicate(1, beta, member, label)
+def _toy(beta, member):
+    return SemigroupPredicate(1, beta, member)
 
 
 def test_enumerate_toy_counts():
@@ -176,19 +178,38 @@ def test_family_limit_matches_body(R2):
 
 
 def test_body_grows_with_levels(R2):
-    from monolim.semigroup import convex_hull_2d
     fam = ValuationSpec.make(R2, [((2, 1), 2)])
     pred = SemigroupPredicate.from_family(fam)
     small = okounkov_body(enumerate_levels(pred, 4))
     large = okounkov_body(enumerate_levels(pred, 12))
-    # extending the level range can only grow the hull
-    assert convex_hull_2d(small + large) == convex_hull_2d(large)
+    # extending the level range can only grow the retained levels' hull, and
+    # it stays inside the family's body, which does not depend on N
+    assert hull_vertices(small + large) == large
     assert body_volume(large, 2) >= body_volume(small, 2)
-    # powers of a fixed ideal stabilize immediately
-    pw = PowerSpec(parse_ideal(R2, "x, y"))
-    pred = SemigroupPredicate.from_family(pw)
-    assert okounkov_body(enumerate_levels(pred, 6)) == okounkov_body(
-        enumerate_levels(pred, 18))
+    body = semigroup_limit_check(enumerate_levels(pred, 4)).body
+    assert semigroup_limit_check(enumerate_levels(pred, 12)).body == body
+    assert hull_vertices(list(body) + large) == list(body)
+    assert body == ((0, 2), (1, 0), (4, 0), (0, 4))
+
+
+def test_family_body_is_the_simplex_cut_by_the_limit_region(R2):
+    # the vertex (25/49, 25/49) of the region first shows at level 49, far
+    # past the levels a retained-level hull would see
+    fam = ValuationSpec.make(R2, [((97, 1), 50), ((1, 97), 50)])
+    report = timed(lambda: semigroup_limit_check(
+        enumerate_levels(SemigroupPredicate.from_family(fam), 40)))
+    assert report.volume == Fraction(243750, 49)
+    assert (Fraction(25, 49), Fraction(25, 49)) in report.body
+    assert report.invariants.truncated
+
+
+def test_a_family_that_is_not_graded_fails_the_count_check(R2):
+    # I_1 I_1 = m^2 is not inside I_2 = (x^6, y), whose standard monomial
+    # x^5 lies past the simplex at level 2
+    fam = TableSpec(tuple(parse_ideal(R2, text) for text in
+                          ("1", "x, y", "x^6, y", "x^9, y")))
+    with pytest.raises(SemigroupError, match="the family is not graded"):
+        enumerate_levels(SemigroupPredicate.from_family(fam), 3)
 
 
 def test_lattice_basis_helpers():
@@ -276,19 +297,25 @@ def _planar_points(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_planar_points())
-def test_convex_hull_2d_matches_the_monotone_chain_oracle(points):
-    assert convex_hull_2d(points) == oracle_convex_hull_2d(points)
+@given(_planar_points().filter(bool))
+def test_lift_hull_matches_the_monotone_chain_oracle(points):
+    # the lift takes points of the orthant: move the line cases up into it
+    low = min(0, *(y for _, y in points))
+    points = [(x, y - low) for x, y in points]
+    assert hull_vertices(points) == oracle_convex_hull_2d(points)
 
 
-def test_convex_hull_2d_small_cases():
-    assert convex_hull_2d([]) == []
-    assert convex_hull_2d([(1, 2), (1, 2)]) == [(1, 2)]
-    assert convex_hull_2d([(3, 0), (1, 2)]) == [(1, 2), (3, 0)]
-    assert convex_hull_2d([(2, y) for y in (5, 0, 3, 1)]) == [(2, 0), (2, 5)]
-    assert convex_hull_2d([(x, x) for x in range(5)]) == [(0, 0), (4, 4)]
-    assert convex_hull_2d([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1)]) == [
+def test_lift_hull_small_cases():
+    assert hull_vertices([(1, 2), (1, 2)]) == [(1, 2)]
+    assert hull_vertices([(3, 0), (1, 2)]) == [(1, 2), (3, 0)]
+    assert hull_vertices([(2, y) for y in (5, 0, 3, 1)]) == [(2, 0), (2, 5)]
+    assert hull_vertices([(x, x) for x in range(5)]) == [(0, 0), (4, 4)]
+    assert hull_vertices([(0, 0), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1)]) == [
         (0, 0), (2, 0), (0, 2)]
+    assert hull_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0),
+                          (0, 1, 1)]) == [(0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 0, 0)]
+    assert body_volume(hull_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+                                      (1, 1, 0)]), 3) == Fraction(4, 3)
 
 
 def test_level_points_index_and_iterate_in_run_order():
@@ -398,8 +425,7 @@ def test_level_runs_match_the_point_list_oracles(case, N, budget):
         assert len(got) == L.counts[i]
         assert list(got) == want[i]
         assert [got[k] for k in range(len(got))] == want[i]
-    O = SemigroupLevels(L.point_dim, L.beta, N, L.counts,
-                        {i: want[i] for i in kept}, L.truncated, L.label)
+    O = replace(L, levels={i: want[i] for i in kept})
     assert _body_or_error(okounkov_body, L) == _body_or_error(oracle_okounkov_body, O)
     assert (_member_calls(_spot_check_additivity, P, L)
             == _member_calls(oracle_spot_check, P, O))
@@ -431,25 +457,43 @@ def test_lattice_invariants_match_the_point_row_reduction(case, N, budget):
 
 
 @st.composite
-def _level_runs(draw):
-    """Runs of a level in point dimension 2: columns with gaps between them,
-    one or two runs each, the low and high ends near lines so that many are
-    collinear."""
-    xs = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=10)))
-    a, b = draw(st.integers(-2, 2)), draw(st.integers(0, 30))
-    noise = st.sampled_from((0, 0, 0, 1, -1))
-    runs = []
-    for x in xs:
-        lo = a * x + b + draw(noise)
-        for _ in range(draw(st.integers(1, 2))):
-            hi = lo + draw(st.sampled_from((0, 2, 5, 5)))
-            runs.append(((x,), lo, hi))
-            lo = hi + 2
-    return runs
+def _primary_families(draw):
+    """A primary power or valuation family in d = 2 or 3, small enough for
+    the simplex scan."""
+    d = draw(st.sampled_from((2, 3)))
+    ring = AmbientRing.default(d)
+    top = 4 if d == 2 else 2
+    if draw(st.booleans()):
+        gens = [tuple(draw(st.integers(1, top)) if k == j else 0 for k in range(d))
+                for j in range(d)]
+        gens += draw(st.lists(st.tuples(*[st.integers(0, top)] * d).filter(any),
+                              max_size=3))
+        return PowerSpec(MonomialIdeal.from_gens(ring, gens))
+    weights = st.tuples(*[st.integers(1, 3)] * d)
+    return ValuationSpec.make(ring, draw(st.lists(
+        st.tuples(weights, st.integers(1, 3)), min_size=1, max_size=3)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_level_runs())
-def test_column_ends_keep_the_hull_of_every_run_end(runs):
-    every_end = [(x, t) for (x,), lo, hi in runs for t in (lo, hi)]
-    assert convex_hull_2d(_column_ends(runs)) == convex_hull_2d(every_end)
+@settings(max_examples=60, deadline=None)
+@given(_primary_families(), st.integers(1, 2))
+def test_family_counts_match_the_simplex_scan(F, i):
+    P = SemigroupPredicate.from_family(F)
+    assert P.beta == F.ring.d * oracle_containment_order(F.member_ideal(1))
+    with mock.patch.object(semigroup, "RETAIN_BUDGET", 0):
+        L = enumerate_levels(P, i)
+    assert L.levels == {}
+    assert L.counts[i] == len(LevelPoints(_member_runs(P, i)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_primary_families())
+def test_retained_points_lie_in_the_family_body(F):
+    L = enumerate_levels(SemigroupPredicate.from_family(F), 3)
+    report = semigroup_limit_check(L)
+    body = list(report.body)
+    assert set(hull_vertices(body)) == set(body)
+    assert report.volume == body_volume(body, F.ring.d)
+    ends = [tuple(Fraction(c, i) for c in prefix + (t,))
+            for i, pts in L.levels.items() for prefix, lo, hi in pts.runs
+            for t in (lo, hi)]
+    assert set(hull_vertices(body + ends)) == set(body)
