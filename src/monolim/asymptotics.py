@@ -7,10 +7,11 @@ decided by integer bracketing, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from .convex import covol, hull_region
 from .errors import (
@@ -55,8 +56,7 @@ class LengthSequence:
         return [(n, Fraction(v, n ** self.degree)) for n, v in self.entries if n > 0]
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """Fitted limit of v_n / n^degree with the tail window that produced it."""
 
     point_estimate: Fraction
@@ -134,8 +134,7 @@ def length_sequence(F: FamilySpec, ns) -> LengthSequence:
     return LengthSequence(tuple((n, value(n)) for n in indices), F.ring.d)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     """Normalized first difference at n, reported in both orientations."""
 
     n: int
@@ -165,8 +164,7 @@ def exact_multiplicity(I: MonomialIdeal) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(NamedTuple):
     ideal: MonomialIdeal
     e_exact: int | None
     e_numeric: LimitEstimate
@@ -187,8 +185,7 @@ def multiplicity(I: MonomialIdeal, N: int = 64) -> MultiplicityReport:
     return MultiplicityReport(I, e_exact, estimate_limit(scaled), raw)
 
 
-@dataclass(frozen=True)
-class VolumeMultiplicityReport:
+class VolumeMultiplicityReport(NamedTuple):
     """Both sides of the volume = multiplicity identity with their gap."""
 
     length_side: Fraction
@@ -212,8 +209,7 @@ def volume_equals_multiplicity(F: FamilySpec, N: int) -> VolumeMultiplicityRepor
     return VolumeMultiplicityReport(left, right, gap, left_est, right_est)
 
 
-@dataclass(frozen=True)
-class IdealMinkowskiReport:
+class IdealMinkowskiReport(NamedTuple):
     """e(IJ)^(1/d) <= e(I)^(1/d) + e(J)^(1/d), decided exactly."""
 
     e_left: int
@@ -232,8 +228,7 @@ def teissier_check(I: MonomialIdeal, J: MonomialIdeal) -> IdealMinkowskiReport:
     return IdealMinkowskiReport(eI, eJ, eIJ, holds, equality)
 
 
-@dataclass(frozen=True)
-class FamilyMinkowskiReport:
+class FamilyMinkowskiReport(NamedTuple):
     """Limit version of the Minkowski inequality for two families."""
 
     limit_left: Fraction
@@ -257,8 +252,7 @@ def minkowski_family_check(F: FamilySpec, G: FamilySpec,
     return FamilyMinkowskiReport(a, b, c, holds, equality, slack, product)
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
+class EpsilonReport(NamedTuple):
     """Normalized limit of saturation-gap lengths; epsilon = degree! * limit."""
 
     estimate: LimitEstimate
@@ -274,8 +268,8 @@ def epsilon_ideal(I: MonomialIdeal, N: int) -> EpsilonReport:
     rank-one module I, whose degree-n piece is I^n."""
     if I.is_zero:
         raise ZeroIdealError("epsilon multiplicity needs a nonzero ideal")
-    return replace(epsilon_module(MonomialModule(I.ring, (I,)), N),
-                   primary_flag=I.is_primary)
+    return epsilon_module(MonomialModule(I.ring, (I,)), N)._replace(
+        primary_flag=I.is_primary)
 
 
 def epsilon_module(E: MonomialModule, N: int) -> EpsilonReport:
@@ -301,8 +295,7 @@ def epsilon_module(E: MonomialModule, N: int) -> EpsilonReport:
     return EpsilonReport(est, est.point_estimate * factorial(deg), seq, deg, e)
 
 
-@dataclass(frozen=True)
-class SymbolicReport:
+class SymbolicReport(NamedTuple):
     """Limit of e_m(I_n(J)/I^n) / n^(d-s) with the detected dimension s."""
 
     s: int
@@ -357,8 +350,7 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     return SymbolicReport(s, estimate_limit(seq), seq)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """An exact inequality check value <= bound."""
 
     value: int
@@ -379,8 +371,7 @@ def monomial_quotient_bound(I: MonomialIdeal, r: int, s: int) -> BoundReport:
     return BoundReport(value, bound, value <= bound)
 
 
-@dataclass(frozen=True)
-class FiltrationBoundReport:
+class FiltrationBoundReport(NamedTuple):
     """l(I_n/I_{n+1}) <= c^d (n+1)^(d-1) for all n <= N, with computed c."""
 
     c: int

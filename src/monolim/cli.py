@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -21,16 +20,7 @@ from typing import Callable, NamedTuple
 from . import asymptotics as asy
 from . import reportio as rio
 from .convex import hull_region, kt_check, minkowski_sum
-from .errors import (
-    ConfigError,
-    EstimateError,
-    FamilyRangeError,
-    GeometryError,
-    MonolimError,
-    NotCoboundedError,
-    NotPrimaryError,
-    SemigroupError,
-)
+from .errors import ConfigError, MonolimError, SemigroupError
 from .families import FamilySpec, verify_filtration, verify_graded
 from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
@@ -156,7 +146,7 @@ def _cmd_limits(job: Job) -> tuple[int, dict, str]:
     seq = asy.length_sequence(fam, N)
     est = asy.estimate_limit(seq, tol)
     js = rio.render_json("limits", {"family": fam.label(), "N": N, "tol": tol},
-                         {"estimate": asdict(est), "degree": seq.degree})
+                         {"estimate": est._asdict(), "degree": seq.degree})
     limit = f"{float(est.point_estimate):.6g}"
     artifacts = _sequence_artifacts(job, seq, "raw", js, est.window,
                                     f"limit ~ {limit}")
@@ -244,7 +234,7 @@ def _cmd_epsilon(job: Job) -> tuple[int, dict, str]:
                           "degree": report.degree,
                           "rank": report.rank,
                           "primary_flag": report.primary_flag,
-                          "estimate": asdict(report.estimate)})
+                          "estimate": report.estimate._asdict()})
     epsilon = f"{float(report.epsilon):.6g}"
     artifacts = _sequence_artifacts(job, report.samples, "saturation_gap", js,
                                     report.estimate.window, f"epsilon ~ {epsilon}")
@@ -267,7 +257,7 @@ def _cmd_symbolic(job: Job) -> tuple[int, dict, str]:
             "symbolic: zero module"
     js = rio.render_json("symbolic", params,
                          {"s": report.s,
-                          "estimate": asdict(report.estimate),
+                          "estimate": report.estimate._asdict(),
                           "zero_module": False})
     limit = f"{float(report.estimate.point_estimate):.6g}"
     artifacts = _sequence_artifacts(job, report.samples, "module_multiplicity", js,
@@ -290,7 +280,7 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
         ["level"] + [f"a{i + 1}" for i in range(levels.point_dim)], runs)
     js = rio.render_json(
         "okounkov", {"family": fam.label(), "N": N, "beta": pred.beta},
-        {"invariants": asdict(report.invariants),
+        {"invariants": report.invariants._asdict(),
          "volume": report.volume,
          "expected": report.expected,
          "rel_gap": report.rel_gap,
@@ -467,8 +457,7 @@ def run(argv=None) -> int:
         print(f"artifacts: {prefix}.csv / {prefix}.json"
               + (f" / {prefix}.svg" if ".svg" in artifacts else ""))
         return code
-    except (ConfigError, FamilyRangeError, EstimateError, GeometryError,
-            NotCoboundedError, NotPrimaryError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SemigroupError as exc:

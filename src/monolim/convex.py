@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import GeometryError, NotCoboundedError, NotPrimaryError
 from .lattice import MonomialIdeal
@@ -312,8 +313,7 @@ def scale_region(D: ConvexRegion, t) -> ConvexRegion:
     return region(D.dim, [(n, b * t) for n, b in D.halfspaces])
 
 
-@dataclass(frozen=True)
-class KTReport:
+class KTReport(NamedTuple):
     """Reversed Brunn-Minkowski check for covolumes of summed regions."""
 
     covol1: Fraction

@@ -13,10 +13,6 @@ class RingMismatchError(MonolimError):
     """Two operands live in different ambient rings."""
 
 
-class NotPrimaryError(MonolimError):
-    """Ideal is not primary to the maximal monomial ideal."""
-
-
 class InclusionError(MonolimError):
     """A required ideal inclusion does not hold."""
 
@@ -25,28 +21,13 @@ class NotFiltrationError(MonolimError):
     """Family fails the descending-chain requirement."""
 
 
-class FamilyRangeError(MonolimError):
-    """Table-backed family queried beyond its stored range."""
-
-
-class NotCoboundedError(MonolimError):
-    """Convex region has an unbounded complement in the orthant."""
-
-
-class GeometryError(MonolimError):
-    """Exact geometric operation unavailable for these inputs."""
-
-
 class SemigroupError(MonolimError):
     """Predicate failed a semigroup requirement (e.g. additivity)."""
 
 
-class EstimateError(MonolimError):
-    """Not enough data for a limit estimate."""
-
-
 class ConfigError(MonolimError):
-    """Bad CLI configuration or arguments: a user's mistake (exit 2)."""
+    """A user's mistake in the input, its configuration or the arguments:
+    the CLI reports it and exits 2."""
 
 
 class InputError(ConfigError):
@@ -59,3 +40,23 @@ class ZeroIdealError(ConfigError):
 
 class FamilySpecError(ConfigError):
     """Malformed family specification."""
+
+
+class NotPrimaryError(ConfigError):
+    """Ideal is not primary to the maximal monomial ideal."""
+
+
+class FamilyRangeError(ConfigError):
+    """Table-backed family queried beyond its stored range."""
+
+
+class NotCoboundedError(ConfigError):
+    """Convex region has an unbounded complement in the orthant."""
+
+
+class GeometryError(ConfigError):
+    """Exact geometric operation unavailable for these inputs."""
+
+
+class EstimateError(ConfigError):
+    """Not enough data for a limit estimate."""

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .convex import hull_region, minkowski_sum, region
 from .errors import (
@@ -280,6 +281,12 @@ class MaxPowerSpec(FamilySpec):
     def colength(self, n):
         b, d = self.exponent(n), self.ring.d
         return comb(b + d - 1, d)
+
+    def limit_region(self):
+        """{|a| >= 1} for sigma and log, whose b_n >= n have b_n/n -> 1; a
+        table has no limit."""
+        d = self.ring.d
+        return None if self.kind == "table" else region(d, [((1,) * d, 1)])
 
     def graded_violation(self, N):
         exps = [self.exponent(n) for n in range(N + 1)]
@@ -617,8 +624,7 @@ class TableSpec(FamilySpec):
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """PASS/FAIL with the first violating index pair, if any."""
 
     passed: bool

@@ -572,7 +572,11 @@ def parse_ideal(ring: AmbientRing, text: str) -> MonomialIdeal:
                 name, exp = m.group(1), m.group(2)
                 if name not in index:
                     raise InputError(f"unknown variable {name!r}")
-                e[index[name]] += int(exp) if exp else 1
+                try:
+                    e[index[name]] += int(exp) if exp else 1
+                except ValueError:  # past the interpreter's int digit limit
+                    raise InputError(f"exponent of {name!r} has too many digits "
+                                     f"({len(exp)})") from None
         gens.append(tuple(e))
     return MonomialIdeal.from_gens(ring, gens)
 

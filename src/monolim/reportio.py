@@ -10,7 +10,6 @@ UTF-8 with a header row and rationals printed ``p/q``; JSON artifacts carry a
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 from collections.abc import Iterable, Sequence
@@ -111,7 +110,7 @@ def parse_config(text: str) -> dict:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an over-long int
             raise ConfigError(f"bad JSON config: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("JSON config must be an object")
@@ -242,6 +241,7 @@ def parse_module_spec(ring: AmbientRing, text: str):
 @functools.cache
 def source_digest() -> str:
     """sha256 over the names and bytes of the package's ``*.py`` files."""
+    import hashlib  # only --cache-dir needs OpenSSL; a plain run skips loading it
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -262,6 +262,7 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str, n: int) -> Path:
+        import hashlib
         text = (f"monolim {__version__}|source {source_digest()}"
                 f"|schema {SCHEMA_VERSION}|{key}|n={n}")
         return self.root / f"{hashlib.sha256(text.encode()).hexdigest()}.json"

@@ -14,10 +14,9 @@ import itertools
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .convex import covol, hull_vertices, polytope_volume
 from .errors import (
@@ -30,8 +29,7 @@ from .errors import (
 from .families import FamilySpec
 
 
-@dataclass(frozen=True)
-class SemigroupPredicate:
+class SemigroupPredicate(NamedTuple):
     """Membership oracle for a graded subsemigroup of N^p x N.
 
     ``member(point, level)`` must be closed under addition (spot-checked at
@@ -145,8 +143,7 @@ class LevelPoints(Sequence):
         return prefix + (hi - (self._ends[r] - 1 - k),)
 
 
-@dataclass
-class SemigroupLevels:
+class SemigroupLevels(NamedTuple):
     """Enumerated levels: exact counts everywhere, points where retained."""
 
     point_dim: int
@@ -278,8 +275,7 @@ def _saturation_index(basis: list[list[int]]) -> int:
     return prod(row[i] for i, row in enumerate(echelon))
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
+class LatticeInvariants(NamedTuple):
     """Level-projection index m, boundary-lattice index ind, boundary dim q."""
 
     m: int
@@ -360,8 +356,7 @@ def body_volume(vertices, q: int) -> Fraction:
     raise GeometryError("volume unavailable for this dimension")
 
 
-@dataclass(frozen=True)
-class SemigroupLimitReport:
+class SemigroupLimitReport(NamedTuple):
     """Tail of #S_{m k}/k^q against the exact target vol_q(body)/ind."""
 
     invariants: LatticeInvariants

@@ -1,16 +1,22 @@
 """CLI surface: artifact emission, golden stability, cache identity, exit codes."""
 
 import argparse
+import functools
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import oracle_family_points, timed
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
 from monolim.cli import run
+from monolim.errors import ConfigError
 from monolim.reportio import (
     ResultCache,
     format_rational,
@@ -19,6 +25,7 @@ from monolim.reportio import (
     parse_module_spec,
     parse_region_spec,
     render_csv,
+    ring_from_config,
 )
 from monolim.lattice import AmbientRing, format_ideal, parse_ideal
 from monolim.families import ProductSpec, ValuationSpec
@@ -101,7 +108,6 @@ def test_cli_region_with_a_bad_number_exits_2(tmp_path, capsys):
 
 
 def test_parse_family_spec_rejections():
-    from monolim.errors import ConfigError
     ring = AmbientRing.default(2)
     for bad in ("power", "unknown(x)", "maxpower(cubic)",
                 "valuation(1,1)", "power(q^2)"):
@@ -110,6 +116,31 @@ def test_parse_family_spec_rejections():
         except ConfigError:
             continue
         raise AssertionError(f"{bad!r} should be rejected")
+
+
+# Text built from the specs' own tokens reaches past each parser's first check.
+_SPEC_TOKENS = ("x", "y", "z", "0", "1", "2", "-1", "1/2", "1/0", "3.5", "^", "*",
+                ",", ";", "|", " ", ">=", "(", ")", "power(", "maxpower(", "table:",
+                "valuation(", "symbolic(", "saturation(", "product(", "table(",
+                "{", "}", "[", "]", '"', ":", "=", "\n", "params:\n  N = ")
+_SPEC_TEXT = st.lists(st.sampled_from(_SPEC_TOKENS), max_size=16).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _SPEC_TEXT))
+@example("x^" + "9" * 5000)  # past int()'s digit limit
+@example("-1,1 >= 1")  # a negative normal, refused by the region builder
+def test_text_parsers_parse_or_raise_a_config_error(text):
+    ring = AmbientRing.default(2)
+    for parse in (functools.partial(parse_ideal, ring),
+                  functools.partial(parse_family_spec, ring),
+                  functools.partial(parse_region_spec, 2),
+                  functools.partial(parse_module_spec, ring),
+                  parse_config, ring_from_config):
+        try:
+            parse(text)
+        except ConfigError:
+            pass
 
 
 def test_cli_counterexample_sigma(tmp_path):
@@ -446,7 +477,16 @@ def test_cli_input_mistakes_exit_2(tmp_path, capsys):
             (["kt", "--region", "1,1 >= 1", "--ideal", "x, y", "--region2", "1,2 >= 2"],
              "kt takes --region or --ideal, not both"),
             (["kt", "--region", "1,1 >= 1", "--region2", "1,2 >= 2", "--ideal2", "x"],
-             "kt takes --region2 or --ideal2, not both")):
+             "kt takes --region2 or --ideal2, not both"),
+            # past int()'s digit limit: an input error, not a ValueError
+            (["epsilon", "--ideal", "x^" + "9" * 5000],
+             "exponent of 'x' has too many digits (5000)"),
+            (["kt", "--ideal", "x, y", "--ideal2", "y^" + "9" * 5000],
+             "exponent of 'y' has too many digits (5000)"),
+            (["symbolic", "--ideal", "x", "--aux", "x^" + "9" * 5000],
+             "exponent of 'x' has too many digits (5000)"),
+            (["epsilon", "--module", "1 | x^" + "9" * 5000],
+             "exponent of 'x' has too many digits (5000)")):
         if argv[0] != "kt":
             argv = argv + ["--N", "8"]
         code, out = run_cli(tmp_path, *argv)
@@ -733,6 +773,18 @@ _ARTIFACT_PINS = {
         "44bd0acf589eca9b519eaa3d740a94579710c217e1db1f97b7d80f9fe5679f00",
         "2dbba6d23bb4dfe36e296d6d63381d4b15f6f88b89f227feea902dfcf12da27e",
         "86453fbd612174cc235dd12cec86cb2c00c7a2bee52d26ca5686e5bd3d3b1352"),
+    # b_n/n -> 1 for both sequences: the body is Delta_4 ∩ {|a| >= 1}, of
+    # volume 8 - 1/2; recorded with the maxpower limit region
+    "okounkov-maxpower-log": (
+        ["okounkov", "--family", "maxpower(log)", "--N", "20"],
+        "1a706e8c7b400648067901b041696a2f8242628904105ff9398ce8b2871facd9",
+        "5413ef232f4f32f7957885e646dcd7e7421ac9b3a874b1a209fb1c67e240086f",
+        "df419792c21f0d78dfe0c7199258de71bed9e65ef3d604d74a2e738f34bea1b9"),
+    "okounkov-maxpower-sigma": (
+        ["okounkov", "--family", "maxpower(sigma)", "--N", "20"],
+        "b1f34af239b0abdbdcdf3c90b832ec13a9f2f31c2ae40bcb1ba92e5fb5fe6781",
+        "266046afa6b459efb1754f3e6d04151e97a741fc3beba397765d168ca665605a",
+        "df419792c21f0d78dfe0c7199258de71bed9e65ef3d604d74a2e738f34bea1b9"),
     "counterexample-log": (
         ["counterexample", "log", "--N", "40"],
         "b949aa6dc5e2e964b97a33e091e69a5eb540a899edd4b9943ba609f1ffbe1a05",
@@ -748,6 +800,25 @@ def test_cli_artifacts_match_their_pins(tmp_path, name):
     assert code == 0
     for suffix, pin in zip((".csv", ".json", ".svg"), pins):
         assert hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() == pin
+
+
+def test_cli_okounkov_maxpower_body_is_read_off_the_limit_region(tmp_path):
+    for which in ("log", "sigma"):
+        code, out = run_cli(tmp_path, "okounkov", "--family", f"maxpower({which})",
+                            "--N", "20")
+        assert code == 0
+        results = json.loads(Path(f"{out}.json").read_text())["results"]
+        assert results["volume"] == results["expected"] == "15/2"
+
+
+def test_import_leaves_openssl_unloaded():
+    # only --cache-dir hashes, so a run without it must not load OpenSSL
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import monolim.cli; "
+             "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cli_rejects_a_flag_the_command_does_not_read(tmp_path, capsys):

@@ -200,9 +200,12 @@ def test_limit_region(R2):
                 F.limit_region()
     assert ProductSpec(power, PowerSpec(J)).limit_region() == minkowski_sum(
         hull_region(I), hull_region(J))
-    sigma = MaxPowerSpec(R2, "sigma")
-    assert sigma.limit_region() is None
-    assert ProductSpec(power, sigma).limit_region() is None
+    # b_n/n -> 1 for sigma and log; an exponent table has no limit
+    for kind in ("sigma", "log"):
+        assert MaxPowerSpec(R2, kind).limit_region() == region(2, [((1, 1), 1)])
+    table = MaxPowerSpec(R2, "table", (2, 3))
+    assert table.limit_region() is None
+    assert ProductSpec(power, table).limit_region() is None
 
 
 @settings(max_examples=60, deadline=None)
