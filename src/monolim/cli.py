@@ -36,7 +36,7 @@ _REQUIRED = object()
 # for a value <= 0.
 _NUMBERS = {
     "N": (int, "N must be an integer", "N must be >= 1"),
-    "tol": (Fraction, "tolerance must be a rational number",
+    "tol": (rio.parse_rational, "tolerance must be a rational number",
             "tolerance must be positive"),
 }
 

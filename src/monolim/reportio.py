@@ -160,6 +160,20 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+#: Largest exponent part a rational text may carry, as ``int()`` limits digits.
+EXPONENT_LIMIT = 4300
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing with ``ValueError`` an exponent part
+    (``1e5``) whose magnitude is above ``EXPONENT_LIMIT``: ``Fraction``
+    builds 10**exponent, so its time grows with the exponent itself."""
+    _, e, exponent = text.upper().partition("E")
+    if e and abs(int(exponent)) > EXPONENT_LIMIT:
+        raise ValueError(f"exponent part above {EXPONENT_LIMIT}")
+    return Fraction(text)
+
+
 def parse_family_spec(ring: AmbientRing, text: str) -> FamilySpec:
     """Parse specs like ``power(x^2, x*y)`` or ``valuation(2,1 >= 2)``."""
     text = text.strip()
@@ -186,8 +200,8 @@ def parse_family_spec(ring: AmbientRing, text: str) -> FamilySpec:
                     raise ConfigError(f"valuation constraint needs '>=': {part!r}")
                 lhs, rhs = part.split(">=", 1)
                 lhs = lhs.strip().removeprefix("(").removesuffix(")")
-                weights = tuple(Fraction(w.strip()) for w in lhs.split(","))
-                constraints.append((weights, Fraction(rhs.strip())))
+                weights = tuple(parse_rational(w) for w in lhs.split(","))
+                constraints.append((weights, parse_rational(rhs)))
             return ValuationSpec.make(ring, constraints)
         if head == "symbolic":
             first, second = _split_top(body, ";")
@@ -218,8 +232,8 @@ def parse_region_spec(dim: int, text: str):
             raise ConfigError(f"region halfspace needs '>=': {part!r}")
         lhs, rhs = part.split(">=", 1)
         try:
-            normal = tuple(Fraction(w.strip()) for w in lhs.strip().split(","))
-            offset = Fraction(rhs.strip())
+            normal = tuple(parse_rational(w) for w in lhs.split(","))
+            offset = parse_rational(rhs)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad number in region halfspace {part!r}") from exc
         if len(normal) != dim:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, inf, lcm, prod
 from typing import Callable, NamedTuple
 
 from .convex import covol, hull_vertices, polytope_volume
@@ -67,17 +67,43 @@ class SemigroupPredicate(NamedTuple):
         return SemigroupPredicate(d, beta, member, F)
 
 
-def _floor_runs(floors: dict, cap: int) -> list:
-    """Column runs ((x,), floor(x), cap - x) of a 2-D family level inside
-    the simplex x + y <= cap, one per nonempty column, from its column
-    floors (see :meth:`FamilySpec.column_floors`): the columns past the last
-    one listed keep its floor."""
-    runs = [(col, floor, cap - col[0]) for col, floor in floors.items()
-            if col[0] + floor <= cap]
-    if floors:
-        (x,), floor = next(reversed(floors.items()))
-        tail = range(x + 1, cap - floor + 1)
-        runs += zip(zip(tail), itertools.repeat(floor), map(cap.__sub__, tail))
+def _floor_runs(floors: dict, p: int, cap: int) -> list:
+    """Column runs (col, floor(col), cap - |col|) of a family level inside
+    the simplex |a| <= cap, one per nonempty column over the first p
+    coordinates, in lex order, from its column floors (see
+    :meth:`FamilySpec.column_floors`).
+
+    A column past the last one listed along a coordinate has the floor of
+    the column cut back to that last one.  So each head (the first p - 1
+    coordinates) is cut back, coordinate by coordinate, to the last value
+    listed after the cut prefix; the listed row of the cut head gives the
+    head's columns, and the columns past the row's end keep its last floor.
+    """
+    if p == 0:
+        return [((), floor, cap) for floor in floors.values() if floor <= cap]
+    cols, values = list(floors), list(floors.values())
+
+    def listed(prefix):
+        """Bounds in ``cols`` of the listed columns that start with prefix."""
+        return bisect_left(cols, prefix), bisect_left(cols, prefix + (inf,))
+
+    runs = []
+    for head in _simplex_points(p - 1, cap):
+        cut = ()
+        for c in head:
+            lo, hi = listed(cut)
+            cut += (min(c, cols[hi - 1][len(cut)]) if lo < hi else c,)
+        lo, hi = listed(cut)
+        if lo == hi:
+            continue
+        row = cols[lo:hi] if cut == head else [head + col[-1:] for col in cols[lo:hi]]
+        room = cap - sum(head)
+        runs += [(col, floor, room - col[-1]) for col, floor in zip(row, values[lo:hi])
+                 if col[-1] + floor <= room]
+        floor = values[hi - 1]
+        tail = range(cols[hi - 1][-1] + 1, room - floor + 1)
+        runs += zip(zip(*map(itertools.repeat, head), tail),
+                    itertools.repeat(floor), map(room.__sub__, tail))
     return runs
 
 
@@ -92,7 +118,8 @@ def _simplex_points(p: int, cap: int):
 
 
 def _member_runs(P: SemigroupPredicate, i: int) -> list:
-    """Column runs of the members at level i, by scanning the beta-simplex."""
+    """Column runs of the members at level i of a predicate with no family,
+    by scanning the beta-simplex."""
     cap = P.beta * i
     runs = []
     for prefix in _simplex_points(P.point_dim - 1, cap):
@@ -167,11 +194,12 @@ def enumerate_levels(P: SemigroupPredicate, N: int) -> SemigroupLevels:
 
     Counts are exact for every level: a family's level i is the beta-simplex
     less the l(R/I_i) standard monomials, all of degree below c * i.  Levels
-    are kept (as column runs, a family's in point dimension 2 from its
-    column floors) until the running point total would exceed
-    ``RETAIN_BUDGET`` (the result is then flagged truncated).  Additivity of
-    the predicate is spot-checked on ``SPOT_CHECKS`` random retained pairs
-    and violations abort.
+    are kept as column runs until the running point total would exceed
+    ``RETAIN_BUDGET`` (the result is then flagged truncated).  A family's
+    runs come from its column floors, in every point dimension; only a
+    predicate with no family is scanned point by point.  Additivity of the
+    predicate is spot-checked on ``SPOT_CHECKS`` random retained pairs and
+    violations abort.
     """
     F, d = P.family, P.point_dim
     counts: dict[int, int] = {}
@@ -186,8 +214,7 @@ def enumerate_levels(P: SemigroupPredicate, N: int) -> SemigroupLevels:
             counts[i] = comb(P.beta * i + d, d) - F.length(i)
         if not truncated and retained_total + counts[i] <= RETAIN_BUDGET:
             if F is not None:
-                pts = LevelPoints(_floor_runs(F.column_floors(i), P.beta * i)
-                                  if d == 2 else _member_runs(P, i))
+                pts = LevelPoints(_floor_runs(F.column_floors(i), d - 1, P.beta * i))
                 if len(pts) != counts[i]:
                     raise SemigroupError(f"level {i} does not count C(beta i + d, d) "
                                          "- l(R/I_i): the family is not graded")

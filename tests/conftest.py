@@ -12,7 +12,8 @@ semigroup oracles are the point-list level enumeration, the per-point
 Okounkov body and the flattened-pool additivity spot check that column runs
 replaced, the gcd of all maximal minors that the echelon pivots of the
 transposed basis replaced, the corner walk over a level's member ideal that
-the family's column floors replaced, and the column-at-a-time row reduction
+the family's column floors replaced (with the membership of every simplex
+point outside d = 2), and the column-at-a-time row reduction
 over every retained point that the per-run, early-stopping one replaced.  The subset scan for the dimension of R/I and the
 Hilbert-Samuel differences for a module's multiplicity (run out to a fixed
 power, not stopped at the first repeat) are the kernels that localization at
@@ -39,6 +40,7 @@ import pytest
 from hypothesis import strategies as st
 
 from monolim import INFINITE, AmbientRing, MonomialIdeal, ValuationSpec
+from monolim.convex import hull_vertices
 from monolim.errors import GeometryError, MonolimError
 from monolim.lattice import _staircase_insert, dominates, length_mod_power
 
@@ -692,6 +694,28 @@ def oracle_column_runs(gens, cap: int) -> list:
     return runs
 
 
+def oracle_point_runs(F, i: int, cap: int) -> list:
+    """Column runs (a[:-1], lo, hi) of I_i inside the simplex |a| <= cap,
+    from the membership of every point: a valuation family's constraints,
+    else the generators of I_i."""
+    d = F.ring.d
+    pts = list(_oracle_simplex_points(d, cap))
+    if isinstance(F, ValuationSpec):
+        inside = [_oracle_is_member(F, i, a) for a in pts]
+    else:
+        inside = membership(F.member_ideal(i).gens,
+                            np.array(pts, dtype=np.int64).reshape(-1, d))
+    runs = []
+    for a, member in zip(pts, inside):
+        if not member:
+            continue
+        if runs and runs[-1][0] == a[:-1] and runs[-1][2] == a[-1] - 1:
+            runs[-1] = (a[:-1], runs[-1][1], a[-1])
+        else:
+            runs.append((a[:-1], a[-1], a[-1]))
+    return runs
+
+
 def _oracle_row_lattice_basis(rows):
     """Echelon basis of the integer row lattice, one column at a time."""
     work = [list(r) for r in rows if any(r)]
@@ -739,7 +763,9 @@ def oracle_lattice_invariants(L):
 
 
 def oracle_okounkov_body(L):
-    """Hull of every normalized retained point (each level hulled first)."""
+    """Hull of every normalized retained point: each level hulled first in
+    d = 2; in d >= 3 the lift hull of all of them, which
+    ``test_lift_hull_matches_the_monotone_chain_oracle`` checks in d = 2."""
     pts = []
     for i, members in sorted(L.levels.items()):
         if i == 0 or not members:
@@ -754,7 +780,9 @@ def oracle_okounkov_body(L):
         xs = [p[0] for p in pts]
         lo, hi = min(xs), max(xs)
         return [(lo,)] if lo == hi else [(lo,), (hi,)]
-    return oracle_convex_hull_2d(pts)
+    if L.point_dim == 2:
+        return oracle_convex_hull_2d(pts)
+    return hull_vertices(pts)
 
 
 def oracle_spot_check(P, L, checks: int, seed: int) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from conftest import oracle_family_points, timed
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
@@ -119,9 +119,9 @@ def test_parse_family_spec_rejections():
 
 
 # Text built from the specs' own tokens reaches past each parser's first check.
-_SPEC_TOKENS = ("x", "y", "z", "0", "1", "2", "-1", "1/2", "1/0", "3.5", "^", "*",
-                ",", ";", "|", " ", ">=", "(", ")", "power(", "maxpower(", "table:",
-                "valuation(", "symbolic(", "saturation(", "product(", "table(",
+_SPEC_TOKENS = ("x", "y", "z", "0", "1", "2", "-1", "1/2", "1/0", "3.5", "e", "E",
+                "^", "*", ",", ";", "|", " ", ">=", "(", ")", "power(", "maxpower(",
+                "table:", "valuation(", "symbolic(", "saturation(", "product(", "table(",
                 "{", "}", "[", "]", '"', ":", "=", "\n", "params:\n  N = ")
 _SPEC_TEXT = st.lists(st.sampled_from(_SPEC_TOKENS), max_size=16).map("".join)
 
@@ -130,6 +130,7 @@ _SPEC_TEXT = st.lists(st.sampled_from(_SPEC_TOKENS), max_size=16).map("".join)
 @given(st.one_of(st.text(max_size=40), _SPEC_TEXT))
 @example("x^" + "9" * 5000)  # past int()'s digit limit
 @example("-1,1 >= 1")  # a negative normal, refused by the region builder
+@example("valuation(1,1 >= 1e10000000)")  # 10**exponent would take seconds
 def test_text_parsers_parse_or_raise_a_config_error(text):
     ring = AmbientRing.default(2)
     for parse in (functools.partial(parse_ideal, ring),
@@ -141,6 +142,94 @@ def test_text_parsers_parse_or_raise_a_config_error(text):
             parse(text)
         except ConfigError:
             pass
+
+
+def test_rational_text_refuses_a_huge_exponent_part():
+    assert reportio.parse_rational("1e-3") == Fraction(1, 1000)
+    assert reportio.parse_rational(" 0.01 ") == Fraction(1, 100)
+    assert reportio.parse_rational("2.5E+1") == 25
+    assert reportio.parse_rational("1e4300") == 10 ** 4300
+    for text in ("1e4301", "1e-10000000", "1E+10000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            timed(lambda: reportio.parse_rational(text))
+
+
+def test_cli_rational_text_with_a_huge_exponent_part_exits_2(tmp_path, capsys):
+    huge = "1e10000000"
+    config = tmp_path / "job.conf"
+    config.write_text(f"params:\n  tol = {huge}\n")
+    for argv, message in (
+            (["kt", "--region", f"1,1 >= {huge}", "--region2", "1,2 >= 2"],
+             f"bad number in region halfspace '1,1 >= {huge}'"),
+            (["kt", "--region", "1,1 >= 1", "--region2", f"{huge},2 >= 2"],
+             f"bad number in region halfspace '{huge},2 >= 2'"),
+            (["limits", "--family", f"valuation(1,1 >= {huge})", "--N", "8"],
+             f"bad family spec 'valuation(1,1 >= {huge})'"),
+            (["limits", "--family", "power(x, y)", "--N", "8", "--tol", huge],
+             f"tolerance must be a rational number, got '{huge}'"),
+            (["limits", "--family", "power(x, y)", "--N", "8", "--config", str(config)],
+             f"tolerance must be a rational number, got '{huge}'")):
+        code, out = timed(lambda: run_cli(tmp_path, *argv))
+        assert code == 2, argv
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not Path(f"{out}.json").exists()
+    code, _ = run_cli(tmp_path, "limits", "--family", "valuation(1,1 >= 2e-1)",
+                      "--N", "8", "--tol", "1e-3")
+    assert code == 0
+
+
+# Random command lines draw their flag values over the ring's variables from
+# small token pools; about one token in ten is a mistake (a foreign or
+# malformed monomial, a negative weight, a zero denominator).
+def _ideal_text(names):
+    good = [*names, *(f"{v}^2" for v in names), "*".join(names), "1"]
+    monomial = st.sampled_from(good * 3 + ["0", "x^", "q"])
+    return st.lists(monomial, min_size=1, max_size=3).map(", ".join)
+
+
+def _region_text(d):
+    entry = st.sampled_from(("0", "1", "2", "1/2", "1e-1") * 2 + ("-1",))
+    halfspace = st.tuples(
+        st.lists(entry, min_size=d, max_size=d).map(",".join),
+        st.sampled_from(("0", "1", "2", "3/2") * 2 + ("1/0",)))
+    return st.lists(halfspace.map(" >= ".join), min_size=1, max_size=2).map("; ".join)
+
+
+def _flag_values(names):
+    ideal, region = _ideal_text(names), _region_text(len(names))
+    spec = st.one_of(
+        ideal.map("power({})".format), ideal.map("saturation({})".format),
+        st.tuples(ideal, ideal).map("symbolic({0[0]}; {0[1]})".format),
+        region.map("valuation({})".format),
+        st.sampled_from(("maxpower(sigma)", "maxpower(log)", "maxpower(table:1,2,3)",
+                         "product(power(x, y); maxpower(log))", "nonsense(x)")))
+    return {"--family": spec, "--family2": spec, "--ideal": ideal, "--ideal2": ideal,
+            "--aux": ideal, "--region": region, "--region2": region,
+            "--module": st.lists(ideal, min_size=1, max_size=2).map(" | ".join),
+            "--tol": st.sampled_from(("1/100", "1e-3", "1/2") * 3 + ("0", "abc")),
+            "--N": st.integers(1, 6).map(str)}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_random_command_lines_exit_0_1_or_2(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    argv = [name]
+    if command.choice:
+        argv.append(data.draw(st.sampled_from(command.choice[1])))
+    names = data.draw(st.sampled_from((("x", "y"),) * 2 + (("x",), ("x", "y", "z"))))
+    if names != ("x", "y"):
+        argv += ["--ring", ",".join(names)]
+    values = _flag_values(names)
+    for flag in command.flags:
+        if data.draw(st.sampled_from((True, True, True, False))):
+            argv += [flag, str(tmp_path / "cache") if flag == "--cache-dir"
+                     else data.draw(values[flag])]
+    if data.draw(st.booleans()):
+        argv.append("--svg")
+    assert run(argv + ["--out", str(tmp_path / "out")]) in (0, 1, 2), argv
 
 
 def test_cli_counterexample_sigma(tmp_path):
@@ -433,6 +522,15 @@ def test_cli_okounkov_in_point_dimension_3(tmp_path):
     assert gaps[1] < gaps[0] < 0.13
 
 
+def test_cli_okounkov_reads_point_dimension_3_levels_off_the_column_floors(tmp_path):
+    # six levels are retained, 0.7 s when each simplex point was tested
+    code, out = timed(lambda: run_cli(
+        tmp_path, "okounkov", "--ring", "x,y,z", "--family",
+        "power(x^2, y^3, z^2, x*y*z)", "--N", "8"), 0.3)
+    assert code == 0
+    assert json.loads(Path(f"{out}.json").read_text())["results"]["expected"] == "286"
+
+
 def test_cli_okounkov_counts_huge_levels_without_enumerating(tmp_path):
     # level 1 of the first family holds about 2 * 10^6 points, over the
     # retain budget, so no level is kept; the second has 2 * 10^7 columns
@@ -673,6 +771,52 @@ def test_cli_kt_svg_huge_region(tmp_path):
     svg = Path(f"{out}.svg")
     assert svg.stat().st_size < 64_000
     assert svg.read_text().count("<line") <= 2 * 65
+
+
+# Every command once at an exponent or threshold of E.  Left out, each for
+# its reason:
+# - ``family eval`` of a valuation family at threshold E: a member has about
+#   E generators, and the command prints every one;
+# - a product with such a valuation factor: it builds the product member;
+# - a valuation length in d >= 3: it counts one slice per x, so E slices
+#   (the known limit under ROADMAP Satellites);
+# - ``counterexample``: its two families are built in, with no exponent.
+_HUGE_RUNS = {
+    "family-eval": ["family", "eval", "--family", f"power(x^{E}, y^{E}, x*y)",
+                    "--N", "2"],
+    "family-eval-table": ["family", "eval", "--family",
+                          f"table(1 | x^{E}, y | x^{2 * E}, y^2)", "--N", "2"],
+    "limits-power": ["limits", "--family", f"power(x^{E}, y^{E}, x*y)", "--N", "20"],
+    "limits-valuation": ["limits", "--family",
+                         f"valuation(1,{E} >= {E}; {E},1 >= {E})", "--N", "20"],
+    "limits-symbolic": ["limits", "--family", f"symbolic(x^{E}, x*y; x)", "--N", "8"],
+    "diff": ["diff", "--family", f"valuation(1,{E} >= {E}; {E},1 >= {E})", "--N", "20"],
+    "minkowski": ["minkowski", "--family", f"power(x^{E}, y)",
+                  "--family2", f"power(x, y^{E})", "--N", "8"],
+    "epsilon-ideal": ["epsilon", "--ideal", f"x^{E}*y, x*y^{E}", "--N", "8"],
+    "epsilon-module": ["epsilon", "--module", f"x^{E}, x*y | 1", "--N", "8"],
+    "symbolic": ["symbolic", "--ring", "x,y,z", "--ideal", f"x^{E}*y, y*z",
+                 "--aux", "x", "--N", "8"],
+    "okounkov-power": ["okounkov", "--family", f"power(x^{E}, y)", "--N", "4"],
+    "okounkov-valuation": ["okounkov", "--family",
+                           f"valuation(1,{E} >= {E}; {E},1 >= {E})", "--N", "4"],
+    "okounkov-d3": ["okounkov", "--ring", "x,y,z", "--family", f"power(x^{E}, y, z)",
+                    "--N", "4"],
+    "kt-regions": ["kt", "--region", f"1,1 >= {E}", "--region2", f"2,1 >= {E}"],
+    "kt-ideals": ["kt", "--ring", "x,y,z", "--ideal", f"x^{E}, y, z",
+                  "--ideal2", f"x, y^{E}, z"],
+}
+
+
+def test_huge_runs_cover_every_command_with_an_exponent():
+    assert ({argv[0] for argv in _HUGE_RUNS.values()}
+            == cli.COMMANDS.keys() - {"counterexample"})
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_RUNS))
+def test_cli_command_at_a_huge_exponent(tmp_path, name):
+    code, _ = timed(lambda: run_cli(tmp_path, *_HUGE_RUNS[name]))
+    assert code == 0
 
 
 def test_cli_nonprimary_limits_exits_2(tmp_path):

@@ -14,6 +14,7 @@ from conftest import (
     oracle_family_points,
     oracle_lattice_invariants,
     oracle_okounkov_body,
+    oracle_point_runs,
     oracle_saturation_index,
     oracle_scan_points,
     oracle_spot_check,
@@ -341,24 +342,29 @@ def test_family_levels_store_one_run_per_column(R2):
             assert columns == sorted(set(columns))
 
 
-_small = st.integers(1, 4)
-
-
 @st.composite
 def _family_cases(draw):
-    """A d = 2 power or valuation family's predicate, with the point-list
-    oracle for its levels."""
-    ring = AmbientRing.default(2)
+    """A power or valuation family's predicate in d = 1, 2 or 3, with the
+    point-list oracle for its levels: the corner walk in d = 2, the simplex
+    scan otherwise.  Exponents, weights and thresholds are smaller in d = 3,
+    where the scan covers a tetrahedron at every level."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    ring = AmbientRing.default(d)
+    top = 2 if d == 3 else 4
     if draw(st.booleans()):
-        gens = [(draw(_small), 0), (0, draw(_small))]
-        gens += draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+        gens = [tuple(draw(st.integers(1, top)) if k == j else 0 for k in range(d))
+                for j in range(d)]
+        gens += draw(st.lists(st.tuples(*[st.integers(0, top)] * d).filter(any),
                               max_size=3))
         F = PowerSpec(MonomialIdeal.from_gens(ring, gens))
     else:
+        entry = st.integers(1, top)
         F = ValuationSpec.make(ring, draw(st.lists(
-            st.tuples(st.tuples(_small, _small), _small), min_size=1, max_size=3)))
+            st.tuples(st.tuples(*[entry] * d), entry), min_size=1, max_size=3)))
     P = SemigroupPredicate.from_family(F)
-    return P, lambda i: oracle_family_points(F, P.beta, i)
+    if d == 2:
+        return P, lambda i: oracle_family_points(F, P.beta, i)
+    return P, lambda i: oracle_scan_points(P, i)
 
 
 @st.composite
@@ -430,14 +436,29 @@ def test_level_runs_match_the_point_list_oracles(case, N, budget):
             == _member_calls(oracle_spot_check, P, O))
 
 
+@st.composite
+def _floor_cases(draw):
+    """A power or valuation family in d = 1, 2 or 3, primary or not, and a
+    simplex cap beta * i with its level i."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    top = 3 if d == 3 else 4
+    gens = st.tuples(*[st.integers(0, top)] * d)
+    F = draw(st.one_of(valuation_specs(d), st.lists(gens, min_size=1, max_size=4).map(
+        lambda g: PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(d), g)))))
+    i = draw(st.integers(1, 6 if d < 3 else 3))
+    return F, draw(st.integers(1, 6)) * i, i
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(valuation_specs(2), st.lists(
-           st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4).map(
-           lambda gens: PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(2), gens)))),
-       st.integers(1, 6), st.integers(1, 6))
-def test_floor_runs_match_the_corner_walk(F, beta, i):
-    assert (_floor_runs(F.column_floors(i), beta * i)
-            == oracle_column_runs(F.member_ideal(i).gens, beta * i))
+@given(_floor_cases())
+def test_floor_runs_match_the_corner_walk(case):
+    # d = 2 against the corner walk over I_i's generators, d = 1 and 3
+    # against the membership of every point of the simplex
+    F, cap, i = case
+    d = F.ring.d
+    want = (oracle_column_runs(F.member_ideal(i).gens, cap) if d == 2
+            else oracle_point_runs(F, i, cap))
+    assert _floor_runs(F.column_floors(i), d - 1, cap) == want
 
 
 @settings(max_examples=80, deadline=None)
