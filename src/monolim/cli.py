@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -98,10 +99,14 @@ class Job:
         return rio.ResultCache(value) if value else None
 
 
-def _write_artifacts(prefix: Path, artifacts: dict[str, str]) -> None:
+def _write_artifacts(prefix: Path, artifacts: dict[str, str | Iterable[str]]) -> None:
+    """Write each artifact to ``<prefix><suffix>`` as ``Path.write_text``
+    would: a ``str`` at once, any other iterable of strings one chunk at a
+    time as it is made, so a streamed artifact is never held whole."""
     prefix.parent.mkdir(parents=True, exist_ok=True)
     for suffix, content in artifacts.items():
-        Path(f"{prefix}{suffix}").write_text(content)
+        with Path(f"{prefix}{suffix}").open("w") as fh:
+            fh.writelines((content,) if isinstance(content, str) else content)
 
 
 def _sequence_artifacts(job: Job, seq, value_name: str, js: str, window,
@@ -274,10 +279,9 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     levels = enumerate_levels(pred, N)
     report = semigroup_limit_check(levels)
     body = report.body
-    runs = (((i, *prefix), lo, hi) for i, pts in sorted(levels.levels.items())
-            for prefix, lo, hi in pts.runs)
     csv = rio.render_csv_runs(
-        ["level"] + [f"a{i + 1}" for i in range(levels.point_dim)], runs)
+        ["level"] + [f"a{i + 1}" for i in range(levels.point_dim)],
+        (((i,), pts.runs) for i, pts in sorted(levels.levels.items())))
     js = rio.render_json(
         "okounkov", {"family": fam.label(), "N": N, "beta": pred.beta},
         {"invariants": report.invariants._asdict(),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,18 +77,37 @@ def render_csv(header: list[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv_runs(header: list[str], runs: Iterable[tuple]) -> str:
-    """:func:`render_csv` of the rows ``(*prefix, t)`` for lo <= t <= hi,
-    one run ``(prefix, lo, hi)`` at a time; ``t`` is a natural number.  The
-    strings of 0..max hi are made once and shared by all runs."""
-    lines = [",".join(header)]
+#: Rows per chunk of :func:`render_csv_runs`, which bounds its memory.
+_CHUNK_ROWS = 4096
+
+
+def render_csv_runs(header: list[str],
+                    groups: Iterable[tuple[tuple, Iterable[tuple]]]) -> Iterator[str]:
+    """:func:`render_csv` of the rows ``(*lead, *prefix, t)`` for lo <= t <= hi,
+    for each group ``(lead, runs)`` and each of its runs ``(prefix, lo, hi)``;
+    every cell is a natural number.  The text comes as the header line, then
+    chunks of at most ``_CHUNK_ROWS`` whole rows, each made when it is asked
+    for.  The strings of 0..max hi are made once and shared by all runs."""
+    yield ",".join(header) + "\n"
     digits: list[str] = []
-    for prefix, lo, hi in runs:
-        if hi >= len(digits):
-            digits.extend(map(str, range(len(digits), hi + 1)))
-        head = ",".join(map(_csv_cell, prefix)) + ","
-        lines.append(head + ("\n" + head).join(digits[lo:hi + 1]))
-    return "\n".join(lines) + "\n"
+    parts: list[str] = []
+    room = _CHUNK_ROWS
+    for lead, runs in groups:
+        lead_head = "".join(map("{},".format, lead))
+        for prefix, lo, hi in runs:
+            if hi >= len(digits):
+                digits.extend(map(str, range(len(digits), hi + 1)))
+            head = lead_head + "".join(map("{},".format, prefix))
+            while hi - lo + 1 >= room:  # the run fills the chunk
+                parts.append(head + ("\n" + head).join(digits[lo:lo + room]))
+                yield "\n".join(parts) + "\n"
+                lo += room
+                parts, room = [], _CHUNK_ROWS
+            if lo <= hi:
+                parts.append(head + ("\n" + head).join(digits[lo:hi + 1]))
+                room -= hi - lo + 1
+    if parts:
+        yield "\n".join(parts) + "\n"
 
 
 def render_json(command: str, params: dict, results: dict) -> str:
@@ -174,6 +193,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _constraint_number(text: str, part: str) -> Fraction:
+    """:func:`parse_rational` of one number of the valuation constraint
+    ``part``; a zero denominator is reported with the number and its constraint."""
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r} of valuation "
+                         f"constraint {part.strip()!r}") from None
+
+
 def parse_family_spec(ring: AmbientRing, text: str) -> FamilySpec:
     """Parse specs like ``power(x^2, x*y)`` or ``valuation(2,1 >= 2)``."""
     text = text.strip()
@@ -200,8 +229,8 @@ def parse_family_spec(ring: AmbientRing, text: str) -> FamilySpec:
                     raise ConfigError(f"valuation constraint needs '>=': {part!r}")
                 lhs, rhs = part.split(">=", 1)
                 lhs = lhs.strip().removeprefix("(").removesuffix(")")
-                weights = tuple(parse_rational(w) for w in lhs.split(","))
-                constraints.append((weights, parse_rational(rhs)))
+                weights = tuple(_constraint_number(w, part) for w in lhs.split(","))
+                constraints.append((weights, _constraint_number(rhs, part)))
             return ValuationSpec.make(ring, constraints)
         if head == "symbolic":
             first, second = _split_top(body, ";")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +54,46 @@ def test_render_csv_cell_types():
     text = render_csv(["c"] * 7, [[-3, Fraction(-7, 3), 0.1 + 0.2, 2.0, True,
                                    "PASS", None]])
     assert text == "c,c,c,c,c,c,c\n-3,-7/3,0.3,2,True,PASS,None\n"
+
+
+_CHUNK = reportio._CHUNK_ROWS
+
+
+@st.composite
+def _run_groups(draw):
+    """(header, groups) for a point dimension p of 1 to 3: groups of one level
+    each, whose runs have p - 1 column coordinates; some runs are longer
+    than a chunk."""
+    p = draw(st.integers(1, 3))
+    his = st.one_of(st.integers(0, 12), st.integers(0, 3 * _CHUNK))
+    run = st.tuples(st.tuples(*[st.integers(0, 9)] * (p - 1)), his, st.integers(0, 12)) \
+        .map(lambda r: (r[0], max(r[1] - r[2], 0), r[1]))
+    groups = draw(st.lists(st.tuples(st.tuples(st.integers(1, 99)),
+                                     st.lists(run, max_size=3)), max_size=3))
+    return ["level"] + [f"a{i + 1}" for i in range(p)], groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_groups())
+@example((["level", "a1"], []))  # no runs: the header line only
+@example((["level", "a1", "a2"], [((1,), [((0,), 2, 2), ((1,), 0, 0)])]))  # single points
+@example((["level", "a1", "a2"], [((1,), [((0,), 0, 3)]), ((2,), [((0,), 1, 50)]),
+                                  ((3,), [((1,), 7, 900)])]))  # digits grow mid-render
+@example((["level", "a1", "a2", "a3"],  # crosses the chunk boundary three times
+          [((4,), [((0, 1), 0, _CHUNK - 2), ((1, 0), 0, 2 * _CHUNK)]),
+           ((5,), [((2, 2), 3, _CHUNK + 5)])]))
+def test_render_csv_runs_chunks_join_to_the_rows(case):
+    header, groups = case
+    rows = [(*lead, *prefix, t) for lead, runs in groups
+            for prefix, lo, hi in runs for t in range(lo, hi + 1)]
+    chunks = list(reportio.render_csv_runs(header, groups))
+    assert "".join(chunks) == render_csv(header, rows)
+    assert chunks[0] == ",".join(header) + "\n"
+    # every chunk but the last holds exactly _CHUNK whole rows
+    sizes = [chunk.count("\n") for chunk in chunks[1:]]
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert sizes == [_CHUNK] * (len(rows) // _CHUNK) + ([len(rows) % _CHUNK]
+                                                        if len(rows) % _CHUNK else [])
 
 
 def test_parse_config_tree():
@@ -559,6 +600,21 @@ def test_cli_okounkov_csv_from_runs_matches_the_point_rows(tmp_path):
         assert Path(f"{out}.csv").read_bytes() == want
 
 
+def test_cli_okounkov_streams_its_csv_in_bounded_memory(tmp_path):
+    # The 1.8 MB CSV is written as it is rendered, so no copy of its text is held.
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "okounkov", "--family", "power(x^3, x*y, y^2)",
+                            "--N", "60")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2 ** 20
+    with open(f"{out}.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 198_441
+
+
 def test_cli_input_mistakes_exit_2(tmp_path, capsys):
     for argv, message in (
             (["epsilon", "--ideal", "x^"], "bad monomial factor 'x^'"),
@@ -584,7 +640,10 @@ def test_cli_input_mistakes_exit_2(tmp_path, capsys):
             (["symbolic", "--ideal", "x", "--aux", "x^" + "9" * 5000],
              "exponent of 'x' has too many digits (5000)"),
             (["epsilon", "--module", "1 | x^" + "9" * 5000],
-             "exponent of 'x' has too many digits (5000)")):
+             "exponent of 'x' has too many digits (5000)"),
+            (["limits", "--family", "valuation(1,1 >= 1/0)"],
+             "bad family spec 'valuation(1,1 >= 1/0)': zero denominator in '1/0' "
+             "of valuation constraint '1,1 >= 1/0'")):
         if argv[0] != "kt":
             argv = argv + ["--N", "8"]
         code, out = run_cli(tmp_path, *argv)
