@@ -7,7 +7,6 @@ decided by integer bracketing, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -33,6 +32,7 @@ from .lattice import (
     INFINITE,
     MonomialIdeal,
     MonomialModule,
+    Value,
     containment_order,
     quotient_dim,
     rel_length,
@@ -40,14 +40,14 @@ from .lattice import (
 from .roots import root_sum_at_least
 
 
-@dataclass(frozen=True)
-class LengthSequence:
+class LengthSequence(Value):
     """Sampled values (n, v_n) with the normalization exponent ``degree``."""
 
+    _fields = ("entries", "degree")
     entries: tuple[tuple[int, int], ...]
     degree: int
 
-    def __post_init__(self):
+    def _validate(self):
         ns = [n for n, _ in self.entries]
         if ns != sorted(set(ns)):
             raise MonolimError("sample indices must be strictly increasing")

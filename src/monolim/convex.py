@@ -21,13 +21,12 @@ Hulls, covolumes, Minkowski sums and the reversed Brunn-Minkowski
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import GeometryError, NotCoboundedError, NotPrimaryError
-from .lattice import MonomialIdeal
+from .lattice import MonomialIdeal, Value
 from .roots import root_sum_at_least
 
 Halfspace = tuple[tuple[int, ...], Fraction]
@@ -47,14 +46,19 @@ def _primitive(normal, offset) -> Halfspace:
     return tuple(c // g for c in ints), Fraction(offset) * mult / g
 
 
-@dataclass(frozen=True)
-class ConvexRegion:
+class ConvexRegion(Value):
     """Canonical halfspace description of an upward-closed convex region,
-    with its vertices in lexicographic order."""
+    with its vertices in lexicographic order; the vertices follow from the
+    halfspaces, so equality, hashing and repr leave them out."""
 
+    _fields = ("dim", "halfspaces")
     dim: int
     halfspaces: tuple[Halfspace, ...]
-    vertices: tuple = field(compare=False, repr=False)
+    vertices: tuple
+
+    def __init__(self, dim: int, halfspaces: tuple, vertices: tuple):
+        super().__init__(dim, halfspaces)
+        object.__setattr__(self, "vertices", vertices)
 
     def contains(self, point) -> bool:
         pt = [Fraction(c) for c in point]

@@ -3,7 +3,7 @@
 A family is a spec: a frozen description (an ideal, an exponent sequence,
 weight constraints, ...) that is also a lazily evaluated map n -> I_n with
 I_0 = R and the contract I_m * I_n <= I_{m+n}.  It memoizes its own members
-and lengths outside its dataclass fields, so two specs with the same fields
+and lengths outside its value fields, so two specs with the same fields
 are equal whatever each has computed, and a family built from other families
 (a product, or the powers behind a symbolic family) reads their memos.
 Besides powers of a fixed ideal, the built-in specs cover exponent-driven
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -34,6 +33,7 @@ from .lattice import (
     INFINITE,
     AmbientRing,
     MonomialIdeal,
+    Value,
     containment_order,
     format_ideal,
 )
@@ -81,7 +81,7 @@ def log_exponent(n: int) -> int:
 # -- family specs ------------------------------------------------------------
 
 
-class FamilySpec:
+class FamilySpec(Value):
     """Base class: a spec provides ``ring``, ``member(n)`` and a label; it
     overrides the defaults below where it knows a shortcut.  Callers read
     the memoized :meth:`member_ideal` and :meth:`length`."""
@@ -186,7 +186,6 @@ class FamilySpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class PowerSpec(FamilySpec):
     """I_n = I^n for a fixed nonzero ideal I.
 
@@ -200,9 +199,10 @@ class PowerSpec(FamilySpec):
     along x, so their cost grows with the exponents.
     """
 
+    _fields = ("ideal",)
     ideal: MonomialIdeal
 
-    def __post_init__(self):
+    def _validate(self):
         if self.ideal.is_zero:
             raise FamilySpecError("power family needs a nonzero ideal")
 
@@ -246,7 +246,6 @@ class PowerSpec(FamilySpec):
         return f"power({format_ideal(self.ideal)})"
 
 
-@dataclass(frozen=True)
 class MaxPowerSpec(FamilySpec):
     """I_n = m^(b_n) driven by an exponent sequence.
 
@@ -254,11 +253,12 @@ class MaxPowerSpec(FamilySpec):
     b_0 = 0 implied).
     """
 
+    _fields = ("ring", "kind", "table")
     ring: AmbientRing
     kind: str
     table: tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in ("sigma", "log", "table"):
             raise FamilySpecError(f"unknown exponent sequence {self.kind!r}")
         if self.kind == "table" and any(b < 0 for b in self.table):
@@ -387,7 +387,6 @@ def _count_outside_2d(rows) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class ValuationSpec(FamilySpec):
     """I_n = monomials a with <weights_j, a> >= threshold_j * n for all j.
 
@@ -400,11 +399,11 @@ class ValuationSpec(FamilySpec):
     on the constraints, also with no member built.
     """
 
+    _fields = ("ring", "constraints")
     ring: AmbientRing
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    _scaled: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.constraints:
             raise FamilySpecError("valuation family needs at least one constraint")
         for weights, threshold in self.constraints:
@@ -519,17 +518,17 @@ class ValuationSpec(FamilySpec):
         return "valuation(" + "; ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
 class SymbolicSpec(FamilySpec):
     """Generalized symbolic powers I_n = I^n : J^infinity.
 
     I^n comes from the power family ``powers``, one product per step.
     """
 
+    _fields = ("ideal", "aux")
     ideal: MonomialIdeal
     aux: MonomialIdeal
 
-    def __post_init__(self):
+    def _validate(self):
         if self.ideal.is_zero or self.aux.is_zero:
             raise FamilySpecError("symbolic family needs nonzero ideals")
         if self.ideal.ring != self.aux.ring:
@@ -562,7 +561,6 @@ class SaturationSpec(SymbolicSpec):
         return f"saturation({format_ideal(self.ideal)})"
 
 
-@dataclass(frozen=True)
 class ProductSpec(FamilySpec):
     """Memberwise product I_n = F_n * G_n of two families.
 
@@ -571,10 +569,11 @@ class ProductSpec(FamilySpec):
     computes no member again.
     """
 
+    _fields = ("left", "right")
     left: FamilySpec
     right: FamilySpec
 
-    def __post_init__(self):
+    def _validate(self):
         if self.left.ring != self.right.ring:
             raise FamilySpecError("factors live in different rings")
 
@@ -594,13 +593,13 @@ class ProductSpec(FamilySpec):
         return f"product({self.left.label()}; {self.right.label()})"
 
 
-@dataclass(frozen=True)
 class TableSpec(FamilySpec):
     """Explicit list of ideals I_0, I_1, ..., I_K (I_0 must be the unit ideal)."""
 
+    _fields = ("ideals",)
     ideals: tuple[MonomialIdeal, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.ideals:
             raise FamilySpecError("table family needs ideals")
         if not self.ideals[0].is_unit:

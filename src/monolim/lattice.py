@@ -2,8 +2,8 @@
 
 Ideals are represented by their minimal generating exponent vectors (an
 antichain under componentwise <=, kept in graded-lex order).  All values are
-immutable and all operations are pure functions, so everything here is safe
-to evaluate in parallel.
+immutable and all operations are pure functions: a result depends only on
+the arguments, never on what was computed before.
 
 Lengths (lattice-point counts of staircase complements) are exact integers;
 ``INFINITE`` marks the non-primary case.
@@ -15,9 +15,8 @@ import itertools
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, itemgetter
+from operator import and_, attrgetter, itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -34,16 +33,66 @@ Exponent = tuple[int, ...]
 INFINITE = math.inf
 
 _DEFAULT_NAMES = ("x", "y", "z", "w")
+_UNSET = object()
 
 
-@dataclass(frozen=True)
-class AmbientRing:
+class Value:
+    """Frozen value over the fields named in ``_fields``, given by position
+    or keyword; a field left out defaults to the class attribute of its
+    name.  Equality (same class only), hashing and repr read the fields
+    alone, through one ``attrgetter`` per class, so memos kept in the
+    instance dict (``cached_property``) never change them.  ``_validate``
+    runs once the fields are set."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            cls = type(self)
+            args += tuple(kwargs.pop(name) if name in kwargs else getattr(cls, name, _UNSET)
+                          for name in names[len(args):])
+            if kwargs or len(args) != len(names) or _UNSET in args:
+                raise TypeError(f"{cls.__name__}() takes the fields {names}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class AmbientRing(Value):
     """Polynomial ring in ``d`` variables, local at the monomial maximal ideal."""
 
+    _fields = ("d", "var_names")
     d: int
     var_names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.d < 1:
             raise InputError("ring dimension must be >= 1")
         if len(self.var_names) != self.d:
@@ -145,8 +194,7 @@ def _minimal_antichain(points, d: int) -> tuple[Exponent, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """Monomial ideal in canonical form.
 
     ``gens`` is the unique minimal generating antichain sorted in graded-lex
@@ -155,6 +203,7 @@ class MonomialIdeal:
     ideal.
     """
 
+    _fields = ("ring", "gens")
     ring: AmbientRing
     gens: tuple[Exponent, ...]
 
@@ -345,10 +394,6 @@ class MonomialIdeal:
             return INFINITE
         return _standard_monomials(self.gens, self.ring.d)[0]
 
-    def dim_quotient(self) -> int:
-        """Krull dimension of R/I (0 for primary, d for the zero ideal)."""
-        return quotient_dim(MonomialIdeal.unit(self.ring), self)
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -472,8 +517,7 @@ def containment_order(ideal: MonomialIdeal) -> int:
     return _standard_monomials(ideal.gens, ideal.ring.d)[1] + 1
 
 
-@dataclass(frozen=True)
-class MonomialModule:
+class MonomialModule(Value):
     """Monomial submodule E of a free module F = R^n.
 
     A monomial submodule splits as a direct sum of one coefficient ideal per
@@ -481,10 +525,11 @@ class MonomialModule:
     componentwise by convolving the multidegree pieces.
     """
 
+    _fields = ("ring", "components")
     ring: AmbientRing
     components: tuple[MonomialIdeal, ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for c in self.components:
             if c.ring != self.ring:
                 raise RingMismatchError("component ideal in a different ring")

@@ -1024,6 +1024,19 @@ def test_import_leaves_openssl_unloaded():
     assert out == "[]\n"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # the frozen value types share one small base; the dataclasses module,
+    # and inspect with it, cost about a quarter of the start-up.  Only what
+    # the import itself loads counts: a site hook may load inspect first.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import monolim.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_cli_rejects_a_flag_the_command_does_not_read(tmp_path, capsys):
     for argv in (["limits", "--family", "power(x, y)", "--N", "8",
                   "--region", "1,1 >= 1"],

@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 from monolim import (
     INFINITE,
     AmbientRing,
+    ConvexRegion,
+    LengthSequence,
     MaxPowerSpec,
     MonomialIdeal,
+    MonomialModule,
     PowerSpec,
     ProductSpec,
     SaturationSpec,
@@ -30,6 +33,7 @@ from monolim import (
     length_sequence,
     log_exponent,
     parse_ideal,
+    region,
     rel_length,
     sigma_exponent,
     sigma_multiplier,
@@ -41,6 +45,9 @@ from monolim.errors import (
     FamilyRangeError,
     FamilySpecError,
     InclusionError,
+    InputError,
+    MonolimError,
+    RingMismatchError,
 )
 from monolim.families import FamilySpec, floor_sum
 
@@ -250,6 +257,112 @@ def test_the_memo_stays_outside_equality_hash_and_repr(R2):
     assert used.length(5) == (I ** 5).colength() and used.member_ideal(5) == I ** 5
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert used._members and not fresh._members
+
+
+def _values():
+    """A builder of one value of each frozen value type, with the repr that
+    the generated dataclass methods gave it."""
+    R = AmbientRing(2, ("x", "y"))
+    m, J = parse_ideal(R, "x, y"), parse_ideal(R, "x^2, y")
+    r = "AmbientRing(d=2, var_names=('x', 'y'))"
+    rm, rJ = (f"MonomialIdeal(ring={r}, gens={g})"
+              for g in ("((0, 1), (1, 0))", "((0, 1), (2, 0))"))
+    return [
+        (lambda: AmbientRing(2, ("x", "y")), r),
+        (lambda: parse_ideal(R, "x, y"), rm),
+        (lambda: MonomialModule(R, (m, J)), f"MonomialModule(ring={r}, components=({rm}, {rJ}))"),
+        (lambda: region(2, [((2, 1), 2)]),
+         "ConvexRegion(dim=2, halfspaces=(((2, 1), Fraction(2, 1)),))"),
+        (lambda: LengthSequence(((1, 2), (2, 7)), 2),
+         "LengthSequence(entries=((1, 2), (2, 7)), degree=2)"),
+        (lambda: PowerSpec(J), f"PowerSpec(ideal={rJ})"),
+        (lambda: MaxPowerSpec(R, "sigma"), f"MaxPowerSpec(ring={r}, kind='sigma', table=())"),
+        (lambda: ValuationSpec.make(R, [((Fraction(1, 2), 1), 1)]),
+         f"ValuationSpec(ring={r}, constraints=(((Fraction(1, 2), Fraction(1, 1)), "
+         "Fraction(1, 1)),))"),
+        (lambda: SymbolicSpec(J, m), f"SymbolicSpec(ideal={rJ}, aux={rm})"),
+        (lambda: SaturationSpec(J), f"SaturationSpec(ideal={rJ}, aux={rm})"),
+        (lambda: ProductSpec(PowerSpec(m), PowerSpec(J)),
+         f"ProductSpec(left=PowerSpec(ideal={rm}), right=PowerSpec(ideal={rJ}))"),
+        (lambda: TableSpec((MonomialIdeal.unit(R), m)),
+         f"TableSpec(ideals=(MonomialIdeal(ring={r}, gens=((0, 0),)), {rm}))"),
+    ]
+
+
+def test_values_compare_hash_and_print_by_their_fields_alone():
+    for build, text in _values():
+        used, fresh = build(), build()
+        if isinstance(used, (FamilySpec, MonomialIdeal)):  # memoize on one side
+            used.length(1) if isinstance(used, FamilySpec) else used.pure_powers()
+            assert len(vars(used)) > len(vars(fresh))
+        assert repr(used) == repr(fresh) == text
+        assert used == fresh and hash(used) == hash(fresh) and not used != fresh
+        field = next(iter(vars(fresh)))  # the first field
+        for change in (lambda: setattr(used, field, None),
+                       lambda: setattr(used, "new", None),
+                       lambda: delattr(used, field)):
+            with pytest.raises(AttributeError):
+                change()
+        assert getattr(used, field) == getattr(fresh, field)
+    R = AmbientRing(d=2, var_names=("x", "y"))
+    J = parse_ideal(R, "x^2, y")
+    # a subclass is never equal to its parent, whatever the fields
+    assert SaturationSpec(J) != SymbolicSpec(J, MonomialIdeal.maximal(R))
+    assert SymbolicSpec(J, MonomialIdeal.maximal(R)) != SaturationSpec(J)
+    # keywords, the class-attribute default, and vertices outside equality
+    assert R == AmbientRing(2, ("x", "y")) and MaxPowerSpec(R, "log").table == ()
+    assert MonomialIdeal(gens=J.gens, ring=R) == J
+    assert MaxPowerSpec(R, kind="table", table=(1, 2)) == MaxPowerSpec(R, "table", (1, 2))
+    square = region(2, [((1, 0), 1), ((0, 1), 1)])
+    assert square.vertices == ((1, 1),)
+    bare = ConvexRegion(dim=2, halfspaces=square.halfspaces, vertices=())
+    assert bare == square and hash(bare) == hash(square)
+    for bad in (lambda: AmbientRing(2), lambda: AmbientRing(2, ("x", "y"), 3),
+                lambda: AmbientRing(2, ("x", "y"), names=()),
+                lambda: AmbientRing(2, d=2)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_validation_errors_keep_their_class_and_message():
+    R, R3 = AmbientRing.default(2), AmbientRing.default(3)
+    I, J, x3 = parse_ideal(R, "x^2, y"), parse_ideal(R, "x, y"), parse_ideal(R3, "x")
+    zero, unit = MonomialIdeal.zero(R), MonomialIdeal.unit(R)
+    cases = [
+        (lambda: AmbientRing(0, ()), InputError, "ring dimension must be >= 1"),
+        (lambda: AmbientRing(2, ("x",)), InputError, "need exactly one name per variable"),
+        (lambda: AmbientRing(2, ("x", "x")), InputError, "variable names must be distinct"),
+        (lambda: MonomialModule(R, ()), MonolimError, "module needs at least one free generator"),
+        (lambda: MonomialModule(R, (x3,)), RingMismatchError, "component ideal in a different ring"),
+        (lambda: LengthSequence(((2, 1), (1, 1)), 2), MonolimError,
+         "sample indices must be strictly increasing"),
+        (lambda: PowerSpec(zero), FamilySpecError, "power family needs a nonzero ideal"),
+        (lambda: MaxPowerSpec(R, "cube"), FamilySpecError, "unknown exponent sequence 'cube'"),
+        (lambda: MaxPowerSpec(R, "table", (1, -1)), FamilySpecError,
+         "table exponents must be nonnegative"),
+        (lambda: ValuationSpec(R, ()), FamilySpecError,
+         "valuation family needs at least one constraint"),
+        (lambda: ValuationSpec.make(R, [((1,), 1)]), FamilySpecError,
+         "weight vector has wrong length"),
+        (lambda: ValuationSpec.make(R, [((0, 0), 1)]), FamilySpecError,
+         "weights must be nonnegative and not all zero"),
+        (lambda: ValuationSpec.make(R, [((1, -1), 1)]), FamilySpecError,
+         "weights must be nonnegative and not all zero"),
+        (lambda: ValuationSpec.make(R, [((1, 1), -1)]), FamilySpecError,
+         "thresholds must be nonnegative"),
+        (lambda: SymbolicSpec(zero, J), FamilySpecError, "symbolic family needs nonzero ideals"),
+        (lambda: SymbolicSpec(I, x3), FamilySpecError, "ideals live in different rings"),
+        (lambda: SaturationSpec(zero), FamilySpecError, "saturation family needs a nonzero ideal"),
+        (lambda: ProductSpec(PowerSpec(I), PowerSpec(x3)), FamilySpecError,
+         "factors live in different rings"),
+        (lambda: TableSpec(()), FamilySpecError, "table family needs ideals"),
+        (lambda: TableSpec((I,)), FamilySpecError, "table entry 0 must be the unit ideal"),
+        (lambda: TableSpec((unit, x3)), FamilySpecError, "table entries live in different rings"),
+    ]
+    for build, cls, message in cases:
+        with pytest.raises(MonolimError) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (cls, message)
 
 
 def test_power_members_in_order_take_one_power(R2, monkeypatch):
