@@ -14,7 +14,6 @@ symbolic powers, saturations, products and explicit tables.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -81,6 +80,11 @@ def log_exponent(n: int) -> int:
 # -- family specs ------------------------------------------------------------
 
 
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise FamilySpecError("family index must be nonnegative")
+
+
 class FamilySpec(Value):
     """Base class: a spec provides ``ring``, ``member(n)`` and a label; it
     overrides the defaults below where it knows a shortcut.  Callers read
@@ -98,8 +102,7 @@ class FamilySpec(Value):
 
     def member_ideal(self, n: int) -> MonomialIdeal:
         """I_n, computed once."""
-        if n < 0:
-            raise FamilySpecError("family index must be nonnegative")
+        _check_index(n)
         if n not in self._members:
             self._members[n] = MonomialIdeal.unit(self.ring) if n == 0 else \
                 self.next_member(self._members.get(n - 1), n)
@@ -107,6 +110,7 @@ class FamilySpec(Value):
 
     def length(self, n: int):
         """Colength of I_n (exact; INFINITE when not primary), computed once."""
+        _check_index(n)
         if n not in self._lengths:
             self._lengths[n] = 0 if n == 0 else self.colength(n)
         return self._lengths[n]
@@ -118,18 +122,24 @@ class FamilySpec(Value):
         """I_n, given the memoized I_(n-1) when there is one."""
         return self.member(n)
 
+    #: The valuation family equal to this one (I_n = lattice points of n * D), if known.
+    closure: ValuationSpec | None = None
+
     def colength(self, n: int):
         """Colength of I_n (n >= 1)."""
-        return self.member_ideal(n).colength()
+        closure = self.closure
+        return closure.colength(n) if closure else self.member_ideal(n).colength()
 
     def contains(self, a, n: int) -> bool:
         """Whether x^a lies in I_n."""
-        return self.member_ideal(n).contains(a)
+        closure = self.closure
+        return closure.contains(a, n) if closure else self.member_ideal(n).contains(a)
 
     def containment_order(self) -> int:
-        """Least c with m^c inside I_1; ``InclusionError`` when I_1 is
-        not primary."""
-        return containment_order(self.member_ideal(1))
+        """Least c with m^c inside I_1; ``InclusionError`` if I_1 is not primary."""
+        closure = self.closure
+        return closure.containment_order() if closure else \
+            containment_order(self.member_ideal(1))
 
     def limit_region(self):
         """The limiting Newton region, the closure of the union of the
@@ -137,31 +147,10 @@ class FamilySpec(Value):
         return None
 
     def column_floors(self, n: int) -> dict:
-        """Least last coordinate of I_n in each nonempty column over the
-        first d - 1 coordinates, keyed by the column in lex order.
-
-        The columns listed cover every corner of I_n's staircase, so a
-        column beyond them along a coordinate has the floor of the column
-        cut back to them.  The default walks the generators' corners row by
-        row along the last of those coordinates: a column's floor is the
-        least of its own corner, the floor before it in its row and the
-        floors of the same column in the rows one step back.
-        """
-        gens = self.member_ideal(n).gens
-        own = {g[:-1]: g[-1] for g in gens}
-        tops = [max(c) for c in zip(*own)]
-        if not tops:
-            return own
-        span = range(tops[-1] + 1)
-        rows: dict = {}
-        for head in itertools.product(*(range(t + 1) for t in tops[:-1])):
-            row = [own.get((*head, y), math.inf) for y in span]
-            for k, c in enumerate(head):
-                if c:
-                    row = list(map(min, row, rows[head[:k] + (c - 1,) + head[k + 1:]]))
-            rows[head] = list(itertools.accumulate(row, min))
-        return {(*head, y): floor for head, row in rows.items()
-                for y, floor in zip(span, row) if floor != math.inf}
+        """:meth:`MonomialIdeal.column_floors` of I_n."""
+        closure = self.closure
+        return closure.column_floors(n) if closure else \
+            self.member_ideal(n).column_floors()
 
     def graded_violation(self, N: int):
         """((m, n), detail) for the first I_m * I_n not inside I_{m+n}, else None."""
@@ -189,14 +178,14 @@ class FamilySpec(Value):
 class PowerSpec(FamilySpec):
     """I_n = I^n for a fixed nonzero ideal I.
 
-    A length costs O(k^2 log n) for k Newton-polygon edges when d <= 2 and I
-    is primary and integrally closed.  A product of integrally closed ideals
-    in two variables is integrally closed (Zariski), so I^n is then the set
-    of lattice points of n * NP(I), which the valuation family of NP(I)
-    counts.  Otherwise a length builds I^n, one product per n.  In d >= 3
-    Reid-Roberts-Vitulli (2003) gives I normal once I, ..., I^(d-1) are
-    integrally closed, but that test and the valuation count both slice
-    along x, so their cost grows with the exponents.
+    When d <= 2 and I is primary and integrally closed, I^n is the set of
+    lattice points of n * NP(I) (Zariski): the family is its closure, and a
+    length costs O(k^2 log n) for k Newton-polygon edges.  Otherwise a
+    length builds I^n, one product per n.  In d >= 3 Reid-Roberts-Vitulli
+    (2003) gives I normal once I, ..., I^(d-1) are integrally closed, but
+    that test slices along x like the valuation count, and even its first
+    step, I against its closure, is milliseconds lost on every ideal that
+    fails it.
     """
 
     _fields = ("ideal",)
@@ -211,11 +200,9 @@ class PowerSpec(FamilySpec):
         return self.ideal.ring
 
     @cached_property
-    def _closure(self) -> ValuationSpec | None:
-        """The valuation family of NP(I) when it equals this family, else
-        None; it answers lengths, membership and column floors with no member
-        built.  I lies inside its closure and both colengths are finite, so
-        one comparison of them decides whether I is integrally closed."""
+    def closure(self):
+        """The valuation family of NP(I) in d <= 2 if I is integrally closed,
+        which one comparison of the two finite colengths decides."""
         I = self.ideal
         if self.ring.d > 2 or not I.is_primary or I.is_unit:
             return None
@@ -225,15 +212,6 @@ class PowerSpec(FamilySpec):
     def limit_region(self):
         """NP(I), since NP(I^n) = n * NP(I)."""
         return hull_region(self.ideal)
-
-    def colength(self, n):
-        return (self._closure or super()).colength(n)
-
-    def contains(self, a, n):
-        return (self._closure or super()).contains(a, n)
-
-    def column_floors(self, n):
-        return (self._closure or super()).column_floors(n)
 
     def member(self, n):
         return self.ideal.power(n)
@@ -402,6 +380,7 @@ class ValuationSpec(FamilySpec):
     _fields = ("ring", "constraints")
     ring: AmbientRing
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    closure = property(lambda self: self, doc="A valuation family is its own closure.")
 
     def _validate(self):
         if not self.constraints:
@@ -439,6 +418,7 @@ class ValuationSpec(FamilySpec):
 
     def contains(self, a, n):
         """<w, a> >= t*n for every scaled constraint; no member is built."""
+        _check_index(n)
         if len(a) != self.ring.d:
             raise DimensionMismatchError(
                 f"exponent {a} has length {len(a)}, expected {self.ring.d}")
@@ -451,6 +431,7 @@ class ValuationSpec(FamilySpec):
         with it; past that, no floor changes along i.  The columns of a row
         along the last of the d - 1 coordinates are read together, one list
         of ceilings per constraint."""
+        _check_index(n)
         last = self.ring.d - 1
         if last == 0:
             return {(): max(_ceil_div(s * n, w[0]) for w, s in self._scaled)}
@@ -564,9 +545,11 @@ class SaturationSpec(SymbolicSpec):
 class ProductSpec(FamilySpec):
     """Memberwise product I_n = F_n * G_n of two families.
 
-    The factors' members come from their own memos, so a power factor takes
-    one product per step, and a factor that has already been evaluated
-    computes no member again.
+    In d <= 2, closed factors whose regions are cobounded with lattice
+    vertices have integrally closed members, so F_n * G_n is one too
+    (Zariski), with Newton region n * (D_F + D_G): the closure is the
+    valuation family of that sum.  Otherwise the factors' members come from
+    their own memos, so a power factor takes one product per step.
     """
 
     _fields = ("left", "right")
@@ -580,6 +563,16 @@ class ProductSpec(FamilySpec):
     @property
     def ring(self):
         return self.left.ring
+
+    @cached_property
+    def closure(self):
+        if self.ring.d > 2 or not (self.left.closure and self.right.closure):
+            return None
+        regions = self.left.limit_region(), self.right.limit_region()
+        if all(D.halfspaces and D.is_cobounded and
+               all(c.denominator == 1 for v in D.vertices for c in v) for D in regions):
+            return ValuationSpec.make(self.ring, minkowski_sum(*regions).halfspaces)
+        return None
 
     def member(self, n):
         return self.left.member_ideal(n) * self.right.member_ideal(n)

@@ -161,7 +161,9 @@ def test_minkowski_family_equality_case(R2):
 def test_minkowski_product_reuses_the_factor_members(R2, monkeypatch):
     # The product family reads F's and G's memos, so each factor steps
     # once per n, for the factor's own limit and the product's together.
-    F, G = PowerSpec(parse_ideal(R2, "x, y^2")), PowerSpec(parse_ideal(R2, "x^2, y"))
+    # x^2, y^2 and x^2, y^3 are not integrally closed, so the product has
+    # no closure and walks the members.
+    F, G = PowerSpec(parse_ideal(R2, "x^2, y^2")), PowerSpec(parse_ideal(R2, "x^2, y^3"))
     calls = []
     next_member = PowerSpec.next_member
 
@@ -172,6 +174,13 @@ def test_minkowski_product_reuses_the_factor_members(R2, monkeypatch):
     monkeypatch.setattr(PowerSpec, "next_member", counting_next_member)
     report = minkowski_family_check(F, G, 40)
     assert len(calls) == 80
+    assert (report.limit_left, report.limit_right, report.limit_product) == (2, 3, 9)
+    # Closed factors: the factors and their product answer from closures,
+    # and no member is built.
+    calls.clear()
+    F, G = PowerSpec(parse_ideal(R2, "x, y^2")), PowerSpec(parse_ideal(R2, "x^2, y"))
+    report = minkowski_family_check(F, G, 40)
+    assert calls == []
     assert (report.limit_left, report.limit_right, report.limit_product) == (1, 1, 3)
 
 

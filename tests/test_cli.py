@@ -849,6 +849,8 @@ _HUGE_RUNS = {
     "limits-valuation": ["limits", "--family",
                          f"valuation(1,{E} >= {E}; {E},1 >= {E})", "--N", "20"],
     "limits-symbolic": ["limits", "--family", f"symbolic(x^{E}, x*y; x)", "--N", "8"],
+    "limits-product": ["limits", "--family", f"product(valuation(1,1 >= {E}); power(x, y))",
+                       "--N", "20"],
     "diff": ["diff", "--family", f"valuation(1,{E} >= {E}; {E},1 >= {E})", "--N", "20"],
     "minkowski": ["minkowski", "--family", f"power(x^{E}, y)",
                   "--family2", f"power(x, y^{E})", "--N", "8"],

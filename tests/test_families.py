@@ -30,6 +30,7 @@ from monolim import (
     SymbolicSpec,
     TableSpec,
     ValuationSpec,
+    containment_order,
     length_sequence,
     log_exponent,
     parse_ideal,
@@ -50,6 +51,7 @@ from monolim.errors import (
     RingMismatchError,
 )
 from monolim.families import FamilySpec, floor_sum
+from monolim.reportio import parse_family_spec
 
 
 def test_sigma_multiplier_values():
@@ -494,7 +496,7 @@ def test_family_contains_matches_the_member(fam, data):
 def test_default_column_floors_are_the_least_members_per_column(gens):
     d = len(gens[0])
     ideal = MonomialIdeal.from_gens(AmbientRing.default(d), gens)
-    floors = FamilySpec.column_floors(PowerSpec(ideal), 1)
+    floors = ideal.column_floors()
     assert list(floors) == sorted(floors)
     tops = [max(g[k] for g in ideal.gens) for k in range(d - 1)]
     for col in itertools.product(*(range(t + 3) for t in tops)):
@@ -527,10 +529,10 @@ def test_valuation_verifiers_match_the_member_path(spec):
 
 
 @st.composite
-def _primary_ideals(draw):
-    """A primary ideal in d = 1 or 2: pure powers plus up to three more
-    generators, integrally closed or not."""
-    d = draw(st.sampled_from([1, 2]))
+def _primary_ideals(draw, d=None):
+    """A primary ideal in d (by default 1 or 2): pure powers plus up to
+    three more generators, integrally closed or not."""
+    d = d or draw(st.sampled_from([1, 2]))
     gens = [tuple(draw(st.integers(1, 4)) if k == j else 0 for k in range(d))
             for j in range(d)]
     gens += draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=3))
@@ -555,19 +557,19 @@ def test_power_lengths_count_the_newton_polygon_when_integrally_closed(R2):
         floors = fam.column_floors(3)
         assert all(fam.contains(tuple(3 * c for c in g), 3) for g in ideal.gens)
         assert not fam.contains((0,) * ideal.ring.d, 3)
-        assert fam._closure is not None and not fam._members
-        assert floors == FamilySpec.column_floors(fam, 3)
+        assert fam.closure is not None and not fam._members
+        assert floors == fam.member_ideal(3).column_floors()
     # x*y and x*y^2 lie in the closures: each length builds its member
     for text in ("x^2, y^2", "x^4, x^2*y, y^3"):
         fam = PowerSpec(parse_ideal(R2, text))
         assert fam.length(3) == (fam.ideal ** 3).colength()
-        assert fam._closure is None and 3 in fam._members
+        assert fam.closure is None and 3 in fam._members
     # not primary, d = 3, and the unit ideal (whose hull has no facet): the
     # member walk
     for fam in (PowerSpec(parse_ideal(R2, "x^2, x*y")),
                 PowerSpec(parse_ideal(AmbientRing.default(3), "x, y, z")),
                 PowerSpec(parse_ideal(R2, "1"))):
-        assert fam._closure is None
+        assert fam.closure is None
     assert PowerSpec(parse_ideal(R2, "1")).length(4) == 0
 
 
@@ -578,12 +580,83 @@ def test_power_lengths_at_huge_exponents(R2):
         [2 * E - 1, 6 * E - 2, 12 * E - 3]
 
 
+@pytest.mark.parametrize("text", [
+    "power(x^3, x*y, y^2)",  # closed: answers from its valuation family
+    "power(x^2, y^2)",
+    "valuation(2,1 >= 2; 1,3 >= 1)",
+    "product(power(x, y^2); power(x^2, y))",  # closed
+    "product(power(x^2, y^2); power(x, y))",
+    "maxpower(table:1,2,5)",
+])
+def test_negative_family_index_is_refused(R2, text):
+    fam = parse_family_spec(R2, text)
+    for n in (-1, -4):
+        for query in (fam.length, fam.column_floors, lambda n: fam.contains((0, 0), n)):
+            with pytest.raises(FamilySpecError, match="nonnegative"):
+                query(n)
+    assert not fam._lengths
+
+
+def _factors(d):
+    """A valuation family or the power family of a primary ideal; about
+    three products of them in ten have a closure."""
+    return st.one_of(valuation_specs(d), _primary_ideals(d).map(PowerSpec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(_factors(d), _factors(d))),
+       st.data())
+def test_product_closure_matches_the_member_walk(factors, data):
+    fam = ProductSpec(*factors)
+    d = fam.ring.d
+    point = st.tuples(*[st.integers(0, 16)] * d)
+    for n in range(7):
+        member = fam.member_ideal(n)
+        assert fam.length(n) == (member.colength() if n else 0)
+        assert list(fam.column_floors(n).items()) == list(member.column_floors().items())
+        near = [g[:k] + (g[k] - 1,) + g[k + 1:]
+                for g in member.gens[:6] for k in range(d) if g[k]]
+        for a in data.draw(st.lists(point, max_size=6)) + list(member.gens) + near:
+            assert fam.contains(a, n) == member.contains(a)
+    if fam.member_ideal(1).is_primary:
+        assert fam.containment_order() == containment_order(fam.member_ideal(1))
+
+
+def test_product_closure_needs_closed_lattice_vertex_factors(R2):
+    R1, R3 = AmbientRing.default(1), AmbientRing.default(3)
+    closed = [parse_family_spec(ring, text) for ring, text in (
+        (R2, "product(power(x^3, x*y, y^2); power(x, y^2))"),
+        (R2, "product(valuation(1,1 >= 2); power(x^2, y))"),
+        (R2, "product(valuation(2,1 >= 2; 1,3 >= 1); valuation(1,1 >= 1))"),
+        (R1, "product(power(x^2); valuation(1 >= 3))"),
+    )]
+    for fam in closed:
+        assert fam.closure is not None
+        assert [fam.length(n) for n in range(1, 7)] == \
+            [fam.member_ideal(n).colength() for n in range(1, 7)]
+    fallbacks = [parse_family_spec(ring, text) for ring, text in (
+        # a rational vertex at (3/4, 3/4)
+        (R2, "product(valuation(1,3 >= 3; 3,1 >= 3); power(x, y))"),
+        # x*y lies in the closure of x^2, y^2
+        (R2, "product(power(x^2, y^2); power(x, y))"),
+        # closed lattice-vertex factors, but Zariski's theorem needs d <= 2
+        (R3, "product(valuation(1,1,1 >= 1); valuation(2,1,1 >= 2))"),
+        # factors with no closure
+        (R2, "product(symbolic(x^2, x*y; x); power(x, y))"),
+        (R2, "product(table(1 | x, y); power(x, y))"),
+        (R2, "product(maxpower(table:1,2,3); power(x, y))"),
+    )]
+    for fam in fallbacks:
+        assert fam.closure is None
+    assert fallbacks[0].left.closure is not None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([1, 2, 3]).flatmap(valuation_specs))
 def test_valuation_containment_order_matches_member_1(spec):
     member = spec.member_ideal(1)
     if member.is_primary:
-        assert spec.containment_order() == FamilySpec.containment_order(spec)
+        assert spec.containment_order() == containment_order(spec.member_ideal(1))
     else:
         with pytest.raises(InclusionError):
             spec.containment_order()
