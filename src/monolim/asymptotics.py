@@ -242,11 +242,13 @@ class FamilyMinkowskiReport(NamedTuple):
 
 def minkowski_family_check(F: FamilySpec, G: FamilySpec,
                            N: int) -> FamilyMinkowskiReport:
-    d = F.ring.d
-    product = length_sequence(ProductSpec(F, G), N)
-    a = estimate_limit(length_sequence(F, N)).point_estimate
-    b = estimate_limit(length_sequence(G, N)).point_estimate
-    c = estimate_limit(product).point_estimate
+    d, P = F.ring.d, ProductSpec(F, G)
+    product = length_sequence(P, N)
+    a, b, c = fits = [estimate_limit(seq).point_estimate
+                      for seq in (length_sequence(F, N), length_sequence(G, N), product)]
+    for H, fit in zip((F, G, P), fits):
+        if fit < 0:
+            raise EstimateError(f"{H.label()}: fitted limit {fit} is negative")
     holds, equality = root_sum_at_least(a, b, c, d)
     slack = float(a) ** (1 / d) + float(b) ** (1 / d) - float(c) ** (1 / d)
     return FamilyMinkowskiReport(a, b, c, holds, equality, slack, product)

@@ -124,6 +124,8 @@ class FamilySpec(Value):
 
     #: The valuation family equal to this one (I_n = lattice points of n * D), if known.
     closure: ValuationSpec | None = None
+    #: True when I_m * I_n <= I_{m+n} and I_{n+1} <= I_n follow from the definition.
+    graded_filtration = False
 
     def colength(self, n: int):
         """Colength of I_n (n >= 1)."""
@@ -190,6 +192,7 @@ class PowerSpec(FamilySpec):
 
     _fields = ("ideal",)
     ideal: MonomialIdeal
+    graded_filtration = True  # I^m * I^n = I^(m+n), and I^(n+1) <= I^n
 
     def _validate(self):
         if self.ideal.is_zero:
@@ -381,6 +384,7 @@ class ValuationSpec(FamilySpec):
     ring: AmbientRing
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     closure = property(lambda self: self, doc="A valuation family is its own closure.")
+    graded_filtration = True  # the weights are linear and every t >= 0
 
     def _validate(self):
         if not self.constraints:
@@ -483,14 +487,6 @@ class ValuationSpec(FamilySpec):
         """The constraints' region: I_n is the lattice points of its n-fold dilate."""
         return region(self.ring.d, self.constraints)
 
-    def graded_violation(self, N):
-        """None: <w, a + b> = <w, a> + <w, b> >= t*m + t*n for a in I_m, b in I_n."""
-        return None
-
-    def filtration_violation(self, N):
-        """None: t >= 0, so the threshold t*n never falls as n grows."""
-        return None
-
     def label(self):
         parts = []
         for weights, t in self.constraints:
@@ -508,6 +504,7 @@ class SymbolicSpec(FamilySpec):
     _fields = ("ideal", "aux")
     ideal: MonomialIdeal
     aux: MonomialIdeal
+    graded_filtration = True  # the colon by J^infinity keeps both properties of I^n
 
     def _validate(self):
         if self.ideal.is_zero or self.aux.is_zero:
@@ -555,6 +552,8 @@ class ProductSpec(FamilySpec):
     _fields = ("left", "right")
     left: FamilySpec
     right: FamilySpec
+    graded_filtration = property(
+        lambda self: self.left.graded_filtration and self.right.graded_filtration)
 
     def _validate(self):
         if self.left.ring != self.right.ring:
@@ -629,12 +628,12 @@ class VerificationReport(NamedTuple):
 
 
 def verify_graded(F: FamilySpec, N: int) -> VerificationReport:
-    """Check I_m * I_n <= I_{m+n} for all m + n <= N."""
-    violation = F.graded_violation(N)
+    """Check I_m * I_n <= I_{m+n} for all m + n <= N, unless ``F.graded_filtration``."""
+    violation = None if F.graded_filtration else F.graded_violation(N)
     return VerificationReport(violation is None, N, *(violation or ()))
 
 
 def verify_filtration(F: FamilySpec, N: int) -> VerificationReport:
-    """Check the descending chain I_{n+1} <= I_n for n < N."""
-    violation = F.filtration_violation(N)
+    """Check the descending chain I_{n+1} <= I_n for n < N, likewise."""
+    violation = None if F.graded_filtration else F.filtration_violation(N)
     return VerificationReport(violation is None, N, *(violation or ()))

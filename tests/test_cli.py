@@ -429,6 +429,19 @@ def test_cli_minkowski_verdict_is_the_exact_decision(tmp_path, monkeypatch, caps
     assert Path(f"{out}.csv").read_text().splitlines()[1].endswith(",FAIL")
 
 
+def test_cli_minkowski_refuses_a_negative_fitted_limit(tmp_path, capsys):
+    # the periodic lengths of valuation(3,3 >= 1) fit a negative limit at these N
+    for family, family2, N, fit in (
+            ("valuation(3,3 >= 1)", "power(x, y)", "8", "-3/28"),
+            ("power(x^100, y)", "valuation(3,3 >= 1)", "9", "-1/12")):
+        code, out = run_cli(tmp_path, "minkowski", "--family", family,
+                            "--family2", family2, "--N", N)
+        assert code == 2
+        assert (f"error: valuation((3,3)>=1): fitted limit {fit} is negative"
+                in capsys.readouterr().err)
+        assert not Path(f"{out}.json").exists()
+
+
 def test_cli_minkowski_svg_computes_the_product_lengths_once(tmp_path, monkeypatch):
     # The SVG draws the product sequence that the check has just computed.
     asked = []
@@ -729,6 +742,16 @@ def test_cli_empty_text_flags_do_not_fall_back_to_the_config(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_cli_okounkov_spot_checks_a_family_that_is_not_graded(tmp_path, capsys):
+    # x * y^2 lies in I_1 * I_2 but not in I_3; the level counts still agree,
+    # so only the spot check catches it
+    code, out = run_cli(tmp_path, "okounkov", "--family",
+                        "table(1 | x, y | x^2, y^2 | x^3, y^3)", "--N", "3")
+    assert code == 1
+    assert "additivity fails" in capsys.readouterr().err
+    assert not Path(f"{out}.json").exists()
+
+
 def test_cli_okounkov_rejects_a_non_primary_family(tmp_path, capsys):
     for ring, spec in (("x,y,z", "power(x^2, y)"), ("x,y", "power(x^2)")):
         code, _ = run_cli(tmp_path, "okounkov", "--ring", ring, "--family", spec,
@@ -755,6 +778,16 @@ def test_cli_diff_non_filtration(tmp_path):
     assert doc["results"]["filtration"]["first_violation"] == [15, 16]
     assert "difference_bound" not in doc["results"]
     assert doc["results"]["graded"]["passed"] is True
+
+
+def test_cli_diff_in_three_variables_decides_graded_by_definition(tmp_path):
+    # the member walk of the graded check ran for minutes at N = 24
+    code, out = timed(lambda: run_cli(tmp_path, "diff", "--ring", "x,y,z", "--family",
+                                      "power(x^2, y^3, z^2, x*y*z)", "--N", "24"))
+    assert code == 0
+    doc = json.loads(Path(f"{out}.json").read_text())["results"]
+    assert doc["graded"] == {"passed": True, "first_violation": None}
+    assert doc["filtration"] == {"passed": True, "first_violation": None}
 
 
 def test_cli_threads_flag_is_gone(tmp_path):
@@ -852,6 +885,8 @@ _HUGE_RUNS = {
     "limits-product": ["limits", "--family", f"product(valuation(1,1 >= {E}); power(x, y))",
                        "--N", "20"],
     "diff": ["diff", "--family", f"valuation(1,{E} >= {E}; {E},1 >= {E})", "--N", "20"],
+    "diff-product": ["diff", "--family", f"product(valuation(1,1 >= {E}); power(x, y))",
+                     "--N", "20"],
     "minkowski": ["minkowski", "--family", f"power(x^{E}, y)",
                   "--family2", f"power(x, y^{E})", "--N", "8"],
     "epsilon-ideal": ["epsilon", "--ideal", f"x^{E}*y, x*y^{E}", "--N", "8"],

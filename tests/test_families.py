@@ -521,11 +521,47 @@ def test_floor_sum_matches_the_direct_sum(n, m, a, b):
     assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(valuation_specs))
-def test_valuation_verifiers_match_the_member_path(spec):
-    assert spec.graded_violation(6) == FamilySpec.graded_violation(spec, 6)
-    assert spec.filtration_violation(6) == FamilySpec.filtration_violation(spec, 6)
+def _declared_specs(d):
+    """Power, symbolic, saturation and valuation families in d variables, and
+    products of two of them: the families that are graded filtrations by
+    definition."""
+    ideals = st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3).map(
+        lambda gens: MonomialIdeal.from_gens(AmbientRing.default(d), gens))
+    factor = st.one_of(ideals.map(PowerSpec), st.builds(SymbolicSpec, ideals, ideals),
+                       ideals.map(SaturationSpec), valuation_specs(d))
+    return st.one_of(factor, st.builds(ProductSpec, factor, factor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(_declared_specs), st.integers(0, 6))
+def test_declared_families_pass_the_checks_unwalked(spec, N):
+    factors = (spec.left, spec.right) if isinstance(spec, ProductSpec) else ()
+    assert spec.graded_filtration
+    graded, filt = verify_graded(spec, N), verify_filtration(spec, N)
+    assert not any(F._members for F in (spec, *factors))
+    for report, walk in ((graded, FamilySpec.graded_violation),
+                         (filt, FamilySpec.filtration_violation)):
+        violation = walk(spec, N)
+        assert report == (violation is None, N, *(violation or (None, "")))
+
+
+def test_graded_filtration_is_a_class_declaration(R2):
+    power = PowerSpec(parse_ideal(R2, "x, y"))
+    declared = [power, ValuationSpec.make(R2, [((1, 2), 2)]),
+                SymbolicSpec(parse_ideal(R2, "x^2, x*y"), parse_ideal(R2, "x")),
+                SaturationSpec(parse_ideal(R2, "x^3, x*y")),
+                ProductSpec(power, ValuationSpec.make(R2, [((1, 1), 1)]))]
+    walked = [MaxPowerSpec(R2, "log"), TableSpec((MonomialIdeal.unit(R2),)),
+              ProductSpec(power, MaxPowerSpec(R2, "sigma")),
+              ProductSpec(TableSpec((MonomialIdeal.unit(R2),)), power)]
+    assert all(F.graded_filtration for F in declared)
+    assert not any(F.graded_filtration for F in walked)
+    for cls in (FamilySpec, PowerSpec, SymbolicSpec, ValuationSpec, ProductSpec):
+        assert "graded_filtration" not in cls._fields
+    with pytest.raises(AttributeError):
+        power.graded_filtration = False
+    with pytest.raises(TypeError):
+        PowerSpec(power.ideal, graded_filtration=False)
 
 
 @st.composite

@@ -212,6 +212,19 @@ def test_a_family_that_is_not_graded_fails_the_count_check(R2):
         enumerate_levels(SemigroupPredicate.from_family(fam), 3)
 
 
+def test_additivity_is_spot_checked_only_off_a_graded_definition(R2):
+    # a power family is graded by definition; a table and a bare predicate
+    # are checked on random pairs
+    power = PowerSpec(parse_ideal(R2, "x^2, y"))
+    table = TableSpec(tuple(parse_ideal(R2, text) for text in ("1", "x, y", "x^2, y^2")))
+    for P, checked in ((SemigroupPredicate.from_family(power), False),
+                       (SemigroupPredicate.from_family(table), True),
+                       (_toy(2, lambda a, i: a[0] <= 2 * i), True)):
+        with mock.patch.object(semigroup, "_spot_check_additivity") as spot:
+            enumerate_levels(P, 2)
+        assert spot.called == checked
+
+
 def test_lattice_basis_helpers():
     basis = _row_lattice_basis([[2, 4], [0, 6], [2, 10]])
     assert len(basis) == 2
