@@ -21,7 +21,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .convex import hull_region, minkowski_sum, region
+from .convex import ConvexRegion, hull_region, minkowski_sum, region
 from .errors import (
     DimensionMismatchError,
     FamilyRangeError,
@@ -124,6 +124,9 @@ class FamilySpec(Value):
 
     #: The valuation family equal to this one (I_n = lattice points of n * D), if known.
     closure: ValuationSpec | None = None
+    #: The limiting Newton region, the closure of the union of the NP(I_n)/n,
+    #: when the spec knows it in closed form.
+    limit_region: ConvexRegion | None = None
     #: True when I_m * I_n <= I_{m+n} and I_{n+1} <= I_n follow from the definition.
     graded_filtration = False
 
@@ -142,11 +145,6 @@ class FamilySpec(Value):
         closure = self.closure
         return closure.containment_order() if closure else \
             containment_order(self.member_ideal(1))
-
-    def limit_region(self):
-        """The limiting Newton region, the closure of the union of the
-        NP(I_n)/n, when the spec knows it in closed form; else None."""
-        return None
 
     def column_floors(self, n: int) -> dict:
         """:meth:`MonomialIdeal.column_floors` of I_n."""
@@ -209,9 +207,10 @@ class PowerSpec(FamilySpec):
         I = self.ideal
         if self.ring.d > 2 or not I.is_primary or I.is_unit:
             return None
-        closure = ValuationSpec.make(self.ring, self.limit_region().halfspaces)
+        closure = ValuationSpec.make(self.ring, self.limit_region.halfspaces)
         return closure if closure.length(1) == I.colength() else None
 
+    @cached_property
     def limit_region(self):
         """NP(I), since NP(I^n) = n * NP(I)."""
         return hull_region(self.ideal)
@@ -263,6 +262,7 @@ class MaxPowerSpec(FamilySpec):
         b, d = self.exponent(n), self.ring.d
         return comb(b + d - 1, d)
 
+    @cached_property
     def limit_region(self):
         """{|a| >= 1} for sigma and log, whose b_n >= n have b_n/n -> 1; a
         table has no limit."""
@@ -411,14 +411,10 @@ class ValuationSpec(FamilySpec):
             for weights, t in constraints))
 
     def member(self, n):
-        """Generators from :meth:`column_floors`: a column gives a minimal
-        generator iff its floor lies strictly below every predecessor
-        neighbour's (an empty column counts as infinitely high)."""
-        floors = self.column_floors(n)
+        """Generated by the floor point of every column of
+        :meth:`column_floors`; ``from_gens`` keeps the minimal ones."""
         return MonomialIdeal.from_gens(self.ring, [
-            col + (floor,) for col, floor in floors.items()
-            if all(floors.get(col[:k] + (c - 1,) + col[k + 1:], math.inf) > floor
-                   for k, c in enumerate(col) if c)])
+            col + (floor,) for col, floor in self.column_floors(n).items()])
 
     def contains(self, a, n):
         """<w, a> >= t*n for every scaled constraint; no member is built."""
@@ -483,6 +479,7 @@ class ValuationSpec(FamilySpec):
             return INFINITE
         return _count_outside(rows)
 
+    @cached_property
     def limit_region(self):
         """The constraints' region: I_n is the lattice points of its n-fold dilate."""
         return region(self.ring.d, self.constraints)
@@ -567,18 +564,19 @@ class ProductSpec(FamilySpec):
     def closure(self):
         if self.ring.d > 2 or not (self.left.closure and self.right.closure):
             return None
-        regions = self.left.limit_region(), self.right.limit_region()
         if all(D.halfspaces and D.is_cobounded and
-               all(c.denominator == 1 for v in D.vertices for c in v) for D in regions):
-            return ValuationSpec.make(self.ring, minkowski_sum(*regions).halfspaces)
+               all(c.denominator == 1 for v in D.vertices for c in v)
+               for D in (self.left.limit_region, self.right.limit_region)):
+            return ValuationSpec.make(self.ring, self.limit_region.halfspaces)
         return None
 
     def member(self, n):
         return self.left.member_ideal(n) * self.right.member_ideal(n)
 
+    @cached_property
     def limit_region(self):
         """The Minkowski sum of the factors' regions: NP(IJ) = NP(I) + NP(J)."""
-        regions = self.left.limit_region(), self.right.limit_region()
+        regions = self.left.limit_region, self.right.limit_region
         return None if None in regions else minkowski_sum(*regions)
 
     def label(self):

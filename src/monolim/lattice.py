@@ -160,23 +160,38 @@ def _minimalize_3d(points) -> list[Exponent]:
     return kept
 
 
-def _minimalize_general(points) -> list[Exponent]:
-    # A divisor precedes its multiples in lex order, so a point can only be
-    # divided by an earlier one.
-    kept: list[Exponent] = []
-    for p in sorted(set(points)):
-        if not any(dominates(q, p) for q in kept):
-            kept.append(p)
-    return kept
+def _slices(points, d: int):
+    """Walk the points along the last axis: for each distinct last coordinate
+    z, in increasing order, yield (z, floor), where ``floor`` is the minimal
+    antichain of the projections p[:-1] of the points with p[-1] <= z."""
+    last = itemgetter(-1)
+    floor: list[Exponent] = []
+    for z, level in itertools.groupby(sorted(points, key=last), key=last):
+        floor = _antichain(floor + [p[:-1] for p in level], d - 1)
+        yield z, floor
 
 
 def _antichain(points, d: int) -> list[Exponent]:
-    """Minimal elements of ``points`` (any iterable), in no fixed order."""
+    """Minimal elements of ``points`` (any iterable), in no fixed order.
+
+    In d >= 4 a point at level z of :func:`_slices` is minimal iff its
+    projection enters the floor there: it lies in the floor at z, so no
+    projection at or below z divides it strictly, and not in the floor one
+    level down, where it would be the projection of a divisor below z.  A
+    repeated point enters once.
+    """
+    if d == 1:
+        return [min(points)]
     if d == 2:
         return _minimalize_2d(points)
     if d == 3:
         return _minimalize_3d(points)
-    return _minimalize_general(points)
+    kept: list[Exponent] = []
+    below: set = set()
+    for z, floor in _slices(points, d):
+        kept += [q + (z,) for q in floor if q not in below]
+        below = set(floor)
+    return kept
 
 
 def _minimal_antichain(points, d: int) -> tuple[Exponent, ...]:
@@ -440,8 +455,9 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
     must be a minimal antichain holding a pure power of every variable.  The
     staircase is cut along the last axis only at the distinct last
     coordinates z_0 = 0 < z_1 < ... of the generators: every slice with
-    z_i <= z < z_{i+1} is the same (d-1)-dimensional staircase, so a slice
-    is counted once and weighted by z_{i+1} - z_i.  This is the pivot
+    z_i <= z < z_{i+1} is the same (d-1)-dimensional staircase, the floor
+    that :func:`_slices` yields at z_i, so a slice is counted once and
+    weighted by z_{i+1} - z_i.  This is the pivot
     l(R/I) = l(R/(I + (p))) + l(R/(I : p)) with p = x_d^{z_i}; the last
     level is the pure power of x_d, whose slice is the unit ideal.
     """
@@ -456,13 +472,8 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
             if nx + y - 2 > top:
                 top = nx + y - 2
         return count, top
-    last = itemgetter(-1)
-    levels = [(z, [g[:-1] for g in grp])
-              for z, grp in itertools.groupby(sorted(gens, key=last), key=last)]
-    slice_gens: list[Exponent] = []
-    for (z, new), (nz, _) in zip(levels, levels[1:]):
-        slice_gens = _antichain(slice_gens + new, d - 1)
-        c, t = _standard_monomials(slice_gens, d - 1)
+    for (z, floor), (nz, _) in itertools.pairwise(_slices(gens, d)):
+        c, t = _standard_monomials(floor, d - 1)
         count += (nz - z) * c
         if nz - 1 + t > top:
             top = nz - 1 + t

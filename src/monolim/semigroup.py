@@ -410,7 +410,7 @@ def semigroup_limit_check(L: SemigroupLevels) -> SemigroupLimitReport:
     value is the finite-data signal that the counting exponent q suffices).
     """
     F, d = L.family, L.point_dim
-    D = F.limit_region() if F is not None and d >= 2 and L.beta >= 1 else None
+    D = F.limit_region if F is not None and d >= 2 and L.beta >= 1 else None
     if D is None:
         inv = lattice_invariants(L)
         body = okounkov_body(L)

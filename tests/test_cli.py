@@ -15,7 +15,7 @@ from conftest import oracle_family_points, timed
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monolim import asymptotics, cli, exact_multiplicity, reportio, semigroup
+from monolim import asymptotics, cli, exact_multiplicity, families, reportio, semigroup
 from monolim.cli import run
 from monolim.errors import ConfigError
 from monolim.reportio import (
@@ -248,7 +248,7 @@ def _flag_values(names):
             "--aux": ideal, "--region": region, "--region2": region,
             "--module": st.lists(ideal, min_size=1, max_size=2).map(" | ".join),
             "--tol": st.sampled_from(("1/100", "1e-3", "1/2") * 3 + ("0", "abc")),
-            "--N": st.integers(1, 6).map(str)}
+            "--N": st.integers(1, 10).map(str)}
 
 
 @settings(max_examples=200, deadline=None,
@@ -556,6 +556,27 @@ def test_cli_okounkov_builds_the_body_once(tmp_path, monkeypatch):
             assert len(calls) == 1
             doc = json.loads(Path(f"{out}.json").read_text())
             assert doc["results"]["body_vertices"] == vertices
+
+
+def test_cli_okounkov_builds_each_limit_region_once(tmp_path, monkeypatch):
+    # the product's closure and its body read the same cached regions: one
+    # hull per power factor and one Minkowski sum
+    calls = []
+
+    def counting(name):
+        kernel = getattr(families, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("hull_region", "minkowski_sum"):
+        monkeypatch.setattr(families, name, counting(name))
+    code, _ = run_cli(tmp_path, "okounkov", "--family",
+                      "product(power(x^3, x*y, y^2); power(x^2, y))", "--N", "60")
+    assert code == 0
+    assert (calls.count("hull_region"), calls.count("minkowski_sum")) == (2, 1)
 
 
 def test_cli_okounkov_in_point_dimension_3(tmp_path):

@@ -191,21 +191,21 @@ def test_limit_region(R2):
     I, J = parse_ideal(R2, "x^3, x*y, y^2"), parse_ideal(R2, "x, y^2")
     power = PowerSpec(I)
     val = ValuationSpec.make(R2, [((2, 1), 2)])
-    assert power.limit_region() == hull_region(I)
-    assert val.limit_region() == region(2, [((2, 1), 2)])
+    assert power.limit_region == hull_region(I)
+    assert val.limit_region == region(2, [((2, 1), 2)])
     # these members' hulls are the region scaled by n
     for F in (power, val):
         for n in (1, 2, 5):
             assert scale_region(hull_region(F.member_ideal(n)), Fraction(1, n)) == \
-                F.limit_region()
-    assert ProductSpec(power, PowerSpec(J)).limit_region() == minkowski_sum(
+                F.limit_region
+    assert ProductSpec(power, PowerSpec(J)).limit_region == minkowski_sum(
         hull_region(I), hull_region(J))
     # b_n/n -> 1 for sigma and log; an exponent table has no limit
     for kind in ("sigma", "log"):
-        assert MaxPowerSpec(R2, kind).limit_region() == region(2, [((1, 1), 1)])
+        assert MaxPowerSpec(R2, kind).limit_region == region(2, [((1, 1), 1)])
     table = MaxPowerSpec(R2, "table", (2, 3))
-    assert table.limit_region() is None
-    assert ProductSpec(power, table).limit_region() is None
+    assert table.limit_region is None
+    assert ProductSpec(power, table).limit_region is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,7 +214,7 @@ def test_product_limit_region_covolume_is_the_multiplicity_of_the_product(d, see
     rng = random.Random(seed)
     ring = AmbientRing.default(d)
     I, J = (random_primary_ideal(rng, ring, max_exp=4, extra_gens=2) for _ in "IJ")
-    D = ProductSpec(PowerSpec(I), PowerSpec(J)).limit_region()
+    D = ProductSpec(PowerSpec(I), PowerSpec(J)).limit_region
     assert factorial(d) * covol(D) == exact_multiplicity(I * J)
 
 

@@ -718,3 +718,19 @@ def test_valuation_length_sequences_in_budget(R2, R3):
     seq = timed(lambda: length_sequence(fam, 20))
     for n, v in seq.entries[-3:]:
         assert v == fam.member_ideal(n).colength()
+
+
+def test_d4_power_lengths_in_budget():
+    # a d = 4 family that is not normal: every length takes the member walk,
+    # whose minimal generators come from the last-axis slices
+    fam = PowerSpec(parse_ideal(AmbientRing.default(4), "x^2, y^3, z^2, w^2, x*y*z*w"))
+    assert timed(lambda: [fam.length(n) for n in range(1, 15)], 0.5) == [
+        22, 112, 340, 800, 1610, 2912, 4872, 7680, 11550, 16720, 23452, 32032,
+        42770, 56000]
+
+
+def test_d4_valuation_members_match_the_box_scan():
+    spec = ValuationSpec.make(AmbientRing.default(4),
+                              [((1, 2, 3, 1), 4), ((3, 2, 1, 2), 5)])
+    for n in range(4):
+        assert spec.member(n).gens == oracle_valuation_member(spec, n).gens

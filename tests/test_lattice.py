@@ -356,24 +356,26 @@ def test_rel_length_matches_counting(R2):
             assert value == diff
 
 
-# -- staircase kernels against the box oracles in d = 2, 3, 4 -----------------
+# -- staircase kernels against the box oracles in d = 1 to 6 ------------------
 
 
-_MAX_EXP = {2: 8, 3: 5, 4: 3}
+_MAX_EXP = {1: 8, 2: 8, 3: 5, 4: 3, 5: 2, 6: 2}
 
 
 @st.composite
-def _rings_and_gens(draw, count: int, primary: bool = False):
-    """A ring of dimension 2, 3 or 4 and ``count`` generator lists in it.
+def _rings_and_gens(draw, count: int, primary: bool = False, dims=(2, 3, 4),
+                    size: int = 7):
+    """A ring of a dimension in ``dims`` and ``count`` generator lists of at
+    most ``size`` points in it.
 
     With ``primary`` every list also holds a pure power of each variable.
     """
-    d = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.sampled_from(dims))
     top = _MAX_EXP[d]
     exps = st.tuples(*[st.integers(0, top)] * d)
     lists = []
     for _ in range(count):
-        gens = draw(st.lists(exps, min_size=1, max_size=7))
+        gens = draw(st.lists(exps, min_size=1, max_size=size))
         if primary:
             gens += [tuple(draw(st.integers(1, top)) if i == j else 0
                            for i in range(d)) for j in range(d)]
@@ -399,8 +401,8 @@ def test_from_gens_is_minimal_antichain_with_same_members(case):
     assert (membership(ideal.gens, pts) == membership(gens, pts)).all()
 
 
-@settings(max_examples=80, deadline=None)
-@given(_rings_and_gens(1), st.booleans())
+@settings(max_examples=120, deadline=None)
+@given(_rings_and_gens(1, dims=(2, 3, 4, 5, 6)), st.booleans())
 def test_colength_matches_box_oracle(case, make_primary):
     ring, (gens,) = case
     if make_primary:
@@ -411,8 +413,8 @@ def test_colength_matches_box_oracle(case, make_primary):
     assert ideal.colength() == (INFINITE if expected is None else expected)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_rings_and_gens(1, primary=True))
+@settings(max_examples=120, deadline=None)
+@given(_rings_and_gens(1, primary=True, dims=(2, 3, 4, 5, 6)))
 def test_containment_order_matches_box_oracle(case):
     ring, (gens,) = case
     ideal = minimalize(ring, gens)
@@ -472,6 +474,20 @@ def test_multiply_and_from_gens_match_the_set_kernels(case):
     pts = box_points([a + b for a, b in zip(joint_box(I1), joint_box(I2))])
     sums = [tuple(a + b for a, b in zip(g, h)) for g in I1.gens for h in I2.gens]
     assert (membership(product.gens, pts) == membership(sums, pts)).all()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rings_and_gens(1, dims=(1, 4, 5, 6), size=40), st.data())
+def test_minimalize_matches_the_dominance_scan_in_d_1_4_5_6(case, data):
+    # repeated points, and points spread over many levels of the last-axis
+    # walk, against the scan kept in conftest.py
+    ring, (gens,) = case
+    levels = data.draw(st.lists(st.integers(0, 40), min_size=len(gens),
+                                max_size=len(gens)))
+    spread = [g[:-1] + (z,) for g, z in zip(gens, levels)]
+    for points in (gens, gens + gens[::2], spread, spread + spread[1::3]):
+        assert minimalize(ring, points).gens == \
+            oracle_minimal_antichain(points, ring.d)
 
 
 @settings(max_examples=80, deadline=None)
