@@ -180,12 +180,19 @@ class PowerSpec(FamilySpec):
 
     When d <= 2 and I is primary and integrally closed, I^n is the set of
     lattice points of n * NP(I) (Zariski): the family is its closure, and a
-    length costs O(k^2 log n) for k Newton-polygon edges.  Otherwise a
-    length builds I^n, one product per n.  In d >= 3 Reid-Roberts-Vitulli
-    (2003) gives I normal once I, ..., I^(d-1) are integrally closed, but
-    that test slices along x like the valuation count, and even its first
-    step, I against its closure, is milliseconds lost on every ideal that
-    fails it.
+    length costs O(k^2 log n) for k Newton-polygon edges.  Otherwise, in
+    any d, a primary I whose pure powers J = (x_1^a_1, ..., x_d^a_d) are a
+    reduction with I^2 = J * I has, for every n >= 1,
+
+        l(R/I^n) = e * C(n+d-1, d) - (e - l(R/I)) * C(n+d-2, d-1),  e = a_1...a_d
+
+    (Huneke 1987, Ooishi 1987).  J is a reduction iff NP(J) = NP(I), that
+    is, every generator g has sum_i g_i * e/a_i >= e: O(k d) integer
+    operations for k generators.  The second test compares the memoized
+    I^2, which the walk would build next anyway, with J * I.  Ideals that
+    fail either test, such as x^4, x^3*y, y^4 (reduction number 2) and
+    x^200, y^200, z^200, x*y*z (no monomial reduction), build I^n for each
+    length, one product per n.
     """
 
     _fields = ("ideal",)
@@ -209,6 +216,33 @@ class PowerSpec(FamilySpec):
             return None
         closure = ValuationSpec.make(self.ring, self.limit_region.halfspaces)
         return closure if closure.length(1) == I.colength() else None
+
+    @cached_property
+    def closed_form(self):
+        """(e, l(R/I)), the two numbers of the closed-form length, when the
+        pure powers J of I are a reduction with I^2 = J * I; else None."""
+        I = self.ideal
+        if not I.is_primary or I.is_unit:
+            return None
+        pure = I.pure_powers()
+        e = math.prod(pure)
+        scales = [e // a for a in pure]
+        if any(sum(map(mul, g, scales)) < e for g in I.gens):
+            return None
+        d = self.ring.d
+        J = MonomialIdeal.from_gens(self.ring, [
+            tuple(a if k == j else 0 for k in range(d)) for j, a in enumerate(pure)])
+        return (e, I.colength()) if self.member_ideal(2) == J * I else None
+
+    def colength(self, n):
+        """The closure's count, else the :attr:`closed_form`, else the member
+        walk."""
+        closed_form = None if self.closure else self.closed_form
+        if closed_form is None:
+            return super().colength(n)
+        e, first = closed_form
+        d = self.ring.d
+        return e * comb(n + d - 1, d) - (e - first) * comb(n + d - 2, d - 1)
 
     @cached_property
     def limit_region(self):

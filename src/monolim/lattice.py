@@ -160,13 +160,20 @@ def _minimalize_3d(points) -> list[Exponent]:
     return kept
 
 
-def _slices(points, d: int):
+def _slices(points, d: int, top_floor: bool = True):
     """Walk the points along the last axis: for each distinct last coordinate
     z, in increasing order, yield (z, floor), where ``floor`` is the minimal
-    antichain of the projections p[:-1] of the points with p[-1] <= z."""
+    antichain of the projections p[:-1] of the points with p[-1] <= z.
+    Without ``top_floor`` the floor of the highest level is not built, and
+    None stands in for it."""
     last = itemgetter(-1)
+    points = sorted(points, key=last)
+    top = points[-1][-1]
     floor: list[Exponent] = []
-    for z, level in itertools.groupby(sorted(points, key=last), key=last):
+    for z, level in itertools.groupby(points, key=last):
+        if z == top and not top_floor:
+            yield z, None
+            return
         floor = _antichain(floor + [p[:-1] for p in level], d - 1)
         yield z, floor
 
@@ -458,8 +465,9 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
     z_i <= z < z_{i+1} is the same (d-1)-dimensional staircase, the floor
     that :func:`_slices` yields at z_i, so a slice is counted once and
     weighted by z_{i+1} - z_i.  This is the pivot
-    l(R/I) = l(R/(I + (p))) + l(R/(I : p)) with p = x_d^{z_i}; the last
-    level is the pure power of x_d, whose slice is the unit ideal.
+    l(R/I) = l(R/(I + (p))) + l(R/(I : p)) with p = x_d^{z_i}.  The last
+    level is the pure power of x_d alone, whose slice is the unit ideal, so
+    it is walked for its z only and its floor is never built.
     """
     if d == 1:
         return gens[0][0], gens[0][0] - 1
@@ -472,7 +480,7 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
             if nx + y - 2 > top:
                 top = nx + y - 2
         return count, top
-    for (z, floor), (nz, _) in itertools.pairwise(_slices(gens, d)):
+    for (z, floor), (nz, _) in itertools.pairwise(_slices(gens, d, top_floor=False)):
         c, t = _standard_monomials(floor, d - 1)
         count += (nz - z) * c
         if nz - 1 + t > top:

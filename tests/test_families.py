@@ -595,11 +595,17 @@ def test_power_lengths_count_the_newton_polygon_when_integrally_closed(R2):
         assert not fam.contains((0,) * ideal.ring.d, 3)
         assert fam.closure is not None and not fam._members
         assert floors == fam.member_ideal(3).column_floors()
-    # x*y and x*y^2 lie in the closures: each length builds its member
-    for text in ("x^2, y^2", "x^4, x^2*y, y^3"):
+    # x*y and x*y^2 lie in the closures.  x^2, y^2 is its own reduction, so
+    # its lengths come from the closed form, which reads I^2 only; the others
+    # have no monomial reduction or reduction number 2: each length builds
+    # its member
+    fam = PowerSpec(parse_ideal(R2, "x^2, y^2"))
+    assert fam.length(3) == (fam.ideal ** 3).colength()
+    assert fam.closure is None and fam.closed_form == (4, 4) and list(fam._members) == [2]
+    for text in ("x^4, x^2*y, y^3", "x^4, x^3*y, y^4"):
         fam = PowerSpec(parse_ideal(R2, text))
         assert fam.length(3) == (fam.ideal ** 3).colength()
-        assert fam.closure is None and 3 in fam._members
+        assert fam.closure is None and fam.closed_form is None and 3 in fam._members
     # not primary, d = 3, and the unit ideal (whose hull has no facet): the
     # member walk
     for fam in (PowerSpec(parse_ideal(R2, "x^2, x*y")),
@@ -614,6 +620,76 @@ def test_power_lengths_at_huge_exponents(R2):
     fam = PowerSpec(parse_ideal(R2, f"x^{E}, y^{E}, x*y"))
     assert timed(lambda: [fam.length(n) for n in (1, 2, 3)]) == \
         [2 * E - 1, 6 * E - 2, 12 * E - 3]
+
+
+def _pure_powers_reduce(I):
+    """Whether the pure powers J of a primary I are a reduction (NP(J) =
+    NP(I), in fractions) with I^2 = J * I: the closed form's two tests."""
+    pure = I.pure_powers()
+    J = MonomialIdeal.from_gens(I.ring, [
+        tuple(a if k == j else 0 for k in range(len(pure))) for j, a in enumerate(pure)])
+    return all(sum(Fraction(c, a) for c, a in zip(g, pure)) >= 1 for g in I.gens) \
+        and I * I == J * I
+
+
+@st.composite
+def _mixed_primary_ideals(draw, d):
+    """Pure powers x_j^a_j, 2 <= a_j <= 4 (3 in d >= 4), and one to three
+    more generators inside their box, so that no pure power divides them."""
+    pure = [draw(st.integers(2, 3 if d > 3 else 4)) for _ in range(d)]
+    gens = [tuple(a if k == j else 0 for k in range(d)) for j, a in enumerate(pure)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, a - 1) for a in pure]).filter(any),
+                          min_size=1, max_size=3))
+    return MonomialIdeal.from_gens(AmbientRing.default(d), gens)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 5).flatmap(_mixed_primary_ideals))
+def test_closed_form_power_lengths_match_the_walk_and_the_box_count(I):
+    # both tests pass on most draws; the rest fall back to the d <= 2
+    # closure or the member walk
+    fam = PowerSpec(I)
+    d = I.ring.d
+    assert (fam.closed_form is not None) == _pure_powers_reduce(I)
+    member = I
+    for n in range(1, {2: 7, 3: 5, 4: 3, 5: 2}[d]):
+        assert fam.length(n) == member.colength() == oracle_colength(member)
+        member = member * I
+
+
+def test_closed_form_declines_without_a_monomial_reduction_of_number_one(R2, R3):
+    for ring, text, builds_square in (
+            (R2, "x^4, x^3*y, y^4", True),  # x^6*y^2 is in I^2, not in J * I
+            (R3, "x^3, y^3, z^3, x^2*y, x*y*z", True),  # likewise x^3*y^2*z
+            (R3, "x^200, y^200, z^200, x*y*z", False),  # 3/200 < 1: no I^2 built
+            (R2, "x^2, x*y", False),  # not primary
+            (R3, "x*y, y*z, x*z", False)):
+        fam = PowerSpec(parse_ideal(ring, text))
+        assert fam.closure is None and fam.closed_form is None
+        assert (2 in fam._members) == builds_square
+        I = fam.ideal
+        assert [fam.length(n) for n in range(1, 5)] == \
+            [(I ** n).colength() for n in range(1, 5)]
+        if builds_square:  # boxes of side 6 and 8: the box count agrees too
+            assert fam.length(2) == oracle_colength(I ** 2)
+        assert (fam.length(3) == INFINITE) == (not I.is_primary)
+
+
+def test_closed_form_power_lengths_in_budget(R3):
+    # N = 200 lengths of the d = 3 ideal took 13.9 s on the member walk (one
+    # product per n over about n^2 generators; Python 3.11, 2-core host)
+    fam = PowerSpec(parse_ideal(R3, "x^2, y^3, z^2, x*y*z"))
+    lengths = timed(lambda: [fam.length(n) for n in range(1, 201)], 0.5)
+    I = fam.ideal
+    assert lengths[:6] == [(I ** n).colength() for n in range(1, 7)]
+    assert lengths[-1] == 16200600 and fam.closed_form == (12, 10)
+    # and the test is exponent-free: at E = 10^7 it passes, and the walk agrees
+    E = 10 ** 7
+    fam = PowerSpec(parse_ideal(R3, f"x^{E}, y^{E}, z^{E}, x^{E // 2}*y^{E // 2}"))
+    lengths = timed(lambda: [fam.length(n) for n in range(1, 301)], 0.5)
+    I = fam.ideal
+    assert lengths[:3] == [(I ** n).colength() for n in range(1, 4)]
+    assert lengths[-1] == E ** 3 * comb(302, 3) - E ** 3 // 4 * comb(301, 2)
 
 
 @pytest.mark.parametrize("text", [
@@ -721,12 +797,19 @@ def test_valuation_length_sequences_in_budget(R2, R3):
 
 
 def test_d4_power_lengths_in_budget():
-    # a d = 4 family that is not normal: every length takes the member walk,
-    # whose minimal generators come from the last-axis slices
-    fam = PowerSpec(parse_ideal(AmbientRing.default(4), "x^2, y^3, z^2, w^2, x*y*z*w"))
-    assert timed(lambda: [fam.length(n) for n in range(1, 15)], 0.5) == [
-        22, 112, 340, 800, 1610, 2912, 4872, 7680, 11550, 16720, 23452, 32032,
-        42770, 56000]
+    # a d = 4 family that is not normal, but its pure powers are a reduction
+    # with I^2 = J * I: its lengths come from the closed form.  The member
+    # walk, whose minimal generators come from the last-axis slices, gives
+    # the same lengths in budget too
+    I = parse_ideal(AmbientRing.default(4), "x^2, y^3, z^2, w^2, x*y*z*w")
+    fam = PowerSpec(I)
+    expected = [22, 112, 340, 800, 1610, 2912, 4872, 7680, 11550, 16720, 23452,
+                32032, 42770, 56000]
+    assert timed(lambda: [fam.length(n) for n in range(1, 15)], 0.5) == expected
+    assert fam.closed_form == (24, 22)
+    assert timed(lambda: [member.colength() for member in
+                          itertools.accumulate([I] * 14, MonomialIdeal.multiply)],
+                 0.5) == expected
 
 
 def test_d4_valuation_members_match_the_box_scan():
