@@ -10,7 +10,6 @@ UTF-8 with a header row and rationals printed ``p/q``; JSON artifacts carry a
 from __future__ import annotations
 
 import functools
-import json
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -87,9 +86,11 @@ def render_csv_runs(header: list[str],
     for each group ``(lead, runs)`` and each of its runs ``(prefix, lo, hi)``;
     every cell is a natural number.  The text comes as the header line, then
     chunks of at most ``_CHUNK_ROWS`` whole rows, each made when it is asked
-    for.  The strings of 0..max hi are made once and shared by all runs."""
+    for.  The strings of 0..max hi, and the text of each distinct prefix,
+    are made once and shared by all runs."""
     yield ",".join(header) + "\n"
     digits: list[str] = []
+    prefix_text: dict[tuple, str] = {}
     parts: list[str] = []
     room = _CHUNK_ROWS
     for lead, runs in groups:
@@ -97,7 +98,10 @@ def render_csv_runs(header: list[str],
         for prefix, lo, hi in runs:
             if hi >= len(digits):
                 digits.extend(map(str, range(len(digits), hi + 1)))
-            head = lead_head + "".join(map("{},".format, prefix))
+            text = prefix_text.get(prefix)
+            if text is None:
+                text = prefix_text[prefix] = "".join(map("{},".format, prefix))
+            head = lead_head + text
             while hi - lo + 1 >= room:  # the run fills the chunk
                 parts.append(head + ("\n" + head).join(digits[lo:lo + room]))
                 yield "\n".join(parts) + "\n"
@@ -111,6 +115,7 @@ def render_csv_runs(header: list[str],
 
 
 def render_json(command: str, params: dict, results: dict) -> str:
+    import json  # loaded at the first render, so start-up and --help skip it
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": "monolim",
@@ -127,6 +132,7 @@ def render_json(command: str, params: dict, results: dict) -> str:
 def parse_config(text: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
         try:
             doc = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an over-long int
@@ -311,6 +317,7 @@ class ResultCache:
         return self.root / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
 
     def get(self, key: str, n: int) -> dict | None:
+        import json
         try:
             entry = json.loads(self._path(key, n).read_text())
         except (OSError, ValueError):
@@ -320,6 +327,7 @@ class ResultCache:
         return None
 
     def put(self, key: str, n: int, ideal_text: str, length) -> None:
+        import json
         payload = {
             "ideal": ideal_text,
             "length": "INFINITE" if length == INFINITE else length,

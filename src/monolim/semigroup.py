@@ -11,7 +11,6 @@ from the hull and the lattice of the retained points.
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
@@ -240,6 +239,7 @@ def _spot_check_additivity(P: SemigroupPredicate, L: SemigroupLevels,
     total = ends[-1] if ends else 0
     if total < 2:
         return
+    import random  # only an unverified predicate needs it; start-up skips it
     rng = random.Random(seed)
 
     def draw():

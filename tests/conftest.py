@@ -21,7 +21,9 @@ the monomial primes replaced.  The set-based staircase kernels (pairwise sums
 into a set, minimalizers sorted twice with a Python graded-lex key, pure
 powers read off a built colon, the m^b test that scans every generator's
 degree) are kept as they were, to pin the column-wise ones to the
-same tuples in the same order.
+same tuples in the same order; so are the localization that zeroes the
+coordinates and minimalizes in all d variables, and the containment test
+that scans the pairs of generators.
 """
 
 from __future__ import annotations
@@ -187,6 +189,21 @@ def oracle_multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I * J from the set of pairwise generator sums."""
     sums = {tuple(map(add, g, h)) for g in I.gens for h in J.gens}
     return MonomialIdeal(I.ring, oracle_minimal_antichain(sums, I.ring.d))
+
+
+def oracle_localize(I: MonomialIdeal, axes) -> MonomialIdeal:
+    """I localized at ``axes``: every generator with those coordinates set to
+    0, minimalized in all d variables."""
+    axes = set(axes)
+    if not axes:
+        return I
+    zeroed = [tuple(0 if j in axes else c for j, c in enumerate(g)) for g in I.gens]
+    return MonomialIdeal(I.ring, oracle_minimal_antichain(zeroed, I.ring.d))
+
+
+def oracle_issubset(I: MonomialIdeal, J: MonomialIdeal) -> bool:
+    """I <= J by the pairwise scan: J holds every generator of I."""
+    return all(J.contains(g) for g in I.gens)
 
 
 # -- dimension and multiplicity oracles: the kernels localization replaced ----

@@ -1,5 +1,6 @@
 """Monomial ideal arithmetic against worked examples and brute-force oracles."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -17,6 +18,8 @@ from conftest import (
     oracle_colon_members,
     oracle_containment_order,
     oracle_dim_quotient,
+    oracle_issubset,
+    oracle_localize,
     oracle_minimal_antichain,
     oracle_multiply,
     random_ideal,
@@ -514,6 +517,82 @@ def test_from_gens_on_20000_d4_candidates_in_time_and_memory_budget():
     assert (kept[None, :, :] <= pts[:, None, :]).all(axis=2).any(axis=1).all()
     assert (kept[None, :, :] <= kept[:, None, :]).all(axis=2).sum() == len(kept)
     assert set(ideal.gens) <= set(candidates)
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """A ring of d = 1 to 5 and two ideals in it: the first random, zero or
+    the unit ideal; the second random, zero, the unit ideal, equal to the
+    first, or the first with one generator dropped or one added."""
+    d = draw(st.integers(1, 5))
+    ring = AmbientRing.default(d)
+    exps = st.tuples(*[st.integers(0, _MAX_EXP[d])] * d)
+    zero, unit = MonomialIdeal.zero(ring), MonomialIdeal.unit(ring)
+
+    def drawn_ideal():
+        return minimalize(ring, draw(st.lists(exps, min_size=1, max_size=8)))
+
+    first = draw(st.sampled_from(("random", "random", "zero", "unit")))
+    I1 = {"zero": zero, "unit": unit}.get(first) or drawn_ideal()
+    second = draw(st.sampled_from(("random", "zero", "unit", "equal", "drop", "add")))
+    if second == "equal":
+        I2 = MonomialIdeal(ring, I1.gens)
+    elif second == "drop" and I1.gens:
+        i = draw(st.integers(0, len(I1.gens) - 1))
+        I2 = MonomialIdeal(ring, I1.gens[:i] + I1.gens[i + 1:])
+    elif second == "add":
+        I2 = minimalize(ring, I1.gens + (draw(exps),))
+    else:
+        I2 = {"zero": zero, "unit": unit}.get(second) or drawn_ideal()
+    return ring, I1, I2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideal_pairs())
+def test_localize_and_issubset_match_the_oracles(case):
+    # every set of axes, the empty one and all of them included, against the
+    # zero-and-minimalize localization and the pairwise containment scan
+    ring, I1, I2 = case
+    for ideal in (I1, I2):
+        for r in range(ring.d + 1):
+            for axes in itertools.combinations(range(ring.d), r):
+                assert ideal.localize(axes).gens == oracle_localize(ideal, axes).gens
+    assert I1.issubset(I2) == oracle_issubset(I1, I2)
+    assert I2.issubset(I1) == oracle_issubset(I2, I1)
+    assert I1.issubset(I1)
+
+
+def test_issubset_of_large_powers_in_budget(R3):
+    # 3,844 and 3,721 generators; the pairwise scan took seconds on the true case
+    ideal = I(R3, "x^2, y^3, z^2, x*y*z")
+    p60 = ideal
+    for _ in range(59):
+        p60 = p60 * ideal
+    p61 = p60 * ideal
+    assert (len(p61.gens), len(p60.gens)) == (3844, 3721)
+    assert timed(lambda: (p61.issubset(p60), p60.issubset(p61)), 0.5) == (True, False)
+
+
+def test_power_starts_from_the_lowest_set_bit(R3, monkeypatch):
+    # I^k takes (bit length - 1) squarings and (set bits - 1) other products:
+    # I^2 one product, I^5 three, I^0 and I^1 none
+    ideal = I(R3, "x^2, y^3, z^2, x*y*z")
+    expected = [MonomialIdeal.unit(R3), ideal]
+    for _ in range(7):
+        expected.append(expected[-1] * ideal)
+    calls = []
+    multiply = MonomialIdeal.multiply
+
+    def counting_multiply(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
+    for k, power in enumerate(expected):
+        calls.clear()
+        assert ideal.power(k) == power
+        assert len(calls) == max(k.bit_length() + k.bit_count() - 2, 0)
 
 
 @settings(max_examples=80, deadline=None)
