@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import mul, sub
 from typing import NamedTuple
 
 from .convex import covol, hull_region
@@ -51,6 +52,8 @@ class LengthSequence(Value):
         ns = [n for n, _ in self.entries]
         if ns != sorted(set(ns)):
             raise MonolimError("sample indices must be strictly increasing")
+        if ns and ns[0] < 0:
+            raise MonolimError("sample indices must be nonnegative")
 
     def normalized(self) -> list[tuple[int, Fraction]]:
         return [(n, Fraction(v, n ** self.degree)) for n, v in self.entries if n > 0]
@@ -73,47 +76,57 @@ def estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
     normalized tail is flat to within ``tol`` (relative range) or the
     two-term fit reproduces the tail essentially exactly; OSCILLATING /
     DIVERGING / INCONCLUSIVE classify the remaining shapes heuristically.
+
+    The fit runs on integer moment sums: c_d = A/D and c_(d-1) = B/D, the
+    residual is tested as an integer times D^2, and the tail ratios v/n^d
+    are compared by cross-multiplying.  Only the reported values are
+    ``Fraction``s.
     """
     if len(S.entries) < 8:
         raise EstimateError("need at least 8 samples")
     tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
     d = S.degree
     tail = S.entries[-max(2, len(S.entries) // 4):]
-    s0 = sum(n ** (2 * d) for n, _ in tail)
-    s1 = sum(n ** (2 * d - 1) for n, _ in tail)
-    s2 = sum(n ** (2 * d - 2) for n, _ in tail)
-    r0 = sum(v * n ** d for n, v in tail)
-    r1 = sum(v * n ** (d - 1) for n, v in tail)
+    vs = [v for _, v in tail]
+    ws = [n ** d for n, _ in tail]  # positive: the tail indices are at least 6
+    us = [n ** (d - 1) for n, _ in tail]
+    s0, s1, s2 = sum(map(mul, ws, ws)), sum(map(mul, ws, us)), sum(map(mul, us, us))
+    r0, r1 = sum(map(mul, vs, ws)), sum(map(mul, vs, us))
     det = s0 * s2 - s1 * s1
-    if det != 0:
-        point = Fraction(r0 * s2 - r1 * s1, det)
-        lead = point
-        sub = Fraction(r1 * s0 - r0 * s1, det)
+    if det != 0:  # the fit is (A n^d + B n^(d-1)) / D
+        A, B, D = r0 * s2 - r1 * s1, r1 * s0 - r0 * s1, det
     else:
-        n, v = tail[-1]
-        point = Fraction(v, n ** d)
-        lead, sub = point, Fraction(0)
-    qs = [Fraction(v, n ** d) for n, v in tail]
-    residual = sum((Fraction(v) - lead * n ** d - sub * n ** (d - 1)) ** 2
-                   for n, v in tail)
-    scale_sq = sum(Fraction(v) ** 2 for _, v in tail)
-    qmin, qmax = min(qs), max(qs)
+        A, B, D = vs[-1], 0, ws[-1]
+    point = Fraction(A, D)
+    lo = hi = 0  # the tail positions of the least and the greatest v/n^d
+    for i in range(1, len(vs)):
+        if vs[i] * ws[lo] < vs[lo] * ws[i]:
+            lo = i
+        elif vs[i] * ws[hi] > vs[hi] * ws[i]:
+            hi = i
+    qmin, qmax = Fraction(vs[lo], ws[lo]), Fraction(vs[hi], ws[hi])
     scale = max(abs(point), abs(qmax), abs(qmin))
     rel_range = Fraction(0) if scale == 0 else (qmax - qmin) / scale
-    fit_exactish = residual <= tol * tol * scale_sq / 10 ** 6
-    if rel_range < tol or fit_exactish:
+    scale_sq = sum(map(mul, vs, vs))
+    # D^2 times the residual sum of (v - fit)^2, expanded in the moment sums
+    residual = (D * D * scale_sq - 2 * D * (A * r0 + B * r1)
+                + A * A * s0 + 2 * A * B * s1 + B * B * s2)
+    p, q = tol.numerator, tol.denominator
+    if rel_range < tol or residual * q * q * 10 ** 6 <= p * p * scale_sq * D * D:
         verdict = "CONVERGED"
     else:
-        diffs = [b - a for a, b in zip(qs, qs[1:])]
-        sign_changes = sum(1 for a, b in zip(diffs, diffs[1:])
-                           if (a > 0 > b) or (a < 0 < b))
+        # the sign of each step v_(i+1)/n_(i+1)^d - v_i/n_i^d
+        steps = [(t > 0) - (t < 0) for t in
+                 map(sub, map(mul, vs[1:], ws), map(mul, vs, ws[1:]))]
+        sign_changes = sum(x * y < 0 for x, y in zip(steps, steps[1:]))
         if sign_changes >= 2:
             verdict = "OSCILLATING"
-        elif all(x > 0 for x in diffs) and qs[0] > 0 and qs[-1] > qs[0] * (1 + 4 * tol):
+        elif (min(steps) > 0 and vs[0] > 0
+              and vs[-1] * ws[0] * q > vs[0] * ws[-1] * (q + 4 * p)):
             verdict = "DIVERGING"
         else:
             verdict = "INCONCLUSIVE"
-    return LimitEstimate(point, min(qs + [point]), max(qs + [point]),
+    return LimitEstimate(point, min(qmin, point), max(qmax, point),
                          verdict, (tail[0][0], tail[-1][0]))
 
 

@@ -113,12 +113,12 @@ def _sequence_artifacts(job: Job, seq, value_name: str, js: str, window,
                         title: str) -> dict:
     """The ``n, <value_name>, normalized`` CSV of ``seq`` and the JSON ``js``;
     with --svg also the normalized sequence, its fit ``window`` shaded."""
-    normalized = seq.normalized()
-    rows = [[n, v, q] for (n, v), (_, q) in zip(seq.entries, normalized, strict=True)]
+    d = seq.degree
+    rows = [[n, v, rio.ratio_text(v, n ** d)] for n, v in seq.entries]
     artifacts = {".csv": rio.render_csv(["n", value_name, "normalized"], rows),
                  ".json": js}
     if job.args.svg:
-        artifacts[".svg"] = sequence_svg(normalized, window, title=title)
+        artifacts[".svg"] = sequence_svg(seq.normalized(), window, title=title)
     return artifacts
 
 

@@ -13,6 +13,7 @@ import functools
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import __version__
@@ -37,10 +38,19 @@ SCHEMA_VERSION = 1
 
 def format_rational(x) -> str:
     """Rationals as p/q, integers plain."""
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def ratio_text(p: int, q: int) -> str:
+    """``format_rational(Fraction(p, q))`` for integers p and q >= 1, made
+    with one gcd and no ``Fraction``."""
+    g = gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
 
 
 def json_ready(value):

@@ -23,7 +23,9 @@ powers read off a built colon, the m^b test that scans every generator's
 degree) are kept as they were, to pin the column-wise ones to the
 same tuples in the same order; so are the localization that zeroes the
 coordinates and minimalizes in all d variables, and the containment test
-that scans the pairs of generators.
+that scans the pairs of generators.  The limit fit on ``Fraction`` tail
+ratios and residuals is kept as it was, to pin the integer moment-sum fit
+to the same ``LimitEstimate``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ import pytest
 from hypothesis import strategies as st
 
 from monolim import INFINITE, AmbientRing, MonomialIdeal, ValuationSpec
+from monolim.asymptotics import LengthSequence, LimitEstimate
 from monolim.convex import hull_vertices
-from monolim.errors import GeometryError, MonolimError
+from monolim.errors import EstimateError, GeometryError, MonolimError
 from monolim.lattice import _staircase_insert, dominates, length_mod_power
 
 
@@ -816,3 +819,54 @@ def oracle_spot_check(P, L, checks: int, seed: int) -> None:
         s = tuple(x + y for x, y in zip(a, b))
         if not P.member(s, i + j):
             raise AssertionError(f"additivity fails at {a}@{i} + {b}@{j}")
+
+
+def oracle_estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
+    """Estimate lim v_n / n^d by fitting c_d n^d + c_(d-1) n^(d-1) to the tail.
+
+    The tail is the last quarter of the samples.  CONVERGED means the
+    normalized tail is flat to within ``tol`` (relative range) or the
+    two-term fit reproduces the tail essentially exactly; OSCILLATING /
+    DIVERGING / INCONCLUSIVE classify the remaining shapes heuristically.
+    """
+    if len(S.entries) < 8:
+        raise EstimateError("need at least 8 samples")
+    tol = Fraction(tol) if not isinstance(tol, Fraction) else tol
+    d = S.degree
+    tail = S.entries[-max(2, len(S.entries) // 4):]
+    s0 = sum(n ** (2 * d) for n, _ in tail)
+    s1 = sum(n ** (2 * d - 1) for n, _ in tail)
+    s2 = sum(n ** (2 * d - 2) for n, _ in tail)
+    r0 = sum(v * n ** d for n, v in tail)
+    r1 = sum(v * n ** (d - 1) for n, v in tail)
+    det = s0 * s2 - s1 * s1
+    if det != 0:
+        point = Fraction(r0 * s2 - r1 * s1, det)
+        lead = point
+        sub = Fraction(r1 * s0 - r0 * s1, det)
+    else:
+        n, v = tail[-1]
+        point = Fraction(v, n ** d)
+        lead, sub = point, Fraction(0)
+    qs = [Fraction(v, n ** d) for n, v in tail]
+    residual = sum((Fraction(v) - lead * n ** d - sub * n ** (d - 1)) ** 2
+                   for n, v in tail)
+    scale_sq = sum(Fraction(v) ** 2 for _, v in tail)
+    qmin, qmax = min(qs), max(qs)
+    scale = max(abs(point), abs(qmax), abs(qmin))
+    rel_range = Fraction(0) if scale == 0 else (qmax - qmin) / scale
+    fit_exactish = residual <= tol * tol * scale_sq / 10 ** 6
+    if rel_range < tol or fit_exactish:
+        verdict = "CONVERGED"
+    else:
+        diffs = [b - a for a, b in zip(qs, qs[1:])]
+        sign_changes = sum(1 for a, b in zip(diffs, diffs[1:])
+                           if (a > 0 > b) or (a < 0 < b))
+        if sign_changes >= 2:
+            verdict = "OSCILLATING"
+        elif all(x > 0 for x in diffs) and qs[0] > 0 and qs[-1] > qs[0] * (1 + 4 * tol):
+            verdict = "DIVERGING"
+        else:
+            verdict = "INCONCLUSIVE"
+    return LimitEstimate(point, min(qs + [point]), max(qs + [point]),
+                         verdict, (tail[0][0], tail[-1][0]))

@@ -2,13 +2,19 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_module_multiplicity, random_primary_ideal
+from conftest import (
+    oracle_estimate_limit,
+    oracle_module_multiplicity,
+    random_primary_ideal,
+    timed,
+)
 from monolim import (
     AmbientRing,
     LengthSequence,
@@ -82,6 +88,61 @@ def test_estimate_limit_constant_degree_one():
 def test_estimate_limit_needs_samples():
     with pytest.raises(EstimateError):
         estimate_limit(LengthSequence(((1, 1), (2, 2)), 1))
+
+
+def test_length_sequence_rejects_a_negative_index():
+    with pytest.raises(MonolimError, match="sample indices must be nonnegative"):
+        LengthSequence(((-1, 0), (1, 1)), 1)
+
+
+_TOLS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10), Fraction(1, 3))
+
+
+def _random_sequence(rng: random.Random) -> tuple[LengthSequence, Fraction]:
+    """d = 1..4 and 8..60 samples, at n = 1..N or at random n in 0..399:
+    signed leading and sub-leading terms scaled by 10^0..10^8, maybe a term
+    of degree d + 1 or a parity swing of degree d, and signed noise of
+    degree 0..d, so that the fit's residual falls on both sides of its
+    threshold; with a tol."""
+    d, N = rng.randint(1, 4), rng.randint(8, 60)
+    ns = range(1, N + 1) if rng.random() < 0.5 else sorted(rng.sample(range(400), N))
+    big = 10 ** rng.randint(0, 8)
+    lead, sub = big * rng.randint(-6, 6), big * rng.randint(-30, 30)
+    grow, swing = rng.choice((0, 0, 1, -1)), rng.choice((0, 0, 1, 3))
+    amp, k = rng.choice((0, 1, 50)), rng.randint(0, d)
+    entries = tuple(
+        (n, (lead + swing * (n % 2)) * n ** d + sub * n ** (d - 1) + grow * n ** (d + 1)
+         + rng.randint(-amp, amp) * n ** k) for n in ns)
+    return LengthSequence(entries, d), rng.choice(_TOLS)
+
+
+def _assert_oracle_estimate(S: LengthSequence, tol) -> str:
+    got, want = estimate_limit(S, tol), oracle_estimate_limit(S, tol)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    return got.verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_estimate_limit_matches_the_fraction_oracle(rng):
+    _assert_oracle_estimate(*_random_sequence(rng))
+
+
+def test_estimate_limit_matches_the_fraction_oracle_in_every_verdict():
+    rng = random.Random(29)
+    verdicts = Counter(_assert_oracle_estimate(*_random_sequence(rng))
+                       for _ in range(1500))
+    assert set(verdicts) == {"CONVERGED", "OSCILLATING", "DIVERGING", "INCONCLUSIVE"}
+    for S in (LengthSequence(tuple((n, 0) for n in range(1, 9)), 2),
+              LengthSequence(tuple((n, -(n ** 2) - n % 3) for n in range(3, 40)), 2)):
+        for tol in _TOLS + (1, 0):
+            _assert_oracle_estimate(S, tol)
+
+
+def test_estimate_limit_on_20000_samples_within_budget():
+    S = LengthSequence(tuple((n, n * (n + 1) // 2 + n % 3) for n in range(1, 20001)), 2)
+    assert timed(lambda: estimate_limit(S), 0.03) == oracle_estimate_limit(S)
 
 
 def test_difference_profile_power(R2):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import oracle_family_points, timed
+from conftest import oracle_estimate_limit, oracle_family_points, timed
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from monolim.reportio import (
     parse_family_spec,
     parse_module_spec,
     parse_region_spec,
+    ratio_text,
     render_csv,
     ring_from_config,
 )
@@ -43,6 +44,45 @@ def test_format_rational():
     assert format_rational(Fraction(22, 5)) == "22/5"
     assert format_rational(Fraction(6, 2)) == "3"
     assert format_rational(7) == "7"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+@example(0, 7)
+@example(-6, 4)
+@example(-12, 4)
+@example(5, 1)
+def test_ratio_text_matches_format_rational(p, q):
+    assert ratio_text(p, q) == format_rational(Fraction(p, q))
+
+
+@pytest.mark.parametrize("argv, d", [
+    (("limits", "--family", "power(x^2, y^3)", "--N", "32"), 2),
+    (("limits", "--family", "valuation(3,3 >= 1)", "--N", "48"), 2),
+    (("epsilon", "--ideal", "x^2, x*y", "--N", "40"), 2),
+    (("epsilon", "--module", "x^2, x*y | 1", "--N", "30"), 3),
+    (("symbolic", "--ideal", "x^2, x*y", "--aux", "x", "--N", "24"), 1),
+])
+def test_cli_normalized_column_is_the_exact_ratio(tmp_path, argv, d):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    lines = Path(f"{out}.csv").read_text().splitlines()
+    assert lines[0].endswith(",normalized") and len(lines) > 8
+    for line in lines[1:]:
+        n, v, normalized = line.split(",")
+        assert normalized == format_rational(Fraction(int(v), int(n) ** d))
+
+
+def test_cli_minkowski_limits_are_the_fraction_fits(tmp_path):
+    code, out = run_cli(tmp_path, "minkowski", "--family", "power(x, y^2)",
+                        "--family2", "power(x^2, y)", "--N", "48")
+    assert code == 0
+    R = AmbientRing.default(2)
+    F, G = parse_family_spec(R, "power(x, y^2)"), parse_family_spec(R, "power(x^2, y)")
+    fits = [format_rational(oracle_estimate_limit(asymptotics.length_sequence(H, 48))
+                            .point_estimate) for H in (F, G, ProductSpec(F, G))]
+    # counted from the end: the ideal cells hold unquoted commas
+    assert Path(f"{out}.csv").read_text().splitlines()[1].split(",")[-5:-2] == fits
 
 
 def test_render_csv_rationals():
