@@ -281,7 +281,7 @@ def _cmd_okounkov(job: Job) -> tuple[int, dict, str]:
     body = report.body
     csv = rio.render_csv_runs(
         ["level"] + [f"a{i + 1}" for i in range(levels.point_dim)],
-        (((i,), pts.runs) for i, pts in sorted(levels.levels.items())))
+        (((i,), runs) for i, runs in sorted(levels.levels.items())))
     js = rio.render_json(
         "okounkov", {"family": fam.label(), "N": N, "beta": pred.beta},
         {"invariants": report.invariants._asdict(),

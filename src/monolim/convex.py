@@ -34,13 +34,9 @@ Halfspace = tuple[tuple[int, ...], Fraction]
 
 def _primitive(normal, offset) -> Halfspace:
     fracs = [Fraction(c) for c in normal]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
+    mult = lcm(*(f.denominator for f in fracs))
     ints = [int(f * mult) for f in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = gcd(*ints)
     if g == 0:
         raise GeometryError("zero normal vector")
     return tuple(c // g for c in ints), Fraction(offset) * mult / g

@@ -104,8 +104,7 @@ class FamilySpec(Value):
         """I_n, computed once."""
         _check_index(n)
         if n not in self._members:
-            self._members[n] = MonomialIdeal.unit(self.ring) if n == 0 else \
-                self.next_member(self._members.get(n - 1), n)
+            self._members[n] = MonomialIdeal.unit(self.ring) if n == 0 else self.member(n)
         return self._members[n]
 
     def length(self, n: int):
@@ -117,10 +116,6 @@ class FamilySpec(Value):
 
     def member(self, n: int) -> MonomialIdeal:
         raise NotImplementedError
-
-    def next_member(self, prev: MonomialIdeal | None, n: int) -> MonomialIdeal:
-        """I_n, given the memoized I_(n-1) when there is one."""
-        return self.member(n)
 
     #: The valuation family equal to this one (I_n = lattice points of n * D), if known.
     closure: ValuationSpec | None = None
@@ -250,11 +245,10 @@ class PowerSpec(FamilySpec):
         return hull_region(self.ideal)
 
     def member(self, n):
-        return self.ideal.power(n)
-
-    def next_member(self, prev, n):
-        """I^(n-1) * I: one product instead of a fresh power."""
-        return self.member(n) if prev is None else prev * self.ideal
+        """I^(n-1) * I when I^(n-1) is memoized: one product instead of a
+        fresh power."""
+        prev = self._members.get(n - 1)
+        return self.ideal.power(n) if prev is None else prev * self.ideal
 
     def label(self):
         return f"power({format_ideal(self.ideal)})"

@@ -160,20 +160,13 @@ def _minimalize_3d(points) -> list[Exponent]:
     return kept
 
 
-def _slices(points, d: int, top_floor: bool = True):
+def _slices(points, d: int):
     """Walk the points along the last axis: for each distinct last coordinate
     z, in increasing order, yield (z, floor), where ``floor`` is the minimal
-    antichain of the projections p[:-1] of the points with p[-1] <= z.
-    Without ``top_floor`` the floor of the highest level is not built, and
-    None stands in for it."""
+    antichain of the projections p[:-1] of the points with p[-1] <= z."""
     last = itemgetter(-1)
-    points = sorted(points, key=last)
-    top = points[-1][-1]
     floor: list[Exponent] = []
-    for z, level in itertools.groupby(points, key=last):
-        if z == top and not top_floor:
-            yield z, None
-            return
+    for z, level in itertools.groupby(sorted(points, key=last), key=last):
         floor = _antichain(floor + [p[:-1] for p in level], d - 1)
         yield z, floor
 
@@ -252,9 +245,7 @@ class MonomialIdeal(Value):
 
     @staticmethod
     def maximal(ring: AmbientRing) -> "MonomialIdeal":
-        gens = tuple(tuple(1 if j == i else 0 for j in range(ring.d))
-                     for i in range(ring.d))
-        return MonomialIdeal(ring, _minimal_antichain(list(gens), ring.d))
+        return MonomialIdeal.maximal_power(ring, 1)
 
     @staticmethod
     def maximal_power(ring: AmbientRing, b: int) -> "MonomialIdeal":
@@ -493,7 +484,7 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
     weighted by z_{i+1} - z_i.  This is the pivot
     l(R/I) = l(R/(I + (p))) + l(R/(I : p)) with p = x_d^{z_i}.  The last
     level is the pure power of x_d alone, whose slice is the unit ideal, so
-    it is walked for its z only and its floor is never built.
+    it only ends the slice below it.
     """
     if d == 1:
         return gens[0][0], gens[0][0] - 1
@@ -506,7 +497,7 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
             if nx + y - 2 > top:
                 top = nx + y - 2
         return count, top
-    for (z, floor), (nz, _) in itertools.pairwise(_slices(gens, d, top_floor=False)):
+    for (z, floor), (nz, _) in itertools.pairwise(_slices(gens, d)):
         c, t = _standard_monomials(floor, d - 1)
         count += (nz - z) * c
         if nz - 1 + t > top:

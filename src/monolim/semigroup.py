@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, lcm, prod
 from typing import Callable, NamedTuple
@@ -26,6 +25,7 @@ from .errors import (
     SemigroupError,
 )
 from .families import FamilySpec
+from .lattice import _compositions
 
 
 class SemigroupPredicate(NamedTuple):
@@ -87,7 +87,8 @@ def _floor_runs(floors: dict, p: int, cap: int) -> list:
         return bisect_left(cols, prefix), bisect_left(cols, prefix + (inf,))
 
     runs = []
-    for head in _simplex_points(p - 1, cap):
+    for comp in _compositions(cap, p):
+        head, room = comp[:-1], comp[-1]
         cut = ()
         for c in head:
             lo, hi = listed(cut)
@@ -96,7 +97,6 @@ def _floor_runs(floors: dict, p: int, cap: int) -> list:
         if lo == hi:
             continue
         row = cols[lo:hi] if cut == head else [head + col[-1:] for col in cols[lo:hi]]
-        room = cap - sum(head)
         runs += [(col, floor, room - col[-1]) for col, floor in zip(row, values[lo:hi])
                  if col[-1] + floor <= room]
         floor = values[hi - 1]
@@ -106,23 +106,12 @@ def _floor_runs(floors: dict, p: int, cap: int) -> list:
     return runs
 
 
-def _simplex_points(p: int, cap: int):
-    """Lattice points of the 1-norm simplex ||a||_1 <= cap in N^p."""
-    if p == 0:
-        yield ()
-        return
-    for head in range(cap + 1):
-        for rest in _simplex_points(p - 1, cap - head):
-            yield (head,) + rest
-
-
 def _member_runs(P: SemigroupPredicate, i: int) -> list:
     """Column runs of the members at level i of a predicate with no family,
     by scanning the beta-simplex."""
-    cap = P.beta * i
     runs = []
-    for prefix in _simplex_points(P.point_dim - 1, cap):
-        top = cap - sum(prefix)
+    for comp in _compositions(P.beta * i, P.point_dim):
+        prefix, top = comp[:-1], comp[-1]
         start = None
         for t in range(top + 1):
             if P.member(prefix + (t,), i):
@@ -136,47 +125,24 @@ def _member_runs(P: SemigroupPredicate, i: int) -> list:
     return runs
 
 
-class LevelPoints(Sequence):
-    """The points of one level, stored as column runs.
-
-    A run ``(prefix, lo, hi)`` stands for the points ``prefix + (t,)`` with
-    lo <= t <= hi; runs come in the order their points are listed.  Length,
-    iteration and indexing work on the runs, so no point is built until it
-    is asked for.
-    """
-
-    __slots__ = ("runs", "_ends")
-
-    def __init__(self, runs):
-        self.runs = runs
-        self._ends = list(itertools.accumulate(hi - lo + 1 for _, lo, hi in runs))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __iter__(self):
-        for prefix, lo, hi in self.runs:
-            for t in range(lo, hi + 1):
-                yield prefix + (t,)
-
-    def __getitem__(self, k: int):
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("level point index out of range")
-        r = bisect_right(self._ends, k)
-        prefix, lo, hi = self.runs[r]
-        return prefix + (hi - (self._ends[r] - 1 - k),)
+def _size(runs) -> int:
+    """Number of points in a list of column runs."""
+    return sum(hi - lo + 1 for _, lo, hi in runs)
 
 
 class SemigroupLevels(NamedTuple):
-    """Enumerated levels: exact counts everywhere, points where retained."""
+    """Enumerated levels: exact counts everywhere, points where retained.
+
+    A retained level is its list of column runs ``(prefix, lo, hi)``, each
+    standing for the points ``prefix + (t,)`` with lo <= t <= hi, in the
+    order the points are listed.
+    """
 
     point_dim: int
     beta: int
     max_level: int
     counts: dict[int, int]
-    levels: dict[int, LevelPoints]
+    levels: dict[int, list]
     truncated: bool
     family: FamilySpec | None = None
 
@@ -202,22 +168,22 @@ def enumerate_levels(P: SemigroupPredicate, N: int) -> SemigroupLevels:
     """
     F, d = P.family, P.point_dim
     counts: dict[int, int] = {}
-    levels: dict[int, LevelPoints] = {}
+    levels: dict[int, list] = {}
     retained_total = 0
     truncated = False
     for i in range(1, N + 1):
         if F is None:
-            pts = LevelPoints(_member_runs(P, i))
-            counts[i] = len(pts)
+            runs = _member_runs(P, i)
+            counts[i] = _size(runs)
         else:
             counts[i] = comb(P.beta * i + d, d) - F.length(i)
         if not truncated and retained_total + counts[i] <= RETAIN_BUDGET:
             if F is not None:
-                pts = LevelPoints(_floor_runs(F.column_floors(i), d - 1, P.beta * i))
-                if len(pts) != counts[i]:
+                runs = _floor_runs(F.column_floors(i), d - 1, P.beta * i)
+                if _size(runs) != counts[i]:
                     raise SemigroupError(f"level {i} does not count C(beta i + d, d) "
                                          "- l(R/I_i): the family is not graded")
-            levels[i] = pts
+            levels[i] = runs
             retained_total += counts[i]
         else:
             truncated = True
@@ -232,10 +198,10 @@ def _spot_check_additivity(P: SemigroupPredicate, L: SemigroupLevels,
     """Check ``checks`` random pairs of retained points for additivity.
 
     A pair is two uniform indices into the retained points listed level by
-    level; each index is mapped through the level ends, then the run ends.
+    level; each index is mapped through the run ends of all retained levels.
     """
-    order = sorted(L.levels.items())
-    ends = list(itertools.accumulate(len(pts) for _, pts in order))
+    runs = [(i, run) for i, level in sorted(L.levels.items()) for run in level]
+    ends = list(itertools.accumulate(hi - lo + 1 for _, (_, lo, hi) in runs))
     total = ends[-1] if ends else 0
     if total < 2:
         return
@@ -245,8 +211,8 @@ def _spot_check_additivity(P: SemigroupPredicate, L: SemigroupLevels,
     def draw():
         k = rng.randrange(total)
         r = bisect_right(ends, k)
-        i, pts = order[r]
-        return pts[k - ends[r] + len(pts)], i
+        i, (prefix, lo, hi) = runs[r]
+        return prefix + (hi - (ends[r] - 1 - k),), i
 
     for _ in range(checks):
         (a, i), (b, j) = draw(), draw()
@@ -331,8 +297,8 @@ def lattice_invariants(L: SemigroupLevels) -> LatticeInvariants:
 
     def rows():
         unit = [0] * L.point_dim + [1]
-        for i, pts in sorted(L.levels.items()):
-            for prefix, lo, hi in pts.runs:
+        for i, runs in sorted(L.levels.items()):
+            for prefix, lo, hi in runs:
                 yield [i, *prefix, lo]
                 if hi > lo and unit:
                     yield unit
@@ -360,8 +326,8 @@ def okounkov_body(L: SemigroupLevels):
     if L.max_level < 3:
         raise MonolimError("enumerate at least 3 levels first")
     pts = {tuple(Fraction(c, i) for c in prefix + (t,))
-           for i, members in L.levels.items()
-           for prefix, lo, hi in members.runs for t in (lo, hi)}
+           for i, runs in L.levels.items()
+           for prefix, lo, hi in runs for t in (lo, hi)}
     if not pts:
         raise MonolimError("empty semigroup")
     return hull_vertices(pts)

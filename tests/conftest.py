@@ -668,6 +668,11 @@ def _oracle_simplex_points(p: int, cap: int):
             yield (head,) + rest
 
 
+def level_points(runs) -> list:
+    """The points of a level stored as column runs, in run order."""
+    return [prefix + (t,) for prefix, lo, hi in runs for t in range(lo, hi + 1)]
+
+
 def oracle_scan_points(P, i: int):
     """Level i of a predicate's semigroup by the simplex scan."""
     return [a for a in _oracle_simplex_points(P.point_dim, P.beta * i)

@@ -226,13 +226,13 @@ def test_minkowski_product_reuses_the_factor_members(R2, monkeypatch):
     # no closure and walks the members.
     F, G = PowerSpec(parse_ideal(R2, "x^2, y^2")), PowerSpec(parse_ideal(R2, "x^2, y^3"))
     calls = []
-    next_member = PowerSpec.next_member
+    member = PowerSpec.member
 
-    def counting_next_member(self, prev, n):
+    def counting_member(self, n):
         calls.append(n)
-        return next_member(self, prev, n)
+        return member(self, n)
 
-    monkeypatch.setattr(PowerSpec, "next_member", counting_next_member)
+    monkeypatch.setattr(PowerSpec, "member", counting_member)
     report = minkowski_family_check(F, G, 40)
     assert len(calls) == 80
     assert (report.limit_left, report.limit_right, report.limit_product) == (2, 3, 9)
