@@ -23,38 +23,51 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import GeometryError, NotCoboundedError, NotPrimaryError
-from .lattice import MonomialIdeal, Value
+from .lattice import MonomialIdeal, Value, _minimal_antichain
 from .roots import root_sum_at_least
 
 Halfspace = tuple[tuple[int, ...], Fraction]
 
 
 def _primitive(normal, offset) -> Halfspace:
-    fracs = [Fraction(c) for c in normal]
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
+    """The halfspace normal . y >= offset (ints or ``Fraction``s) with its
+    normal scaled to a primitive integer vector."""
+    mult = lcm(*(c.denominator for c in normal))
+    ints = [c.numerator * (mult // c.denominator) for c in normal]
     g = gcd(*ints)
     if g == 0:
         raise GeometryError("zero normal vector")
-    return tuple(c // g for c in ints), Fraction(offset) * mult / g
+    return (tuple(c // g for c in ints),
+            Fraction(offset.numerator * mult, offset.denominator * g))
 
 
 class ConvexRegion(Value):
     """Canonical halfspace description of an upward-closed convex region,
-    with its vertices in lexicographic order; the vertices follow from the
-    halfspaces, so equality, hashing and repr leave them out."""
+    with its vertices in lexicographic order and the extreme rays of its
+    homogenisation; both follow from the halfspaces, so equality, hashing
+    and repr leave them out.
+
+    ``rays`` holds (ray, mask) pairs in lexicographic order: the primitive
+    integer extreme rays (y, t) of the cone y >= 0, t >= 0, n.y >= b t over
+    the halfspaces, and for each the bitmask of the constraints it lies on,
+    ``y_i >= 0`` at bit i, ``t >= 0`` at bit ``dim`` and the halfspaces in
+    order after it.
+    """
 
     _fields = ("dim", "halfspaces")
     dim: int
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple
+    rays: tuple
 
-    def __init__(self, dim: int, halfspaces: tuple, vertices: tuple):
+    def __init__(self, dim: int, halfspaces: tuple, vertices: tuple, rays: tuple):
         super().__init__(dim, halfspaces)
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "rays", rays)
 
     def contains(self, point) -> bool:
         pt = [Fraction(c) for c in point]
@@ -91,7 +104,7 @@ def _extreme_rays(constraints, width: int):
         bit = 1 << k
         pos, neg, kept = [], [], []
         for ray, mask in rays:
-            v = sum(a * x for a, x in zip(c, ray))
+            v = sum(map(mul, c, ray))
             if v > 0:
                 pos.append((v, ray, mask))
                 kept.append((ray, mask))
@@ -140,14 +153,15 @@ def _hull_halfspaces(seeds) -> list[Halfspace]:
     n.s_0 - b for the first seed s_0 replaces -b, so the cone starts from the
     orthant n >= 0, u >= 0.
     """
-    den = lcm(*(Fraction(c).denominator for s in seeds for c in s))
-    pts = sorted({tuple(int(Fraction(c) * den) for c in s) for s in seeds})
+    den = lcm(*(c.denominator for s in seeds for c in s))
+    pts = sorted({tuple(c.numerator * (den // c.denominator) for c in s)
+                  for s in seeds})
     s0 = pts[0]
     rows = [tuple(a - b for a, b in zip(p, s0)) + (1,) for p in pts[1:]]
     out = []
     for ray, _ in _extreme_rays(rows, len(s0) + 1):
         n = ray[:-1]
-        b = sum(a * c for a, c in zip(n, s0)) - ray[-1]
+        b = sum(map(mul, n, s0)) - ray[-1]
         if b > 0:
             out.append(_primitive(n, Fraction(b, den)))
     return out
@@ -159,7 +173,9 @@ def region(dim: int, halfspaces) -> ConvexRegion:
     Normals must be nonnegative.  A halfspace is kept iff the extreme rays of
     the homogenised region on its boundary are not all on another
     constraint's boundary: a facet's never are, a redundant halfspace's
-    always are.
+    always are.  Dropping a redundant halfspace leaves the homogenised cone
+    as it is, so the rays are kept, with the dropped halfspaces' bits taken
+    out of their masks.
     """
     cleaned: dict[tuple[int, ...], Fraction] = {}
     for normal, offset in halfspaces:
@@ -171,23 +187,40 @@ def region(dim: int, halfspaces) -> ConvexRegion:
     hs = sorted(cleaned.items())
     rays = _region_rays(dim, hs)
     zeros = _zero_sets(rays, dim + 1 + len(hs))
-    kept = tuple(h for j, h in enumerate(hs, dim + 1)
-                 if not any(zeros[j] & ~z == 0
-                            for i, z in enumerate(zeros) if i != j))
+    facets = [j for j in range(dim + 1, len(zeros))
+              if not any(zeros[j] & ~z == 0 for i, z in enumerate(zeros) if i != j)]
+    if len(facets) < len(hs):
+        low = (1 << dim + 1) - 1
+        rays = [(ray, mask & low | sum((mask >> j & 1) << i
+                                       for i, j in enumerate(facets, dim + 1)))
+                for ray, mask in rays]
     vertices = sorted(tuple(Fraction(c, ray[-1]) for c in ray[:-1])
                       for ray, _ in rays if ray[-1] > 0)
-    return ConvexRegion(dim, kept, tuple(vertices))
+    return ConvexRegion(dim, tuple(hs[j - dim - 1] for j in facets),
+                        tuple(vertices), tuple(sorted(rays)))
 
 
 # -- covolume ------------------------------------------------------------------
 
 
-def _cone_term(facet, rows, m: int) -> Fraction:
-    """beta * vol_{m-1}(pi_k F) / |a_k| for the facet F of a . z = beta.
+def _fsum(terms) -> tuple[int, int]:
+    """Sum of (numerator, denominator) pairs, denominators positive, as one
+    reduced pair over their least common denominator."""
+    num, den = 0, 1
+    for n, m in terms:
+        common = lcm(den, m)
+        num, den = num * (common // den) + n * (common // m), common
+    g = gcd(num, den)
+    return num // g, den // g
 
-    Rows are (a, beta) for a . z >= beta; F is cut out of the facet's
-    hyperplane by ``rows``, and pi_k drops its first coordinate k with
-    a_k != 0 after substituting z_k into each row.
+
+def _cone_term(facet, rows, m: int) -> tuple[int, int]:
+    """beta * vol_{m-1}(pi_k F) / |a_k| for the facet F of a . z = beta, as a
+    (numerator, denominator) pair.
+
+    Rows are integer (a, beta) for a . z >= beta; F is cut out of the
+    facet's hyperplane by ``rows``, and pi_k drops its first coordinate k
+    with a_k != 0 after substituting z_k into each row.
     """
     a, beta = facet
     k = next(i for i, c in enumerate(a) if c)
@@ -197,34 +230,38 @@ def _cone_term(facet, rows, m: int) -> Fraction:
         (tuple(sign * (s * r[i] - r[k] * a[i]) for i in range(len(a)) if i != k),
          sign * (s * rb - r[k] * beta))
         for r, rb in rows]
-    return beta * _volume(projected, m - 1) / abs(s)
+    num, den = _volume(projected, m - 1)
+    return beta * num, den * abs(s)
 
 
-def _volume(rows, m: int) -> Fraction:
-    """m-volume of the bounded polytope {z : a . z >= beta for each row}.
+def _volume(rows, m: int) -> tuple[int, int]:
+    """m-volume of the bounded polytope {z : a . z >= beta for each integer
+    row}, as a (numerator, denominator) pair.
 
     Rows with a zero normal are dropped, and of each direction u only the
-    tightest u . z >= t is kept; then Lasserre's recursion over the rows with
-    t != 0, down to an interval.
+    tightest u . z >= p/q is kept, as the row (q u, p); then Lasserre's
+    recursion over the rows with p != 0, down to an interval.
     """
-    tightest: dict[tuple[int, ...], Fraction] = {}
+    tightest: dict[tuple[int, ...], tuple[int, int]] = {}
     for a, beta in rows:
         g = gcd(*a)
         if g == 0:
             if beta > 0:
-                return Fraction(0)
+                return 0, 1
             continue
-        u, t = tuple(c // g for c in a), Fraction(beta, g)
-        if u not in tightest or t > tightest[u]:
-            tightest[u] = t
+        u, h = tuple(c // g for c in a), gcd(beta, g)
+        p, q = beta // h, g // h
+        if u not in tightest or p * tightest[u][1] > tightest[u][0] * q:
+            tightest[u] = p, q
     if m == 0:
-        return Fraction(1)
+        return 1, 1
     if m == 1:
-        return max(-tightest[(-1,)] - tightest[(1,)], Fraction(0))
-    rows = [(tuple(c * t.denominator for c in u), t.numerator)
-            for u, t in tightest.items()]
-    return -sum((_cone_term(row, rows[:i] + rows[i + 1:], m)
-                 for i, row in enumerate(rows) if row[1]), Fraction(0)) / m
+        (p, q), (pn, qn) = tightest[(1,)], tightest[(-1,)]
+        return max(-pn * q - p * qn, 0), q * qn
+    rows = [(tuple(c * q for c in u), p) for u, (p, q) in tightest.items()]
+    num, den = _fsum(_cone_term(row, rows[:i] + rows[i + 1:], m)
+                     for i, row in enumerate(rows) if row[1])
+    return -num, den * m
 
 
 def covol(D: ConvexRegion) -> Fraction:
@@ -232,7 +269,8 @@ def covol(D: ConvexRegion) -> Fraction:
 
     The facet n.y >= b adds the cone (b/d) vol_{d-1}(pi_k F) / n_k.  F is
     described by the orthant and halfspace constraints sharing at least
-    d - 1 extreme rays with it, which include all of its ridges.
+    d - 1 extreme rays with it, which include all of its ridges; the zero
+    sets are read from the region's stored rays.
     """
     if not D.is_cobounded:
         raise NotCoboundedError("region has an unbounded complement")
@@ -240,14 +278,13 @@ def covol(D: ConvexRegion) -> Fraction:
     rows = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
     rows += [(tuple(b.denominator * c for c in n), b.numerator)
              for n, b in D.halfspaces]
-    zeros = _zero_sets(_region_rays(d, D.halfspaces), len(rows) + 1)
+    zeros = _zero_sets(D.rays, len(rows) + 1)
     del zeros[d]  # t >= 0, on which no bounded facet has a ray
-    total = Fraction(0)
-    for j in range(d, len(rows)):
-        near = [row for i, row in enumerate(rows)
-                if i != j and (zeros[i] & zeros[j]).bit_count() >= d - 1]
-        total += _cone_term(rows[j], near, d)
-    return total / d
+    num, den = _fsum(
+        _cone_term(rows[j], [row for i, row in enumerate(rows)
+                             if i != j and (zeros[i] & zeros[j]).bit_count() >= d - 1], d)
+        for j in range(d, len(rows)))
+    return Fraction(num, den * d)
 
 
 # -- bounded polytopes ---------------------------------------------------------
@@ -283,8 +320,12 @@ def polytope_volume(vertices) -> Fraction:
     orthant, with y_0 = t - |x| substituted."""
     t, U = _lifted_hull(vertices)
     units = [(tuple(int(j == k) for k in range(U.dim)), 0) for j in range(U.dim)]
-    return _volume([(tuple(c - n[0] for c in n[1:]), b - n[0] * t)
-                    for n, b in [*U.halfspaces, *units]], U.dim - 1)
+    # the row (a, b - n_0 t) scaled by the denominators of b and t
+    tn, td = t.numerator, t.denominator
+    num, den = _volume([(tuple((c - n[0]) * b.denominator * td for c in n[1:]),
+                         b.numerator * td - n[0] * tn * b.denominator)
+                        for n, b in [*U.halfspaces, *units]], U.dim - 1)
+    return Fraction(num, den)
 
 
 # -- constructions -----------------------------------------------------------
@@ -298,19 +339,38 @@ def hull_region(I: MonomialIdeal) -> ConvexRegion:
 
 
 def minkowski_sum(D1: ConvexRegion, D2: ConvexRegion) -> ConvexRegion:
-    """Exact Minkowski sum: the upward hull of the pairwise vertex sums."""
+    """Exact Minkowski sum: the upward hull of the pairwise vertex sums.
+
+    The vertices are scaled to integers over one common denominator.  A sum
+    that dominates another lies in that one's orthant translate, so it is
+    never a vertex of the hull; only the minimal sums are hulled.
+    """
     if D1.dim != D2.dim:
         raise GeometryError("dimension mismatch")
-    sums = {tuple(a + b for a, b in zip(p, q))
-            for p in D1.vertices for q in D2.vertices}
-    return region(D1.dim, _hull_halfspaces(sums))
+    den = lcm(*(c.denominator for v in (*D1.vertices, *D2.vertices) for c in v))
+    P, Q = ([[c.numerator * (den // c.denominator) for c in v] for v in D.vertices]
+            for D in (D1, D2))
+    sums = _minimal_antichain([tuple(map(add, p, q)) for p in P for q in Q], D1.dim)
+    return region(D1.dim, [(n, b / den) for n, b in _hull_halfspaces(sums)])
 
 
 def scale_region(D: ConvexRegion, t) -> ConvexRegion:
+    """t·D for a positive rational t, from D's own data: the offsets and
+    vertices times t, and each ray (y, s) taken to the primitive form of
+    (p y, q s) for t = p/q, which lies on the same constraints."""
     t = Fraction(t)
     if t <= 0:
         raise GeometryError("scale factor must be positive")
-    return region(D.dim, [(n, b * t) for n, b in D.halfspaces])
+    p, q = t.numerator, t.denominator
+    rays = []
+    for ray, mask in D.rays:
+        w = [c * p for c in ray[:-1]]
+        w.append(ray[-1] * q)
+        g = gcd(*w)
+        rays.append((tuple(c // g for c in w), mask))
+    return ConvexRegion(D.dim, tuple((n, b * t) for n, b in D.halfspaces),
+                        tuple(tuple(c * t for c in v) for v in D.vertices),
+                        tuple(sorted(rays)))
 
 
 class KTReport(NamedTuple):

@@ -25,7 +25,10 @@ same tuples in the same order; so are the localization that zeroes the
 coordinates and minimalizes in all d variables, and the containment test
 that scans the pairs of generators.  The limit fit on ``Fraction`` tail
 ratios and residuals is kept as it was, to pin the integer moment-sum fit
-to the same ``LimitEstimate``.
+to the same ``LimitEstimate``.  So are the ``Fraction`` Lasserre recursion,
+the covolume that re-runs the double description for its zero sets, and
+the Minkowski sum that hulls every pairwise ``Fraction`` vertex sum, to pin
+the integer kernels and the stored rays to the same values.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from hypothesis import strategies as st
 
 from monolim import INFINITE, AmbientRing, MonomialIdeal, ValuationSpec
 from monolim.asymptotics import LengthSequence, LimitEstimate
-from monolim.convex import hull_vertices
+from monolim import convex
+from monolim.convex import hull_vertices, region
 from monolim.errors import EstimateError, GeometryError, MonolimError
 from monolim.lattice import _staircase_insert, dominates, length_mod_power
 
@@ -875,3 +879,85 @@ def oracle_estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstim
             verdict = "INCONCLUSIVE"
     return LimitEstimate(point, min(qs + [point]), max(qs + [point]),
                          verdict, (tail[0][0], tail[-1][0]))
+
+
+# -- convex oracles: the Fraction Lasserre kernels, kept as they were ----------
+
+
+def _oracle_cone_term(facet, rows, m: int) -> Fraction:
+    a, beta = facet
+    k = next(i for i, c in enumerate(a) if c)
+    s = a[k]
+    sign = 1 if s > 0 else -1
+    projected = [
+        (tuple(sign * (s * r[i] - r[k] * a[i]) for i in range(len(a)) if i != k),
+         sign * (s * rb - r[k] * beta))
+        for r, rb in rows]
+    return beta * oracle_lasserre_volume(projected, m - 1) / abs(s)
+
+
+def oracle_lasserre_volume(rows, m: int) -> Fraction:
+    """m-volume of the bounded polytope {z : a . z >= beta for each row}."""
+    tightest: dict[tuple[int, ...], Fraction] = {}
+    for a, beta in rows:
+        g = gcd(*a)
+        if g == 0:
+            if beta > 0:
+                return Fraction(0)
+            continue
+        u, t = tuple(c // g for c in a), Fraction(beta, g)
+        if u not in tightest or t > tightest[u]:
+            tightest[u] = t
+    if m == 0:
+        return Fraction(1)
+    if m == 1:
+        return max(-tightest[(-1,)] - tightest[(1,)], Fraction(0))
+    rows = [(tuple(c * t.denominator for c in u), t.numerator)
+            for u, t in tightest.items()]
+    return -sum((_oracle_cone_term(row, rows[:i] + rows[i + 1:], m)
+                 for i, row in enumerate(rows) if row[1]), Fraction(0)) / m
+
+
+def oracle_covol(D) -> Fraction:
+    """Covolume of a cobounded region, its zero sets from a fresh double
+    description of its halfspaces."""
+    d = D.dim
+    rows = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
+    rows += [(tuple(b.denominator * c for c in n), b.numerator)
+             for n, b in D.halfspaces]
+    zeros = convex._zero_sets(convex._region_rays(d, D.halfspaces), len(rows) + 1)
+    del zeros[d]
+    total = Fraction(0)
+    for j in range(d, len(rows)):
+        near = [row for i, row in enumerate(rows)
+                if i != j and (zeros[i] & zeros[j]).bit_count() >= d - 1]
+        total += _oracle_cone_term(rows[j], near, d)
+    return total / d
+
+
+def _oracle_hull_halfspaces(seeds):
+    den = math.lcm(*(Fraction(c).denominator for s in seeds for c in s))
+    pts = sorted({tuple(int(Fraction(c) * den) for c in s) for s in seeds})
+    s0 = pts[0]
+    rows = [tuple(a - b for a, b in zip(p, s0)) + (1,) for p in pts[1:]]
+    out = []
+    for ray, _ in convex._extreme_rays(rows, len(s0) + 1):
+        n = ray[:-1]
+        b = sum(a * c for a, c in zip(n, s0)) - ray[-1]
+        if b > 0:
+            out.append(_oracle_primitive(n, Fraction(b, den)))
+    return out
+
+
+def oracle_minkowski_sum(D1, D2):
+    """The upward hull of every pairwise ``Fraction`` vertex sum."""
+    sums = {tuple(a + b for a, b in zip(p, q))
+            for p in D1.vertices for q in D2.vertices}
+    return region(D1.dim, _oracle_hull_halfspaces(sums))
+
+
+def oracle_polytope_volume(points) -> Fraction:
+    t, U = convex._lifted_hull(points)
+    units = [(tuple(int(j == k) for k in range(U.dim)), 0) for j in range(U.dim)]
+    return oracle_lasserre_volume([(tuple(c - n[0] for c in n[1:]), b - n[0] * t)
+                                   for n, b in [*U.halfspaces, *units]], U.dim - 1)

@@ -10,12 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_covol,
     oracle_covol_2d,
     oracle_covol_3d,
     oracle_covol_grid,
     oracle_hull_halfspaces_2d,
     oracle_hull_halfspaces_3d,
     oracle_minkowski_2d,
+    oracle_minkowski_sum,
+    oracle_polytope_volume,
     oracle_region_2d,
     oracle_vertices_2d,
     random_primary_ideal,
@@ -34,9 +37,10 @@ from monolim import (
     scale_region,
     teissier_check,
 )
-from monolim import MaxPowerSpec, PowerSpec, ProductSpec, ValuationSpec
-from monolim.convex import _hull_halfspaces
+from monolim import MaxPowerSpec, PowerSpec, ProductSpec, ValuationSpec, convex
+from monolim.convex import KTReport, _hull_halfspaces, polytope_volume
 from monolim.errors import GeometryError, NotCoboundedError, NotPrimaryError
+from monolim.roots import root_sum_at_least
 
 
 def test_hull_region_examples(R2):
@@ -522,3 +526,116 @@ def test_hull_facets_and_vertices_dim_four(gens):
         planes = [n for n, b in D.halfspaces if sum(a * c for a, c in zip(n, v)) == b]
         planes += [tuple(int(i == j) for j in range(4)) for i in range(4) if v[i] == 0]
         assert _rank(planes) == 4
+
+
+def _region_draws(d: int):
+    normal = st.tuples(*[st.integers(0, 4)] * d).filter(any)
+    return st.lists(st.tuples(normal, _offset), max_size=5)
+
+
+_dim_halfspaces = st.sampled_from((2, 3, 4)).flatmap(
+    lambda d: st.tuples(st.just(d), _region_draws(d)))
+
+
+def _fields(D):
+    return D.dim, D.halfspaces, D.vertices, D.rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dim_halfspaces, _scales)
+def test_scale_region_matches_the_region_of_the_scaled_halfspaces(dim_hs, t):
+    d, hs = dim_hs
+    D = region(d, hs)
+    scaled = scale_region(D, t)
+    assert _fields(scaled) == _fields(region(d, [(n, b * t) for n, b in D.halfspaces]))
+    # redundant halfspaces among the drawn ones leave the same stored rays
+    assert _fields(scaled) == _fields(region(d, [(n, b * t) for n, b in hs]))
+    assert all(type(c) is Fraction for v in scaled.vertices for c in v)
+
+
+def _oracle_kt(D1, D2) -> KTReport:
+    c1, c2 = oracle_covol(D1), oracle_covol(D2)
+    cs = oracle_covol(oracle_minkowski_sum(D1, D2))
+    return KTReport(c1, c2, cs, *root_sum_at_least(c1, c2, cs, D1.dim), D1.dim)
+
+
+def _cobounded_draws(d: int):
+    return st.lists(st.tuples(st.tuples(*[st.integers(1, 4)] * d),
+                              st.fractions(min_value=Fraction(1, 4), max_value=9,
+                                           max_denominator=4)),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def _region_pairs(draw):
+    """A pair of cobounded regions of one dimension: random halfspaces with
+    rational offsets, two ideal hulls, or an ideal hull and a scaled one
+    with a vertex of denominator above 1."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    kind = draw(st.sampled_from(("regions", "hulls", "fractional")))
+    if kind == "regions":
+        return tuple(region(d, draw(_cobounded_draws(d))) for _ in "12")
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ring = AmbientRing.default(d)
+    I, J = (random_primary_ideal(rng, ring, max_exp=5, extra_gens=3) for _ in "IJ")
+    if kind == "hulls":
+        return hull_region(I), hull_region(J)
+    # the pure power x^e of J is a vertex of its hull; scaled by a/(e + 1)
+    # with 0 < a <= e its first coordinate a*e/(e + 1) is not an integer
+    e = J.pure_powers()[0]
+    D2 = scale_region(hull_region(J), Fraction(draw(st.integers(1, e)), e + 1))
+    assert any(c.denominator > 1 for v in D2.vertices for c in v)
+    return hull_region(I), D2
+
+
+@settings(max_examples=120, deadline=None)
+@given(_region_pairs())
+def test_integer_convex_kernels_match_the_fraction_oracles(pair):
+    D1, D2 = pair
+    for D in pair:
+        assert covol(D) == oracle_covol(D)
+    S, T = minkowski_sum(D1, D2), oracle_minkowski_sum(D1, D2)
+    assert _fields(S) == _fields(T)
+    assert covol(S) == oracle_covol(T)
+    assert kt_check(D1, D2) == _oracle_kt(D1, D2)
+    # a full-dimensional polytope: the sum's vertices and a simplex around them
+    top = max(max(v) for v in S.vertices) + 1
+    points = [*S.vertices, (top,) * D1.dim,
+              *(tuple(top if j == i else 0 for j in range(D1.dim)) for i in range(D1.dim))]
+    assert polytope_volume(points) == oracle_polytope_volume(points)
+
+
+def test_one_double_description_per_region(monkeypatch, R3):
+    R4 = AmbientRing.default(4)
+    pairs = [
+        (region(2, [((2, 1), 2), ((1, 3), 2)]), region(2, [((1, 2), 2), ((3, 1), 3)])),
+        (hull_region(parse_ideal(R3, "x^7, y^6, z^5, x^3*y^2, y^3*z^2, x^2*z^3, x*y*z")),
+         hull_region(parse_ideal(R3, "x^5, y^7, z^6, x^2*y^3, y*z^4, x^3*z^2"))),
+        (hull_region(parse_ideal(R4, "x^2, y^3, z^5, w^7")),
+         scale_region(hull_region(parse_ideal(R4, "x, y, z, w")), Fraction(3, 2))),
+    ]
+    calls = []
+    inner = convex._extreme_rays
+    monkeypatch.setattr(convex, "_extreme_rays",
+                        lambda *args: calls.append(args) or inner(*args))
+    for D1, D2 in pairs:
+        for D in (D1, D2, scale_region(D1, Fraction(5, 3))):
+            covol(D)
+        assert calls == []
+        minkowski_sum(D1, D2)
+        alone = len(calls)
+        assert alone == 2  # the seeds' hull, then the sum's region
+        kt_check(D1, D2)
+        assert len(calls) == 2 * alone
+        calls.clear()
+
+
+def test_kt_check_of_two_d4_hulls_in_budget():
+    R4 = AmbientRing.default(4)
+    D1 = hull_region(parse_ideal(R4, "x^8, y^8, z^8, w^8, x^2*y*z, y^2*z*w, x*z^2*w, x*y*w^2"))
+    D2 = hull_region(parse_ideal(
+        R4, "x^7, y^9, z^8, w^7, x^3*y*w, x*y^3*z, y*z^3*w, x*z*w^3, x^2*y^2*z*w"))
+    assert (len(D1.vertices), len(D2.vertices)) == (8, 8)
+    report = timed(lambda: kt_check(D1, D2), 0.5)
+    assert report == KTReport(Fraction(34), Fraction(417, 8), Fraction(12817, 24),
+                              True, False, 4)
