@@ -47,27 +47,17 @@ def _primitive(normal, offset) -> Halfspace:
 
 class ConvexRegion(Value):
     """Canonical halfspace description of an upward-closed convex region,
-    with its vertices in lexicographic order and the extreme rays of its
-    homogenisation; both follow from the halfspaces, so equality, hashing
-    and repr leave them out.
-
-    ``rays`` holds (ray, mask) pairs in lexicographic order: the primitive
-    integer extreme rays (y, t) of the cone y >= 0, t >= 0, n.y >= b t over
-    the halfspaces, and for each the bitmask of the constraints it lies on,
-    ``y_i >= 0`` at bit i, ``t >= 0`` at bit ``dim`` and the halfspaces in
-    order after it.
-    """
+    with its vertices in lexicographic order; the vertices follow from the
+    halfspaces, so equality, hashing and repr leave them out."""
 
     _fields = ("dim", "halfspaces")
     dim: int
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple
-    rays: tuple
 
-    def __init__(self, dim: int, halfspaces: tuple, vertices: tuple, rays: tuple):
+    def __init__(self, dim: int, halfspaces: tuple, vertices: tuple):
         super().__init__(dim, halfspaces)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "rays", rays)
 
     def contains(self, point) -> bool:
         pt = [Fraction(c) for c in point]
@@ -173,13 +163,11 @@ def region(dim: int, halfspaces) -> ConvexRegion:
     Normals must be nonnegative.  A halfspace is kept iff the extreme rays of
     the homogenised region on its boundary are not all on another
     constraint's boundary: a facet's never are, a redundant halfspace's
-    always are.  Dropping a redundant halfspace leaves the homogenised cone
-    as it is, so the rays are kept, with the dropped halfspaces' bits taken
-    out of their masks.
+    always are.
     """
     cleaned: dict[tuple[int, ...], Fraction] = {}
     for normal, offset in halfspaces:
-        n, b = _primitive(normal, offset)
+        n, b = _primitive([Fraction(c) for c in normal], Fraction(offset))
         if any(c < 0 for c in n):
             raise GeometryError("negative halfspace normal")
         if b > 0 and (n not in cleaned or cleaned[n] < b):
@@ -187,17 +175,12 @@ def region(dim: int, halfspaces) -> ConvexRegion:
     hs = sorted(cleaned.items())
     rays = _region_rays(dim, hs)
     zeros = _zero_sets(rays, dim + 1 + len(hs))
-    facets = [j for j in range(dim + 1, len(zeros))
-              if not any(zeros[j] & ~z == 0 for i, z in enumerate(zeros) if i != j)]
-    if len(facets) < len(hs):
-        low = (1 << dim + 1) - 1
-        rays = [(ray, mask & low | sum((mask >> j & 1) << i
-                                       for i, j in enumerate(facets, dim + 1)))
-                for ray, mask in rays]
+    kept = tuple(h for j, h in enumerate(hs, dim + 1)
+                 if not any(zeros[j] & ~z == 0
+                            for i, z in enumerate(zeros) if i != j))
     vertices = sorted(tuple(Fraction(c, ray[-1]) for c in ray[:-1])
                       for ray, _ in rays if ray[-1] > 0)
-    return ConvexRegion(dim, tuple(hs[j - dim - 1] for j in facets),
-                        tuple(vertices), tuple(sorted(rays)))
+    return ConvexRegion(dim, kept, tuple(vertices))
 
 
 # -- covolume ------------------------------------------------------------------
@@ -269,17 +252,23 @@ def covol(D: ConvexRegion) -> Fraction:
 
     The facet n.y >= b adds the cone (b/d) vol_{d-1}(pi_k F) / n_k.  F is
     described by the orthant and halfspace constraints sharing at least
-    d - 1 extreme rays with it, which include all of its ridges; the zero
-    sets are read from the region's stored rays.
+    d - 1 extreme rays with it, which include all of its ridges.  The
+    extreme rays of the homogenised region are the axis directions, which
+    lie on no halfspace of a cobounded region, and the vertices; so the zero
+    sets are read from the stored vertices, scaled to integers.
     """
     if not D.is_cobounded:
         raise NotCoboundedError("region has an unbounded complement")
+    if not D.vertices:
+        raise GeometryError("region has no vertices; build it with region()")
     d = D.dim
     rows = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
     rows += [(tuple(b.denominator * c for c in n), b.numerator)
              for n, b in D.halfspaces]
-    zeros = _zero_sets(D.rays, len(rows) + 1)
-    del zeros[d]  # t >= 0, on which no bounded facet has a ray
+    den = lcm(*(c.denominator for v in D.vertices for c in v))
+    points = [[c.numerator * (den // c.denominator) for c in v] for v in D.vertices]
+    zeros = [sum(1 << r for r, p in enumerate(points) if sum(map(mul, a, p)) == beta * den)
+             for a, beta in rows]
     num, den = _fsum(
         _cone_term(rows[j], [row for i, row in enumerate(rows)
                              if i != j and (zeros[i] & zeros[j]).bit_count() >= d - 1], d)
@@ -355,22 +344,12 @@ def minkowski_sum(D1: ConvexRegion, D2: ConvexRegion) -> ConvexRegion:
 
 
 def scale_region(D: ConvexRegion, t) -> ConvexRegion:
-    """t·D for a positive rational t, from D's own data: the offsets and
-    vertices times t, and each ray (y, s) taken to the primitive form of
-    (p y, q s) for t = p/q, which lies on the same constraints."""
+    """t·D for a positive rational t: D's offsets and vertices times t."""
     t = Fraction(t)
     if t <= 0:
         raise GeometryError("scale factor must be positive")
-    p, q = t.numerator, t.denominator
-    rays = []
-    for ray, mask in D.rays:
-        w = [c * p for c in ray[:-1]]
-        w.append(ray[-1] * q)
-        g = gcd(*w)
-        rays.append((tuple(c // g for c in w), mask))
     return ConvexRegion(D.dim, tuple((n, b * t) for n, b in D.halfspaces),
-                        tuple(tuple(c * t for c in v) for v in D.vertices),
-                        tuple(sorted(rays)))
+                        tuple(tuple(c * t for c in v) for v in D.vertices))
 
 
 class KTReport(NamedTuple):

@@ -28,7 +28,8 @@ ratios and residuals is kept as it was, to pin the integer moment-sum fit
 to the same ``LimitEstimate``.  So are the ``Fraction`` Lasserre recursion,
 the covolume that re-runs the double description for its zero sets, and
 the Minkowski sum that hulls every pairwise ``Fraction`` vertex sum, to pin
-the integer kernels and the stored rays to the same values.
+the integer kernels and the zero sets read from the vertices to the same
+values.
 """
 
 from __future__ import annotations

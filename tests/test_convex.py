@@ -26,6 +26,7 @@ from conftest import (
 )
 from monolim import (
     AmbientRing,
+    ConvexRegion,
     MonomialIdeal,
     covol,
     exact_multiplicity,
@@ -234,6 +235,18 @@ def test_minkowski_3d_with_seeds():
 def test_region_rejects_negative_normals():
     with pytest.raises(GeometryError):
         region(2, [((-1, 1), 1)])
+
+
+def test_region_reads_any_rational_number_input():
+    D = region(2, [((2, 1), 2), ((1, 3), 3)])
+    assert region(2, [((1.0, 0.5), 1), (("1/3", 1), "1")]) == D
+    assert region(2, [((Fraction(2), 1), 2.0), ((1, 3), Fraction(3))]).vertices == D.vertices
+
+
+def test_covol_rejects_a_region_without_vertices():
+    D = region(2, [((2, 1), 2), ((1, 3), 3)])
+    with pytest.raises(GeometryError):
+        covol(ConvexRegion(D.dim, D.halfspaces, vertices=()))
 
 
 def test_multiplicity_exact_in_dimensions_four_and_five():
@@ -538,7 +551,7 @@ _dim_halfspaces = st.sampled_from((2, 3, 4)).flatmap(
 
 
 def _fields(D):
-    return D.dim, D.halfspaces, D.vertices, D.rays
+    return D.dim, D.halfspaces, D.vertices
 
 
 @settings(max_examples=150, deadline=None)
@@ -548,7 +561,7 @@ def test_scale_region_matches_the_region_of_the_scaled_halfspaces(dim_hs, t):
     D = region(d, hs)
     scaled = scale_region(D, t)
     assert _fields(scaled) == _fields(region(d, [(n, b * t) for n, b in D.halfspaces]))
-    # redundant halfspaces among the drawn ones leave the same stored rays
+    # redundant halfspaces among the drawn ones are dropped as before
     assert _fields(scaled) == _fields(region(d, [(n, b * t) for n, b in hs]))
     assert all(type(c) is Fraction for v in scaled.vertices for c in v)
 

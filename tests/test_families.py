@@ -317,7 +317,7 @@ def test_values_compare_hash_and_print_by_their_fields_alone():
     assert MaxPowerSpec(R, kind="table", table=(1, 2)) == MaxPowerSpec(R, "table", (1, 2))
     square = region(2, [((1, 0), 1), ((0, 1), 1)])
     assert square.vertices == ((1, 1),)
-    bare = ConvexRegion(dim=2, halfspaces=square.halfspaces, vertices=(), rays=())
+    bare = ConvexRegion(dim=2, halfspaces=square.halfspaces, vertices=())
     assert bare == square and hash(bare) == hash(square)
     for bad in (lambda: AmbientRing(2), lambda: AmbientRing(2, ("x", "y"), 3),
                 lambda: AmbientRing(2, ("x", "y"), names=()),
