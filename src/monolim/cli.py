@@ -348,14 +348,9 @@ def _cmd_counterexample(job: Job) -> tuple[int, dict, str]:
     ring = job.ring()
     fam = rio.parse_family_spec(ring, f"maxpower({which})")
     N = job.number("N", 64)
-    d = ring.d
-    rows = []
-    for n in range(1, N + 1):
-        b = fam.exponent(n)
-        length = fam.length(n)
-        delta = fam.length(n + 1) - length
-        profile = Fraction(-delta if which == "sigma" else delta, n ** (d - 1))
-        rows.append([n, b, length, profile])
+    S = asy.length_sequence(fam, N + 1)
+    rows = [[r.n, fam.exponent(r.n), length, r.decrease if which == "sigma" else r.increase]
+            for r, (_, length) in zip(asy.difference_profile(S), S.entries)]
     exit_code = 0
     if which == "sigma":
         index = "m"

@@ -7,8 +7,9 @@ dropped).  Two integer kernels serve every dimension:
 
 * double description (Motzkin et al. 1953; Fukuda-Prodon, "Double
   description method revisited", 1996) in homogenised coordinates, started
-  from an orthant.  V -> H gives the facets of the upward hull of seeds; H ->
-  V gives a region's vertices and decides which halfspaces are facets.
+  from an orthant.  V -> H gives the facets and the vertices of the upward
+  hull of seeds in one pass, H -> V a region's vertices and its facets; both
+  read a cone's facets from the zero sets of its extreme rays.
 * the facet-cone covolume.  The complement of a cobounded region is
   star-shaped from 0, so it is the union of the cones from 0 over the facets
   with positive offset; each facet is measured by Lasserre's recursion on its
@@ -116,54 +117,54 @@ def _extreme_rays(constraints, width: int):
     return rays
 
 
-def _region_rays(dim: int, halfspaces):
-    """Extreme rays (y, t) of the homogenised region: y >= 0, t >= 0 and
-    q n.y - p t >= 0 for each halfspace n.y >= p/q."""
-    rows = [tuple(b.denominator * c for c in n) + (-b.numerator,)
-            for n, b in halfspaces]
-    return _extreme_rays(rows, dim + 1)
-
-
-def _zero_sets(rays, count: int) -> list[int]:
-    """For each of ``count`` constraints, the bitmask of the rays on it."""
-    zeros = [0] * count
+def _facets(rows, width: int, first: int):
+    """The (ray, mask) pairs of :func:`_extreme_rays`, and the positions,
+    counted from ``first``, of the constraints that are facets of that
+    full-dimensional cone: their zero sets (the rays on them) hold at least
+    ``width - 1`` rays and lie in no other constraint's, as a lower face's
+    lies in a facet's."""
+    rays = _extreme_rays(rows, width)
+    zeros = [0] * (width + len(rows))
     for r, (_, mask) in enumerate(rays):
-        for c in range(count):
-            if mask >> c & 1:
-                zeros[c] |= 1 << r
-    return zeros
+        bit, bits = 1 << r, bin(mask)[:1:-1]  # bits[c] is bit c of the mask
+        c = bits.find("1")
+        while c >= 0:
+            zeros[c] |= bit
+            c = bits.find("1", c + 1)
+    wide = [(j, z) for j, z in enumerate(zeros) if z.bit_count() >= width - 1]
+    return rays, [j - first for j, z in wide if j >= first
+                  and not any(z & ~y == 0 for i, y in wide if i != j)]
 
 
-def _hull_halfspaces(seeds) -> list[Halfspace]:
-    """Facets n.y >= b with b > 0 of conv(seeds) + orthant.
+def _hull(seeds) -> ConvexRegion:
+    """conv(seeds) + orthant, from one double description of the dual cone,
+    whose constraints are (s, 1) for each seed s and (e_i, 0) for each axis.
 
-    They are the extreme rays (n, -b) with b > 0 of the dual cone, whose
-    constraints are (s, 1) for each seed s and (e_i, 0) for each axis.  The
-    seeds are scaled to integers by their common denominator, and u =
+    The facets n.y >= b with b > 0 are its extreme rays (n, -b) with b > 0,
+    and the vertices are the seeds whose constraint is one of its facets.
+    The seeds are scaled to integers by their common denominator, and u =
     n.s_0 - b for the first seed s_0 replaces -b, so the cone starts from the
-    orthant n >= 0, u >= 0.
+    orthant n >= 0, u >= 0, and s_0's constraint is u >= 0.
     """
     den = lcm(*(c.denominator for s in seeds for c in s))
     pts = sorted({tuple(c.numerator * (den // c.denominator) for c in s)
                   for s in seeds})
     s0 = pts[0]
+    d = len(s0)
     rows = [tuple(a - b for a, b in zip(p, s0)) + (1,) for p in pts[1:]]
-    out = []
-    for ray, _ in _extreme_rays(rows, len(s0) + 1):
-        n = ray[:-1]
-        b = sum(map(mul, n, s0)) - ray[-1]
-        if b > 0:
-            out.append(_primitive(n, Fraction(b, den)))
-    return out
+    rays, facets = _facets(rows, d + 1, d)
+    halfspaces = sorted(_primitive(ray[:-1], Fraction(b, den)) for ray, _ in rays
+                        if (b := sum(map(mul, ray, s0)) - ray[-1]) > 0)
+    return ConvexRegion(d, tuple(halfspaces),
+                        tuple(tuple(Fraction(c, den) for c in pts[k]) for k in facets))
 
 
 def region(dim: int, halfspaces) -> ConvexRegion:
     """Build a region in canonical form.
 
-    Normals must be nonnegative.  A halfspace is kept iff the extreme rays of
-    the homogenised region on its boundary are not all on another
-    constraint's boundary: a facet's never are, a redundant halfspace's
-    always are.
+    Normals must be nonnegative.  The halfspaces kept are the facets of the
+    homogenised region y >= 0, t >= 0, q n.y - p t >= 0 for each halfspace
+    n.y >= p/q; its extreme rays (y, t) with t > 0 give the vertices y/t.
     """
     cleaned: dict[tuple[int, ...], Fraction] = {}
     for normal, offset in halfspaces:
@@ -173,14 +174,11 @@ def region(dim: int, halfspaces) -> ConvexRegion:
         if b > 0 and (n not in cleaned or cleaned[n] < b):
             cleaned[n] = b
     hs = sorted(cleaned.items())
-    rays = _region_rays(dim, hs)
-    zeros = _zero_sets(rays, dim + 1 + len(hs))
-    kept = tuple(h for j, h in enumerate(hs, dim + 1)
-                 if not any(zeros[j] & ~z == 0
-                            for i, z in enumerate(zeros) if i != j))
+    rows = [tuple(b.denominator * c for c in n) + (-b.numerator,) for n, b in hs]
+    rays, facets = _facets(rows, dim + 1, dim + 1)
     vertices = sorted(tuple(Fraction(c, ray[-1]) for c in ray[:-1])
                       for ray, _ in rays if ray[-1] > 0)
-    return ConvexRegion(dim, kept, tuple(vertices))
+    return ConvexRegion(dim, tuple(hs[j] for j in facets), tuple(vertices))
 
 
 # -- covolume ------------------------------------------------------------------
@@ -286,8 +284,7 @@ def _lifted_hull(points):
     of conv(points), and U's rows with y_0 = t - |x| describe conv(points)."""
     t = max(sum(x) for x in points)
     lifted = [(t - sum(x), *x) for x in points]
-    width = len(lifted[0])
-    return t, region(width, _hull_halfspaces(lifted))
+    return t, _hull(lifted)
 
 
 def hull_vertices(points) -> list:
@@ -324,15 +321,16 @@ def hull_region(I: MonomialIdeal) -> ConvexRegion:
     """Convex hull of the staircase of a primary ideal."""
     if not I.is_primary:
         raise NotPrimaryError("hull region needs a primary ideal")
-    return region(I.ring.d, _hull_halfspaces(I.gens))
+    return _hull(I.gens)
 
 
 def minkowski_sum(D1: ConvexRegion, D2: ConvexRegion) -> ConvexRegion:
     """Exact Minkowski sum: the upward hull of the pairwise vertex sums.
 
-    The vertices are scaled to integers over one common denominator.  A sum
-    that dominates another lies in that one's orthant translate, so it is
-    never a vertex of the hull; only the minimal sums are hulled.
+    The vertices are scaled to integers over one common denominator, and
+    the hull of their sums is scaled back.  A sum that dominates another lies
+    in that one's orthant translate, so it is never a vertex of the hull;
+    only the minimal sums are hulled.
     """
     if D1.dim != D2.dim:
         raise GeometryError("dimension mismatch")
@@ -340,7 +338,7 @@ def minkowski_sum(D1: ConvexRegion, D2: ConvexRegion) -> ConvexRegion:
     P, Q = ([[c.numerator * (den // c.denominator) for c in v] for v in D.vertices]
             for D in (D1, D2))
     sums = _minimal_antichain([tuple(map(add, p, q)) for p in P for q in Q], D1.dim)
-    return region(D1.dim, [(n, b / den) for n, b in _hull_halfspaces(sums)])
+    return scale_region(_hull(sums), Fraction(1, den))
 
 
 def scale_region(D: ConvexRegion, t) -> ConvexRegion:

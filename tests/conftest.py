@@ -926,7 +926,9 @@ def oracle_covol(D) -> Fraction:
     rows = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
     rows += [(tuple(b.denominator * c for c in n), b.numerator)
              for n, b in D.halfspaces]
-    zeros = convex._zero_sets(convex._region_rays(d, D.halfspaces), len(rows) + 1)
+    rays = convex._extreme_rays([a + (-beta,) for a, beta in rows[d:]], d + 1)
+    zeros = [sum(1 << r for r, (_, mask) in enumerate(rays) if mask >> c & 1)
+             for c in range(len(rows) + 1)]
     del zeros[d]
     total = Fraction(0)
     for j in range(d, len(rows)):

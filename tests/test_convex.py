@@ -39,7 +39,7 @@ from monolim import (
     teissier_check,
 )
 from monolim import MaxPowerSpec, PowerSpec, ProductSpec, ValuationSpec, convex
-from monolim.convex import KTReport, _hull_halfspaces, polytope_volume
+from monolim.convex import KTReport, _hull, hull_vertices, polytope_volume
 from monolim.errors import GeometryError, NotCoboundedError, NotPrimaryError
 from monolim.roots import root_sum_at_least
 
@@ -330,7 +330,7 @@ def test_hull_halfspaces_match_the_oracle_on_cobounded_seeds(gens, axes, scale):
     gens = gens + [tuple(a if j == i else 0 for j in range(3))
                    for i, a in enumerate(axes)]
     seeds = [tuple(c * scale for c in g) for g in gens]
-    got = _hull_halfspaces(seeds)
+    got = _hull(seeds).halfspaces
     _check_supporting(seeds, got)
     assert set(got) == set(oracle_hull_halfspaces_3d(seeds))
 
@@ -339,7 +339,7 @@ def test_hull_halfspaces_match_the_oracle_on_cobounded_seeds(gens, axes, scale):
 @given(_seeds_3d, _scales)
 def test_hull_halfspaces_contain_the_oracle_facets(gens, scale):
     seeds = [tuple(c * scale for c in g) for g in gens]
-    got = _hull_halfspaces(seeds)
+    got = _hull(seeds).halfspaces
     _check_supporting(seeds, got)
     assert set(oracle_hull_halfspaces_3d(seeds)) <= set(got)
 
@@ -348,7 +348,7 @@ def test_hull_halfspaces_of_a_non_cobounded_seed_set():
     # the upward hull is x >= 1: a facet with a single minimising seed,
     # which no candidate of the per-candidate oracle spans
     seeds = [(1, 0, 0), (2, 5, 0), (2, 0, 5)]
-    assert _hull_halfspaces(seeds) == [((1, 0, 0), Fraction(1))]
+    assert _hull(seeds).halfspaces == (((1, 0, 0), Fraction(1)),)
     assert oracle_hull_halfspaces_3d(seeds) == []
 
 
@@ -440,7 +440,7 @@ def test_hull_halfspaces_3d_of_a_minkowski_sum_match_the_oracle(R3):
     seeds = sorted({tuple(Fraction(a, 3) + Fraction(2 * b, 5) for a, b in zip(p, q))
                     for p in I.gens for q in J.gens})
     expected = oracle_hull_halfspaces_3d(seeds)
-    assert set(_hull_halfspaces(seeds)) == set(expected)
+    assert set(_hull(seeds).halfspaces) == set(expected)
     assert minkowski_sum(D1, D2) == region(3, expected)
     assert covol(minkowski_sum(D1, D2)) == oracle_covol_3d(expected)
 
@@ -525,7 +525,7 @@ def _rank(vectors) -> int:
 def test_hull_facets_and_vertices_dim_four(gens):
     # every halfspace is a facet: its tight seeds and the axes it is parallel
     # to span a hyperplane; every vertex is a seed, on d independent planes
-    got = _hull_halfspaces(gens)
+    got = _hull(gens).halfspaces
     _check_supporting(gens, got)
     for n, b in got:
         tight = [s for s in gens if sum(a * c for a, c in zip(n, s)) == b]
@@ -552,6 +552,39 @@ _dim_halfspaces = st.sampled_from((2, 3, 4)).flatmap(
 
 def _fields(D):
     return D.dim, D.halfspaces, D.vertices
+
+
+@st.composite
+def _seed_sets(draw):
+    """Seeds in d = 1..4: the origin alone, or rational points with
+    duplicates, dominated points and points p + k e_i on an axis ray of
+    another seed; the axis points that make the set cobounded are drawn or
+    left out."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return [(0,) * d]
+    coord = st.fractions(min_value=0, max_value=6, max_denominator=3)
+    seeds = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+    for p in draw(st.lists(st.sampled_from(seeds), max_size=3)):
+        seeds.append(p)
+        seeds.append(tuple(c + draw(coord) for c in p))
+        i, k = draw(st.integers(0, d - 1)), draw(st.integers(1, 3))
+        seeds.append(tuple(c + k * (j == i) for j, c in enumerate(p)))
+    if draw(st.booleans()):
+        seeds += [tuple(draw(coord) + 1 if j == i else 0 for j in range(d))
+                  for i in range(d)]
+    return seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_seed_sets())
+def test_one_pass_hull_equals_the_round_trip(seeds):
+    # the vertices read from the dual cone's facets are those of the region
+    # of its halfspaces, and every vertex is a seed
+    H = _hull(seeds)
+    assert _fields(H) == _fields(region(H.dim, H.halfspaces))
+    assert all(type(c) is Fraction for v in H.vertices for c in v)
+    assert set(H.vertices) <= {tuple(map(Fraction, s)) for s in seeds}
 
 
 @settings(max_examples=150, deadline=None)
@@ -637,9 +670,15 @@ def test_one_double_description_per_region(monkeypatch, R3):
         assert calls == []
         minkowski_sum(D1, D2)
         alone = len(calls)
-        assert alone == 2  # the seeds' hull, then the sum's region
+        assert alone == 1  # the seeds' hull, facets and vertices in one pass
         kt_check(D1, D2)
         assert len(calls) == 2 * alone
+        calls.clear()
+    simplex = [(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 4), (1, 1, 1)]
+    for build in (lambda: hull_region(parse_ideal(R3, "x^7, y^6, z^5, x*y*z")),
+                  lambda: hull_vertices(simplex), lambda: polytope_volume(simplex)):
+        build()
+        assert len(calls) == 1
         calls.clear()
 
 

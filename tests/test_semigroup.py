@@ -25,6 +25,7 @@ from conftest import (
 
 from monolim import (
     AmbientRing,
+    MaxPowerSpec,
     MonomialIdeal,
     PowerSpec,
     SemigroupPredicate,
@@ -175,6 +176,17 @@ def test_family_limit_matches_body(R2):
     assert report.volume == Fraction(3, 2)
     assert report.invariants.q == 2
     assert report.rel_gap < 0.03
+
+
+def test_okounkov_body_of_many_seeds_in_budget(R2):
+    # 5,328 column runs, so about 10,600 run ends hulled by one double
+    # description; comparing the zero sets of its ~6,400 constraints pairwise,
+    # without the width - 1 count, takes 3 to 4 times as long
+    L = enumerate_levels(SemigroupPredicate.from_family(
+        MaxPowerSpec(R2, "table", tuple(range(1, 81)))), 80)
+    assert sum(map(len, L.levels.values())) == 5328
+    body = timed(lambda: okounkov_body(L), 1.0)
+    assert body == [(0, 1), (1, 0), (2, 0), (0, 2)]
 
 
 def test_body_grows_with_levels(R2):
