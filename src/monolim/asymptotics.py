@@ -7,11 +7,11 @@ decided by integer bracketing, never floating point.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from operator import mul, sub
-from typing import NamedTuple
 
 from .convex import covol, hull_region
 from .errors import (
@@ -59,14 +59,11 @@ class LengthSequence(Value):
         return [(n, Fraction(v, n ** self.degree)) for n, v in self.entries if n > 0]
 
 
-class LimitEstimate(NamedTuple):
-    """Fitted limit of v_n / n^degree with the tail window that produced it."""
-
-    point_estimate: Fraction
-    tail_min: Fraction
-    tail_max: Fraction
-    verdict: str
-    window: tuple[int, int]
+LimitEstimate = namedtuple(
+    "LimitEstimate", "point_estimate tail_min tail_max verdict window")
+LimitEstimate.__doc__ = """Fitted limit of v_n / n^degree with the tail window
+that produced it: the point estimate and the tail's least and greatest ratios
+(Fractions), the verdict and the window (first n, last n)."""
 
 
 def estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
@@ -147,12 +144,9 @@ def length_sequence(F: FamilySpec, ns) -> LengthSequence:
     return LengthSequence(tuple((n, value(n)) for n in indices), F.ring.d)
 
 
-class ProfileRow(NamedTuple):
-    """Normalized first difference at n, reported in both orientations."""
-
-    n: int
-    increase: Fraction
-    decrease: Fraction
+ProfileRow = namedtuple("ProfileRow", "n increase decrease")
+ProfileRow.__doc__ = """Normalized first difference at n (a Fraction), reported in
+both orientations."""
 
 
 def difference_profile(S: LengthSequence) -> list[ProfileRow]:
@@ -177,11 +171,8 @@ def exact_multiplicity(I: MonomialIdeal) -> int:
     return int(value)
 
 
-class MultiplicityReport(NamedTuple):
-    ideal: MonomialIdeal
-    e_exact: int | None
-    e_numeric: LimitEstimate
-    hs_samples: LengthSequence
+MultiplicityReport = namedtuple(
+    "MultiplicityReport", "ideal e_exact e_numeric hs_samples")
 
 
 def multiplicity(I: MonomialIdeal, N: int = 64) -> MultiplicityReport:
@@ -198,14 +189,11 @@ def multiplicity(I: MonomialIdeal, N: int = 64) -> MultiplicityReport:
     return MultiplicityReport(I, e_exact, estimate_limit(scaled), raw)
 
 
-class VolumeMultiplicityReport(NamedTuple):
-    """Both sides of the volume = multiplicity identity with their gap."""
-
-    length_side: Fraction
-    multiplicity_side: Fraction
-    rel_gap: float
-    length_estimate: LimitEstimate
-    multiplicity_estimate: LimitEstimate
+VolumeMultiplicityReport = namedtuple(
+    "VolumeMultiplicityReport",
+    "length_side multiplicity_side rel_gap length_estimate multiplicity_estimate")
+VolumeMultiplicityReport.__doc__ = """Both sides of the volume = multiplicity
+identity (Fractions) with their gap and the two LimitEstimates."""
 
 
 def volume_equals_multiplicity(F: FamilySpec, N: int) -> VolumeMultiplicityReport:
@@ -222,14 +210,10 @@ def volume_equals_multiplicity(F: FamilySpec, N: int) -> VolumeMultiplicityRepor
     return VolumeMultiplicityReport(left, right, gap, left_est, right_est)
 
 
-class IdealMinkowskiReport(NamedTuple):
-    """e(IJ)^(1/d) <= e(I)^(1/d) + e(J)^(1/d), decided exactly."""
-
-    e_left: int
-    e_right: int
-    e_product: int
-    holds: bool
-    equality: bool
+IdealMinkowskiReport = namedtuple(
+    "IdealMinkowskiReport", "e_left e_right e_product holds equality")
+IdealMinkowskiReport.__doc__ = """e(IJ)^(1/d) <= e(I)^(1/d) + e(J)^(1/d), decided
+exactly."""
 
 
 def teissier_check(I: MonomialIdeal, J: MonomialIdeal) -> IdealMinkowskiReport:
@@ -241,16 +225,12 @@ def teissier_check(I: MonomialIdeal, J: MonomialIdeal) -> IdealMinkowskiReport:
     return IdealMinkowskiReport(eI, eJ, eIJ, holds, equality)
 
 
-class FamilyMinkowskiReport(NamedTuple):
-    """Limit version of the Minkowski inequality for two families."""
-
-    limit_left: Fraction
-    limit_right: Fraction
-    limit_product: Fraction
-    holds: bool
-    equality: bool
-    slack: float
-    product: LengthSequence
+FamilyMinkowskiReport = namedtuple(
+    "FamilyMinkowskiReport",
+    "limit_left limit_right limit_product holds equality slack product")
+FamilyMinkowskiReport.__doc__ = """Limit version of the Minkowski inequality for
+two families: the three limits (Fractions), the verdicts, the float slack and
+the product family's LengthSequence."""
 
 
 def minkowski_family_check(F: FamilySpec, G: FamilySpec,
@@ -267,15 +247,11 @@ def minkowski_family_check(F: FamilySpec, G: FamilySpec,
     return FamilyMinkowskiReport(a, b, c, holds, equality, slack, product)
 
 
-class EpsilonReport(NamedTuple):
-    """Normalized limit of saturation-gap lengths; epsilon = degree! * limit."""
-
-    estimate: LimitEstimate
-    epsilon: Fraction
-    samples: LengthSequence
-    degree: int
-    rank: int
-    primary_flag: bool = False
+EpsilonReport = namedtuple(
+    "EpsilonReport", "estimate epsilon samples degree rank primary_flag",
+    defaults=(False,))
+EpsilonReport.__doc__ = """Normalized limit of saturation-gap lengths; epsilon =
+degree! * limit."""
 
 
 def epsilon_ideal(I: MonomialIdeal, N: int) -> EpsilonReport:
@@ -310,13 +286,10 @@ def epsilon_module(E: MonomialModule, N: int) -> EpsilonReport:
     return EpsilonReport(est, est.point_estimate * factorial(deg), seq, deg, e)
 
 
-class SymbolicReport(NamedTuple):
-    """Limit of e_m(I_n(J)/I^n) / n^(d-s) with the detected dimension s."""
-
-    s: int
-    estimate: LimitEstimate | None
-    samples: LengthSequence | None
-    zero_module: bool = False
+SymbolicReport = namedtuple(
+    "SymbolicReport", "s estimate samples zero_module", defaults=(False,))
+SymbolicReport.__doc__ = """Limit of e_m(I_n(J)/I^n) / n^(d-s) with the detected
+dimension s; the estimate and samples are None for a zero module."""
 
 
 def _module_multiplicity(outer: MonomialIdeal, inner: MonomialIdeal,
@@ -365,13 +338,8 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     return SymbolicReport(s, estimate_limit(seq), seq)
 
 
-class BoundReport(NamedTuple):
-    """An exact inequality check value <= bound."""
-
-    value: int
-    bound: int
-    holds: bool
-    detail: str = ""
+BoundReport = namedtuple("BoundReport", "value bound holds detail", defaults=("",))
+BoundReport.__doc__ = """An exact inequality check value <= bound."""
 
 
 def monomial_quotient_bound(I: MonomialIdeal, r: int, s: int) -> BoundReport:
@@ -386,14 +354,10 @@ def monomial_quotient_bound(I: MonomialIdeal, r: int, s: int) -> BoundReport:
     return BoundReport(value, bound, value <= bound)
 
 
-class FiltrationBoundReport(NamedTuple):
-    """l(I_n/I_{n+1}) <= c^d (n+1)^(d-1) for all n <= N, with computed c."""
-
-    c: int
-    checked_upto: int
-    holds: bool
-    first_violation: int | None
-    max_ratio: float
+FiltrationBoundReport = namedtuple(
+    "FiltrationBoundReport", "c checked_upto holds first_violation max_ratio")
+FiltrationBoundReport.__doc__ = """l(I_n/I_{n+1}) <= c^d (n+1)^(d-1) for all n <=
+N, with computed c, the first violating n (or None) and the float max ratio."""
 
 
 def filtration_difference_bound(F: FamilySpec, N: int) -> FiltrationBoundReport:

@@ -22,10 +22,10 @@ Hulls, covolumes, Minkowski sums and the reversed Brunn-Minkowski
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import NamedTuple
 
 from .errors import GeometryError, NotCoboundedError, NotPrimaryError
 from .lattice import MonomialIdeal, Value, _minimal_antichain
@@ -350,15 +350,9 @@ def scale_region(D: ConvexRegion, t) -> ConvexRegion:
                         tuple(tuple(c * t for c in v) for v in D.vertices))
 
 
-class KTReport(NamedTuple):
-    """Reversed Brunn-Minkowski check for covolumes of summed regions."""
-
-    covol1: Fraction
-    covol2: Fraction
-    covol_sum: Fraction
-    holds: bool
-    equality: bool
-    dim: int
+KTReport = namedtuple("KTReport", "covol1 covol2 covol_sum holds equality dim")
+KTReport.__doc__ = """Reversed Brunn-Minkowski check for covolumes (Fractions) of
+summed regions."""
 
 
 def kt_check(D1: ConvexRegion, D2: ConvexRegion) -> KTReport:

@@ -15,11 +15,11 @@ symbolic powers, saturations, products and explicit tables.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
 from .convex import ConvexRegion, hull_region, minkowski_sum, region
 from .errors import (
@@ -641,13 +641,12 @@ class TableSpec(FamilySpec):
 # -- verification -------------------------------------------------------------
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(namedtuple(
+        "VerificationReport", "passed checked_upto first_violation detail",
+        defaults=(None, ""))):
     """PASS/FAIL with the first violating index pair, if any."""
 
-    passed: bool
-    checked_upto: int
-    first_violation: tuple | None = None
-    detail: str = ""
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed

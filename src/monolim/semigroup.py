@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, lcm, prod
-from typing import Callable, NamedTuple
 
 from .convex import covol, hull_vertices, polytope_volume
 from .errors import (
@@ -28,7 +28,8 @@ from .families import FamilySpec
 from .lattice import _compositions
 
 
-class SemigroupPredicate(NamedTuple):
+class SemigroupPredicate(namedtuple(
+        "SemigroupPredicate", "point_dim beta member family", defaults=(None,))):
     """Membership oracle for a graded subsemigroup of N^p x N.
 
     ``member(point, level)`` must be closed under addition (spot-checked at
@@ -37,10 +38,7 @@ class SemigroupPredicate(NamedTuple):
     semigroup this is (see :meth:`from_family`), or None.
     """
 
-    point_dim: int
-    beta: int
-    member: Callable
-    family: FamilySpec | None = None
+    __slots__ = ()
 
     @staticmethod
     def from_family(F: FamilySpec) -> "SemigroupPredicate":
@@ -130,21 +128,16 @@ def _size(runs) -> int:
     return sum(hi - lo + 1 for _, lo, hi in runs)
 
 
-class SemigroupLevels(NamedTuple):
-    """Enumerated levels: exact counts everywhere, points where retained.
+SemigroupLevels = namedtuple(
+    "SemigroupLevels",
+    "point_dim beta max_level counts levels truncated family", defaults=(None,))
+SemigroupLevels.__doc__ = """Enumerated levels: exact counts everywhere, points
+where retained.
 
-    A retained level is its list of column runs ``(prefix, lo, hi)``, each
-    standing for the points ``prefix + (t,)`` with lo <= t <= hi, in the
-    order the points are listed.
-    """
-
-    point_dim: int
-    beta: int
-    max_level: int
-    counts: dict[int, int]
-    levels: dict[int, list]
-    truncated: bool
-    family: FamilySpec | None = None
+``counts`` and ``levels`` are dicts by level.  A retained level is its list of column runs ``(prefix, lo, hi)``, each
+standing for the points ``prefix + (t,)`` with lo <= t <= hi, in the
+order the points are listed.
+"""
 
 
 #: Retained points across all levels; past it a result is flagged truncated.
@@ -269,13 +262,9 @@ def _saturation_index(basis: list[list[int]]) -> int:
     return prod(row[i] for i, row in enumerate(echelon))
 
 
-class LatticeInvariants(NamedTuple):
-    """Level-projection index m, boundary-lattice index ind, boundary dim q."""
-
-    m: int
-    ind: int
-    q: int
-    truncated: bool
+LatticeInvariants = namedtuple("LatticeInvariants", "m ind q truncated")
+LatticeInvariants.__doc__ = """Level-projection index m, boundary-lattice index
+ind, boundary dim q."""
 
 
 def lattice_invariants(L: SemigroupLevels) -> LatticeInvariants:
@@ -350,16 +339,12 @@ def body_volume(vertices, q: int) -> Fraction:
     raise GeometryError("volume unavailable for this dimension")
 
 
-class SemigroupLimitReport(NamedTuple):
-    """Tail of #S_{m k}/k^q against the exact target vol_q(body)/ind."""
-
-    invariants: LatticeInvariants
-    volume: Fraction
-    expected: Fraction
-    tail_ratios: tuple[tuple[int, Fraction], ...]
-    rel_gap: float
-    bounded_max: float
-    body: tuple[tuple[Fraction, ...], ...]
+SemigroupLimitReport = namedtuple(
+    "SemigroupLimitReport",
+    "invariants volume expected tail_ratios rel_gap bounded_max body")
+SemigroupLimitReport.__doc__ = """Tail of #S_{m k}/k^q against the exact target
+vol_q(body)/ind: the LatticeInvariants, the volume and target (Fractions), the
+pairs (k, ratio), the float gaps and the body's vertices."""
 
 
 def semigroup_limit_check(L: SemigroupLevels) -> SemigroupLimitReport:

@@ -510,11 +510,57 @@ def test_cli_builds_the_parser_once(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run_cli(tmp_path / "a", "kt", "--region", "2,1 >= 2",
                    "--region2", "1,2 >= 2")[0] == 0
-    first = len(built)
-    assert first > 0
+    assert built == ["monolim kt"]
     assert run_cli(tmp_path / "b", "kt", "--region", "1,1 >= 1",
                    "--region2", "1,1 >= 2")[0] == 0
-    assert len(built) == first
+    assert built == ["monolim kt"]
+
+
+def test_cli_help_builds_the_top_level_parser_and_one_per_command(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["--help"]) == 0
+    assert built == ["monolim"] + [f"monolim {name}" for name in cli.COMMANDS]
+    out = " ".join(capsys.readouterr().out.split())
+    for command in cli.COMMANDS.values():
+        assert " ".join(command.help.split()) in out
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_cli_command_help_lists_its_flags(name, capsys):
+    assert run([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: monolim {name}")
+    command = cli.COMMANDS[name]
+    for flag in ("--config", "--ring", *command.flags, "--out", "--svg"):
+        assert flag in out
+    if command.choice:
+        assert "{" + ",".join(command.choice[1]) + "}" in out
+
+
+def test_cli_unknown_command_exits_2(capsys):
+    assert run(["nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: monolim ")
+    assert "invalid choice: 'nope'" in err
+
+
+def test_cli_options_before_the_command_are_reported_by_its_parser(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--svg", "limits", "--family", "power(x, y)",
+                        "--N", "8")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: monolim limits")
+    assert "[--tol TOL]" in err
+    assert err.rstrip().endswith("unrecognized arguments: --svg")
+    assert not Path(f"{out}.json").exists()
 
 
 def test_cli_kt_in_dimension_four(tmp_path):
@@ -1133,6 +1179,105 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     out = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def _fresh_modules(code, *args):
+    """The modules a fresh ``python -I`` loads while running ``code`` (with
+    ``src`` on its path and ``argv`` bound to ``args``), sorted; they are
+    printed on the last line, after anything ``code`` prints."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); argv = sys.argv[2:]; "
+             f"before = set(sys.modules); {code}; "
+             "print(*sorted(sys.modules.keys() - before))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(src), *args],
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1].split()
+
+
+# The layers bench/tracer.py wraps after one untraced pass.
+_TRACED_LAYERS = ("lattice", "families", "asymptotics", "convex", "semigroup",
+                  "reportio", "cli")
+
+
+def test_import_of_the_cli_loads_no_layer_and_no_exact_arithmetic():
+    # the layers load when a command is dispatched, so --help and a usage
+    # error pay for argparse alone
+    unwanted = ({"fractions", "decimal", "monolim.svg"}
+                | {f"monolim.{n}" for n in _TRACED_LAYERS if n != "cli"})
+    assert sorted(unwanted & set(_fresh_modules("import monolim.cli"))) == []
+
+
+# One small run of each command.
+_SMALL_RUNS = {
+    "family": ["family", "eval", "--family", "power(x, y)", "--N", "2"],
+    "limits": ["limits", "--family", "power(x, y)", "--N", "8"],
+    "diff": ["diff", "--family", "power(x, y)", "--N", "4"],
+    "minkowski": ["minkowski", "--family", "power(x, y)", "--family2", "power(x, y)",
+                  "--N", "8"],
+    "epsilon": ["epsilon", "--ideal", "x^2, x*y", "--N", "8"],
+    "symbolic": ["symbolic", "--ideal", "x*y", "--aux", "x", "--N", "8"],
+    "okounkov": ["okounkov", "--family", "power(x, y)", "--N", "3"],
+    "kt": ["kt", "--region", "2,1 >= 2", "--region2", "1,2 >= 2"],
+    "counterexample": ["counterexample", "log", "--N", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_one_run_of_any_command_loads_every_traced_layer(tmp_path, name):
+    assert _SMALL_RUNS.keys() == cli.COMMANDS.keys()
+    argv = [*_SMALL_RUNS[name], "--out", str(tmp_path / "out")]
+    loaded = _fresh_modules("import monolim.cli; assert monolim.cli.run(argv) == 0",
+                            *argv)
+    assert [n for n in _TRACED_LAYERS if f"monolim.{n}" not in loaded] == []
+
+
+def test_svg_loads_only_for_a_drawing(tmp_path):
+    argv = [*_SMALL_RUNS["kt"], "--out", str(tmp_path / "out")]
+    run_kt = "import monolim.cli; assert monolim.cli.run(argv) == 0"
+    assert "monolim.svg" not in _fresh_modules(run_kt, *argv)
+    assert "monolim.svg" in _fresh_modules(run_kt, *argv, "--svg")
+
+
+_PACKAGE_NAMES = [
+    "AmbientRing", "ConvexRegion", "EpsilonReport", "FamilySpec", "INFINITE",
+    "LengthSequence", "LimitEstimate", "MaxPowerSpec", "MonolimError", "MonomialIdeal",
+    "MonomialModule", "MultiplicityReport", "PowerSpec", "ProductSpec",
+    "SaturationSpec", "SemigroupLevels", "SemigroupPredicate", "SymbolicReport",
+    "SymbolicSpec", "TableSpec", "ValuationSpec", "asymptotics", "containment_order",
+    "convex", "covol", "difference_profile", "enumerate_levels", "epsilon_ideal",
+    "epsilon_module", "errors", "estimate_limit", "exact_multiplicity", "families",
+    "filtration_difference_bound", "format_ideal", "hull_region", "kt_check",
+    "lattice", "lattice_invariants", "length_mod_power", "length_sequence",
+    "log_exponent", "minimalize", "minkowski_family_check", "minkowski_sum",
+    "monomial_quotient_bound", "multiplicity", "okounkov_body", "parse_ideal",
+    "region", "rel_length", "roots", "scale_region", "semigroup",
+    "semigroup_limit_check", "sigma_exponent", "sigma_multiplier",
+    "symbolic_multiplicity", "teissier_check", "verify_filtration", "verify_graded",
+    "volume_equals_multiplicity",
+]
+
+
+def test_package_names_resolve_to_their_submodules_objects():
+    import monolim
+
+    assert monolim.__all__ == _PACKAGE_NAMES
+    for name in monolim.__all__:
+        value = getattr(monolim, name)
+        if isinstance(value, type(monolim)):
+            assert value is sys.modules[f"monolim.{name}"]
+        else:
+            # INFINITE, a float, has no __module__
+            home = getattr(value, "__module__", "monolim.lattice")
+            assert value is getattr(sys.modules[home], name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        monolim.no_such_name
+
+
+def test_star_import_of_the_package_binds_every_name():
+    loaded = _fresh_modules("from monolim import *; import monolim; "
+                            "assert all(n in globals() for n in monolim.__all__)")
+    assert "monolim.semigroup" in loaded
+    assert "monolim.cli" not in loaded
 
 
 def test_cli_rejects_a_flag_the_command_does_not_read(tmp_path, capsys):
