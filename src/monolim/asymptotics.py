@@ -54,6 +54,8 @@ class LengthSequence(Value):
             raise MonolimError("sample indices must be strictly increasing")
         if ns and ns[0] < 0:
             raise MonolimError("sample indices must be nonnegative")
+        if self.degree < 1:
+            raise MonolimError("normalization degree must be >= 1")
 
     def normalized(self) -> list[tuple[int, Fraction]]:
         return [(n, Fraction(v, n ** self.degree)) for n, v in self.entries if n > 0]
@@ -89,11 +91,10 @@ def estimate_limit(S: LengthSequence, tol=Fraction(1, 100)) -> LimitEstimate:
     us = [n ** (d - 1) for n, _ in tail]
     s0, s1, s2 = sum(map(mul, ws, ws)), sum(map(mul, ws, us)), sum(map(mul, us, us))
     r0, r1 = sum(map(mul, vs, ws)), sum(map(mul, vs, us))
-    det = s0 * s2 - s1 * s1
-    if det != 0:  # the fit is (A n^d + B n^(d-1)) / D
-        A, B, D = r0 * s2 - r1 * s1, r1 * s0 - r0 * s1, det
-    else:
-        A, B, D = vs[-1], 0, ws[-1]
+    # the fit is (A n^d + B n^(d-1)) / D; D > 0 by Cauchy-Schwarz, as the
+    # tail holds at least two distinct indices and d >= 1
+    D = s0 * s2 - s1 * s1
+    A, B = r0 * s2 - r1 * s1, r1 * s0 - r0 * s1
     point = Fraction(A, D)
     lo = hi = 0  # the tail positions of the least and the greatest v/n^d
     for i in range(1, len(vs)):

@@ -142,10 +142,13 @@ class FamilySpec(Value):
             containment_order(self.member_ideal(1))
 
     def column_floors(self, n: int) -> dict:
-        """:meth:`MonomialIdeal.column_floors` of I_n."""
+        """Column floors of I_n, keyed by column over the first d - 1
+        coordinates: a column's floor, the least last coordinate of a member
+        in it, is the least floor listed at or below it (none: the column is
+        empty).  This lists each generator's last coordinate in its column."""
         closure = self.closure
         return closure.column_floors(n) if closure else \
-            self.member_ideal(n).column_floors()
+            {g[:-1]: g[-1] for g in self.member_ideal(n).gens}
 
     def graded_violation(self, N: int):
         """((m, n), detail) for the first I_m * I_n not inside I_{m+n}, else None."""
@@ -456,9 +459,10 @@ class ValuationSpec(FamilySpec):
         """A column's floor is the largest ceil(gap / w_d) over the unmet
         constraints, and the column is empty while one of them has w_d = 0.
         Coordinate i is scanned only while some unmet constraint still grows
-        with it; past that, no floor changes along i.  The columns of a row
-        along the last of the d - 1 coordinates are read together, one list
-        of ceilings per constraint."""
+        with it; past that, no floor changes along i.  Floors never grow along
+        a coordinate, so every column's floor is the least one listed at or
+        below it.  The columns of a row along the last of the d - 1
+        coordinates are read together, one list of ceilings per constraint."""
         _check_index(n)
         last = self.ring.d - 1
         if last == 0:

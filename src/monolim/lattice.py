@@ -433,28 +433,6 @@ class MonomialIdeal(Value):
             return INFINITE
         return _standard_monomials(self.gens, self.ring.d)[0]
 
-    def column_floors(self) -> dict:
-        """Least last coordinate in each nonempty column over the first d - 1
-        coordinates, keyed by the column in lex order.  The columns cover every
-        corner of the staircase, so a column beyond them has the floor of the
-        column cut back to them.  Walking the corners row by row along the last
-        of those coordinates, a column's floor is the least of its own corner,
-        the floor before it in its row and its floors in the rows one step back."""
-        own = {g[:-1]: g[-1] for g in self.gens}
-        tops = [max(c) for c in zip(*own)]
-        if not tops:
-            return own
-        span = range(tops[-1] + 1)
-        rows: dict = {}
-        for head in itertools.product(*(range(t + 1) for t in tops[:-1])):
-            row = [own.get((*head, y), math.inf) for y in span]
-            for k, c in enumerate(head):
-                if c:
-                    row = list(map(min, row, rows[head[:k] + (c - 1,) + head[k + 1:]]))
-            rows[head] = list(itertools.accumulate(row, min))
-        return {(*head, y): floor for head, row in rows.items()
-                for y, floor in zip(span, row) if floor != math.inf}
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:

@@ -11,10 +11,11 @@ from the hull and the lattice of the retained points.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, lcm, prod
+from operator import le
 
 from .convex import covol, hull_vertices, polytope_volume
 from .errors import (
@@ -70,37 +71,40 @@ def _floor_runs(floors: dict, p: int, cap: int) -> list:
     coordinates, in lex order, from its column floors (see
     :meth:`FamilySpec.column_floors`).
 
-    A column past the last one listed along a coordinate has the floor of
-    the column cut back to that last one.  So each head (the first p - 1
-    coordinates) is cut back, coordinate by coordinate, to the last value
-    listed after the cut prefix; the listed row of the cut head gives the
-    head's columns, and the columns past the row's end keep its last floor.
+    A column's floor is the least floor listed at or below it; a column with
+    none is empty.  The heads (the first p - 1 coordinates) are walked in lex
+    order.  A head's row is the running least of its own listed floors and
+    the rows one step back along each head coordinate, up to the largest
+    listed last coordinate, past which its last floor holds.  Likewise a
+    head past the largest listed value of a coordinate has the row of the
+    head cut back to those values.
     """
-    if p == 0:
+    if p == 0 or not floors:
         return [((), floor, cap) for floor in floors.values() if floor <= cap]
-    cols, values = list(floors), list(floors.values())
-
-    def listed(prefix):
-        """Bounds in ``cols`` of the listed columns that start with prefix."""
-        return bisect_left(cols, prefix), bisect_left(cols, prefix + (inf,))
-
+    *tops, top = map(max, zip(*floors))
+    span = range(top + 1)
+    rows: dict = {}
     runs = []
     for comp in _compositions(cap, p):
         head, room = comp[:-1], comp[-1]
-        cut = ()
-        for c in head:
-            lo, hi = listed(cut)
-            cut += (min(c, cols[hi - 1][len(cut)]) if lo < hi else c,)
-        lo, hi = listed(cut)
-        if lo == hi:
-            continue
-        row = cols[lo:hi] if cut == head else [head + col[-1:] for col in cols[lo:hi]]
-        runs += [(col, floor, room - col[-1]) for col, floor in zip(row, values[lo:hi])
-                 if col[-1] + floor <= room]
-        floor = values[hi - 1]
-        tail = range(cols[hi - 1][-1] + 1, room - floor + 1)
-        runs += zip(zip(*map(itertools.repeat, head), tail),
-                    itertools.repeat(floor), map(room.__sub__, tail))
+        cols = list(zip(*map(itertools.repeat, head), span))
+        cut = tuple(map(min, head, tops))
+        if cut == head:
+            row = map(floors.get, cols, itertools.repeat(inf))
+            for k, c in enumerate(head):
+                if c:
+                    row = map(min, row, rows[head[:k] + (c - 1,) + head[k + 1:]])
+            row = list(row)
+            if row != sorted(row, reverse=True):  # else it is its own running least
+                row = list(itertools.accumulate(row, min))
+            rows[head] = row
+        row = rows[cut]
+        last = row[-1]
+        if last <= room:
+            his = range(room, -1, -1)
+            runs += itertools.compress(zip(cols, row, his), map(le, row, his))
+            runs += zip(zip(*map(itertools.repeat, head), range(top + 1, room - last + 1)),
+                        itertools.repeat(last), range(room - top - 1, last - 1, -1))
     return runs
 
 

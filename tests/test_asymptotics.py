@@ -95,6 +95,13 @@ def test_length_sequence_rejects_a_negative_index():
         LengthSequence(((-1, 0), (1, 1)), 1)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_length_sequence_rejects_a_degree_below_one(degree):
+    # a degree-0 fit would weigh the sub-leading term by n ** -1, a float
+    with pytest.raises(MonolimError, match="normalization degree must be >= 1"):
+        LengthSequence(tuple((n, 3) for n in range(1, 13)), degree)
+
+
 _TOLS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10), Fraction(1, 3))
 
 

@@ -52,6 +52,7 @@ from monolim.errors import (
 )
 from monolim.families import FamilySpec, floor_sum
 from monolim.reportio import parse_family_spec
+from monolim.semigroup import _floor_runs
 
 
 def test_sigma_multiplier_values():
@@ -338,6 +339,8 @@ def test_validation_errors_keep_their_class_and_message():
         (lambda: MonomialModule(R, (x3,)), RingMismatchError, "component ideal in a different ring"),
         (lambda: LengthSequence(((2, 1), (1, 1)), 2), MonolimError,
          "sample indices must be strictly increasing"),
+        (lambda: LengthSequence(((1, 3), (2, 3)), 0), MonolimError,
+         "normalization degree must be >= 1"),
         (lambda: PowerSpec(zero), FamilySpecError, "power family needs a nonzero ideal"),
         (lambda: MaxPowerSpec(R, "cube"), FamilySpecError, "unknown exponent sequence 'cube'"),
         (lambda: MaxPowerSpec(R, "table", (1, -1)), FamilySpecError,
@@ -490,19 +493,50 @@ def test_family_contains_matches_the_member(fam, data):
         fam.contains((1,) * (d + 1), 1)
 
 
+def _same_floor_runs(floors, member):
+    """Whether a listing of column floors gives the level runs of the
+    listing of the member's generators, in a simplex past their box."""
+    gens, p = member.gens, member.ring.d - 1
+    cap = sum(map(max, zip(*gens))) + 2
+    return _floor_runs(floors, p, cap) == _floor_runs({g[:-1]: g[-1] for g in gens}, p, cap)
+
+
+@st.composite
+def _listed_families(draw):
+    """A power, valuation, product or table family (entries 0, 1 and 2) in
+    d = 1, 2, 3 or 4; exponents are smaller in d = 4."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
+    ring = AmbientRing.default(d)
+    ideals = st.lists(st.tuples(*[st.integers(0, 2 if d == 4 else 3)] * d),
+                      min_size=1, max_size=4).map(lambda g: MonomialIdeal.from_gens(ring, g))
+    factor = st.one_of(ideals.map(PowerSpec), valuation_specs(d))
+    table = st.tuples(ideals, ideals).map(lambda I: TableSpec((MonomialIdeal.unit(ring), *I)))
+    return draw(st.one_of(factor, st.builds(ProductSpec, factor, factor), table))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([1, 2, 3]).flatmap(
-    lambda d: st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=5)))
-def test_default_column_floors_are_the_least_members_per_column(gens):
-    d = len(gens[0])
-    ideal = MonomialIdeal.from_gens(AmbientRing.default(d), gens)
-    floors = ideal.column_floors()
-    assert list(floors) == sorted(floors)
-    tops = [max(g[k] for g in ideal.gens) for k in range(d - 1)]
-    for col in itertools.product(*(range(t + 3) for t in tops)):
-        want = min((g[-1] for g in ideal.gens
-                    if all(g[k] <= c for k, c in enumerate(col))), default=None)
-        assert floors.get(tuple(map(min, col, tops))) == want
+@given(_listed_families())
+def test_column_floors_are_the_least_listed_at_or_below_each_column(fam):
+    # over a box two steps past the listing and I_n's generators, the least
+    # floor listed at or below a column is the least t with col + (t,) in
+    # I_n, or None for an empty column
+    for n in range(3):
+        floors, member = fam.column_floors(n), fam.member_ideal(n)
+        tops = [max(c) for c in zip(*floors, *(g[:-1] for g in member.gens))]
+        span = range(max(g[-1] for g in member.gens) + 1)
+        for col in itertools.product(*(range(t + 3) for t in tops)):
+            listed = [f for key, f in floors.items() if all(map(int.__le__, key, col))]
+            assert min(listed, default=None) == \
+                next((t for t in span if member.contains(col + (t,))), None)
+
+
+def test_default_column_floors_list_each_generator_once():
+    # one floor per generator of I_n, in d = 3: no box of columns is built
+    fam = PowerSpec(parse_ideal(AmbientRing.default(3), "x^4, y^3, z^5, x*y*z"))
+    for n in (1, 2, 3):
+        gens = fam.member_ideal(n).gens
+        assert len(fam.column_floors(n)) == len(gens)
+        assert sorted(col + (f,) for col, f in fam.column_floors(n).items()) == sorted(gens)
 
 
 @settings(max_examples=60, deadline=None)
@@ -594,7 +628,7 @@ def test_power_lengths_count_the_newton_polygon_when_integrally_closed(R2):
         assert all(fam.contains(tuple(3 * c for c in g), 3) for g in ideal.gens)
         assert not fam.contains((0,) * ideal.ring.d, 3)
         assert fam.closure is not None and not fam._members
-        assert floors == fam.member_ideal(3).column_floors()
+        assert _same_floor_runs(floors, fam.member_ideal(3))
     # x*y and x*y^2 lie in the closures.  x^2, y^2 is its own reduction, so
     # its lengths come from the closed form, which reads I^2 only; the others
     # have no monomial reduction or reduction number 2: each length builds
@@ -725,7 +759,7 @@ def test_product_closure_matches_the_member_walk(factors, data):
     for n in range(7):
         member = fam.member_ideal(n)
         assert fam.length(n) == (member.colength() if n else 0)
-        assert list(fam.column_floors(n).items()) == list(member.column_floors().items())
+        assert _same_floor_runs(fam.column_floors(n), member)
         near = [g[:k] + (g[k] - 1,) + g[k + 1:]
                 for g in member.gens[:6] for k in range(d) if g[k]]
         for a in data.draw(st.lists(point, max_size=6)) + list(member.gens) + near:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -446,23 +446,39 @@ def test_level_runs_match_the_point_list_oracles(case, N, budget):
             == _member_calls(oracle_spot_check, P, O))
 
 
+def _unclosed_powers():
+    """The power family of a primary ideal in d = 2 that is not integrally
+    closed: its column floors are the sparse listing of I_i's corners."""
+    corners = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=2)
+    return st.tuples(st.integers(2, 6), st.integers(2, 6), corners).map(
+        lambda c: PowerSpec(MonomialIdeal.from_gens(
+            AmbientRing.default(2), [(c[0], 0), (0, c[1]), *c[2]]))).filter(
+        lambda F: F.closure is None)
+
+
 @st.composite
 def _floor_cases(draw):
     """A power or valuation family in d = 1, 2, 3 or 4, primary or not, and a
     simplex cap beta * i with its level i.  Exponents, levels and caps are
     smaller in d = 3 and 4, where the oracle scans the simplex; d = 4 has
-    two-coordinate heads, which are cut back coordinate by coordinate."""
+    two-coordinate heads, whose rows come from the rows one step back along
+    either coordinate."""
     d = draw(st.sampled_from((1, 2, 3, 4)))
     top = {3: 3, 4: 2}.get(d, 4)
     gens = st.tuples(*[st.integers(0, top)] * d)
     F = draw(st.one_of(valuation_specs(d), st.lists(gens, min_size=1, max_size=4).map(
-        lambda g: PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(d), g)))))
+        lambda g: PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(d), g))),
+        *([_unclosed_powers()] if d == 2 else [])))
     i = draw(st.integers(1, {3: 3, 4: 2}.get(d, 6)))
     return F, draw(st.integers(1, 4 if d == 4 else 6)) * i, i
 
 
 @settings(max_examples=150, deadline=None)
 @given(_floor_cases())
+# d = 4: head (0, 1) lists nothing and takes its floors from head (0, 0),
+# one step back along the second head coordinate
+@example((PowerSpec(MonomialIdeal.from_gens(AmbientRing.default(4),
+                                            [(0, 0, 0, 1), (0, 2, 0, 0)])), 3, 1))
 def test_floor_runs_match_the_corner_walk(case):
     # d = 2 against the corner walk over I_i's generators, d = 1, 3 and 4
     # against the membership of every point of the simplex
