@@ -19,20 +19,9 @@ import argparse
 import functools
 import sys
 from collections import namedtuple
-from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import ConfigError, MonolimError, SemigroupError
-
-
-def _write_artifacts(prefix: Path, artifacts: dict[str, str | Iterable[str]]) -> None:
-    """Write each artifact to ``<prefix><suffix>`` as ``Path.write_text``
-    would: a ``str`` at once, any other iterable of strings one chunk at a
-    time as it is made, so a streamed artifact is never held whole."""
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    for suffix, content in artifacts.items():
-        with Path(f"{prefix}{suffix}").open("w") as fh:
-            fh.writelines((content,) if isinstance(content, str) else content)
 
 
 # -- the command table ---------------------------------------------------------
@@ -122,7 +111,7 @@ def run(argv=None) -> int:
         job = commands.Job(args)
         code, artifacts, summary = getattr(commands, COMMANDS[name].run)(job)
         prefix = job.out_prefix(name)
-        _write_artifacts(prefix, artifacts)
+        commands._write_artifacts(prefix, artifacts)
         print(summary)
         print(f"artifacts: {prefix}.csv / {prefix}.json"
               + (f" / {prefix}.svg" if ".svg" in artifacts else ""))

@@ -2,12 +2,15 @@
 
 ``monolim.cli`` parses the command line and imports this module, and with
 it every layer, once a command is dispatched.  Each ``_cmd_<name>``
-returns its exit code, its artifacts by file suffix and a summary line.
-The SVG writer is imported only when ``--svg`` asks for a drawing.
+returns its exit code, its artifacts by file suffix and a summary line;
+``_write_artifacts`` writes them.  The SVG writer is imported only when
+``--svg`` asks for a drawing.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,7 +91,41 @@ class Job:
 
     def cache(self):
         value = self.param("cache_dir")
-        return rio.ResultCache(value) if value else None
+        if not value:
+            return None
+        try:
+            return rio.ResultCache(value)
+        except OSError as exc:
+            raise ConfigError(f"cannot use the cache directory {value}: {exc}") from None
+
+
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s flags without ``O_TRUNC``, and the mode ``open`` would
+    give a new file (``os.open`` defaults to 0o777)."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_artifacts(prefix: Path, artifacts: dict[str, str | Iterable[str]]) -> None:
+    """Write each artifact to ``<prefix><suffix>``: a ``str`` at once, any
+    other iterable of strings one chunk at a time as it is made, so a
+    streamed artifact is never held whole.
+
+    An existing file is written over in place and then truncated where the
+    new bytes end, so it keeps its inode, links and mode.  Opening it
+    truncated to zero instead would, on ext4, make its close start a
+    writeback of the new data.  A run killed mid-write leaves a torn
+    artifact, which may end in the old file's tail.  An ``OSError``, such
+    as from an output path under a regular file, becomes a ``ConfigError``
+    that names the prefix.
+    """
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        for suffix, content in artifacts.items():
+            with open(f"{prefix}{suffix}", "w", opener=_open_in_place) as fh:
+                fh.writelines((content,) if isinstance(content, str) else content)
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts at {prefix}: {exc}") from None
 
 
 def _sequence_artifacts(job: Job, seq, value_name: str, js: str, window,

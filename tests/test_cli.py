@@ -4,6 +4,8 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -355,6 +357,106 @@ def test_cli_limits_golden_bytes(tmp_path):
         f"{n},{n * (n + 1) // 2},{format_rational(Fraction(n + 1, 2 * n))}\n"
         for n in range(1, 13))
     assert Path(f"{out1}.csv").read_text() == expected_csv
+
+
+# Two runs to one prefix whose second run writes shorter artifacts.
+_REWRITES = {
+    "limits": (["limits", "--family", "power(x^2, y^3)", "--N", "40"],
+               ["limits", "--family", "power(x^2, y^3)", "--N", "8"]),
+    "okounkov": (["okounkov", "--family", "valuation(2,1 >= 2; 1,3 >= 1)", "--N", "40"],
+                 ["okounkov", "--family", "valuation(2,1 >= 2; 1,3 >= 1)", "--N", "10"]),
+    "kt-svg": (["kt", "--region", "3,1 >= 3; 1,1 >= 2; 1,3 >= 3",
+                "--region2", "2,1 >= 4; 1,2 >= 4", "--svg"],
+               ["kt", "--region", "2,1 >= 2", "--region2", "1,2 >= 2", "--svg"]),
+}
+
+
+def _artifact_bytes(out: Path) -> dict[str, bytes]:
+    return {p.suffix: p.read_bytes() for p in out.parent.glob(f"{out.name}.*")}
+
+
+@pytest.mark.parametrize("case", sorted(_REWRITES))
+def test_cli_shorter_rewrite_matches_a_fresh_run(tmp_path, case):
+    # an artifact is written over in place, so it must be cut where the
+    # new bytes end
+    longer, shorter = _REWRITES[case]
+    code, again = run_cli(tmp_path / "again", *longer)
+    assert code == 0
+    before = _artifact_bytes(again)
+    assert run_cli(tmp_path / "again", *shorter)[0] == 0
+    code, fresh = run_cli(tmp_path / "fresh", *shorter)
+    assert code == 0
+    after = _artifact_bytes(fresh)
+    assert _artifact_bytes(again) == after
+    assert sorted(after) == sorted(before)
+    assert all(len(before[suffix]) > len(after[suffix]) for suffix in after)
+    if case == "okounkov":
+        assert after[".csv"].count(b"\n") == 2981
+
+
+def test_cli_rewrite_keeps_the_artifact_file(tmp_path):
+    argv = ["limits", "--family", "power(x, y)"]
+    code, out = run_cli(tmp_path, *argv, "--N", "20")
+    assert code == 0
+    csv = Path(f"{out}.csv")
+    link = tmp_path / "link.csv"
+    os.link(csv, link)
+    csv.chmod(0o640)
+    inode = csv.stat().st_ino
+    code, out = run_cli(tmp_path, *argv, "--N", "8")
+    assert code == 0
+    assert link.read_text().splitlines()[1:] == [
+        f"{n},{n * (n + 1) // 2},{format_rational(Fraction(n + 1, 2 * n))}"
+        for n in range(1, 9)]
+    assert csv.stat().st_ino == inode
+    assert stat.S_IMODE(csv.stat().st_mode) == 0o640
+
+
+def test_cli_new_artifacts_get_the_mode_open_gives(tmp_path):
+    # os.open's default mode is 0o777: a new artifact must not be executable
+    umask = os.umask(0o002)
+    try:
+        code, _ = run_cli(tmp_path, "limits", "--family", "power(x, y)", "--N", "8")
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {
+        "out.csv": 0o664, "out.json": 0o664, "reference": 0o664}
+
+
+def test_cli_opens_no_artifact_with_o_trunc(tmp_path, monkeypatch):
+    # Truncating an existing artifact to zero on open makes its close start
+    # a writeback on ext4; each artifact is opened through os.open without
+    # O_TRUNC and cut to length after it is written.
+    real_open = os.open
+    flags_by_path = {}
+
+    def spy(path, flags, *args, **kwargs):
+        flags_by_path[os.fspath(path)] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    code, out = run_cli(tmp_path, *_REWRITES["kt-svg"][1])
+    assert code == 0
+    artifacts = {f"{out}{suffix}" for suffix in (".csv", ".json", ".svg")}
+    assert artifacts <= flags_by_path.keys()
+    assert [p for p in sorted(artifacts) if flags_by_path[p] & os.O_TRUNC] == []
+
+
+def test_cli_unwritable_paths_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for argv in (["limits", "--family", "power(x, y)", "--N", "12",
+                  "--out", str(blocker / "x")],
+                 ["family", "eval", "--family", "power(x, y)", "--N", "3",
+                  "--cache-dir", str(blocker), "--out", str(tmp_path / "out")]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{blocker}'" in err, err
+    assert blocker.read_text() == ""
+    assert not Path(f"{tmp_path / 'out'}.json").exists()
 
 
 def test_cli_family_eval_and_cache(tmp_path):
