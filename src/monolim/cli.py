@@ -111,7 +111,7 @@ def run(argv=None) -> int:
         job = commands.Job(args)
         code, artifacts, summary = getattr(commands, COMMANDS[name].run)(job)
         prefix = job.out_prefix(name)
-        commands._write_artifacts(prefix, artifacts)
+        commands.write_artifacts(prefix, artifacts)
         print(summary)
         print(f"artifacts: {prefix}.csv / {prefix}.json"
               + (f" / {prefix}.svg" if ".svg" in artifacts else ""))

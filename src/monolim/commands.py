@@ -3,13 +3,14 @@
 ``monolim.cli`` parses the command line and imports this module, and with
 it every layer, once a command is dispatched.  Each ``_cmd_<name>``
 returns its exit code, its artifacts by file suffix and a summary line;
-``_write_artifacts`` writes them.  The SVG writer is imported only when
+``write_artifacts`` writes them.  The SVG writer is imported only when
 ``--svg`` asks for a drawing.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
@@ -105,25 +106,38 @@ def _open_in_place(path: str, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_artifacts(prefix: Path, artifacts: dict[str, str | Iterable[str]]) -> None:
+def _cut_where_written(fd: int) -> None:
+    """Cut a regular file where the bytes written through ``fd`` end.  A
+    device or a pipe (say ``/dev/null``) has no length to cut."""
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+def write_artifacts(prefix: Path, artifacts: dict[str, str | Iterable[str]]) -> None:
     """Write each artifact to ``<prefix><suffix>``: a ``str`` at once, any
     other iterable of strings one chunk at a time as it is made, so a
     streamed artifact is never held whole.
 
-    An existing file is written over in place and then truncated where the
-    new bytes end, so it keeps its inode, links and mode.  Opening it
-    truncated to zero instead would, on ext4, make its close start a
-    writeback of the new data.  A run killed mid-write leaves a torn
-    artifact, which may end in the old file's tail.  An ``OSError``, such
-    as from an output path under a regular file, becomes a ``ConfigError``
-    that names the prefix.
+    An existing file is written over in place and then cut where the new
+    bytes end, so it keeps its inode, links and mode.  Opening it truncated
+    to zero instead would, on ext4, make its close start a writeback of the
+    new data.  The cut happens also when writing fails or a chunk raises,
+    so a failed run leaves a short artifact, never one that ends in the
+    old file's tail; only a process killed mid-write can leave that.  The
+    rewrite is not crash-safe: nothing is synced, so after a power loss an
+    artifact may hold old blocks.  An ``OSError``, such as from an output
+    path under a regular file, becomes a ``ConfigError`` that names the
+    prefix.
     """
     try:
         prefix.parent.mkdir(parents=True, exist_ok=True)
         for suffix, content in artifacts.items():
             with open(f"{prefix}{suffix}", "w", opener=_open_in_place) as fh:
-                fh.writelines((content,) if isinstance(content, str) else content)
-                fh.truncate()
+                try:
+                    fh.writelines((content,) if isinstance(content, str) else content)
+                    fh.flush()
+                finally:
+                    _cut_where_written(fh.fileno())
     except OSError as exc:
         raise ConfigError(f"cannot write artifacts at {prefix}: {exc}") from None
 

@@ -1,6 +1,7 @@
 """CLI surface: artifact emission, golden stability, cache identity, exit codes."""
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -17,7 +18,7 @@ from conftest import oracle_estimate_limit, oracle_family_points, timed
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monolim import asymptotics, cli, exact_multiplicity, families, reportio, semigroup
+from monolim import asymptotics, cli, commands, exact_multiplicity, families, reportio, semigroup
 from monolim.cli import run
 from monolim.errors import ConfigError
 from monolim.reportio import (
@@ -427,22 +428,57 @@ def test_cli_new_artifacts_get_the_mode_open_gives(tmp_path):
 
 
 def test_cli_opens_no_artifact_with_o_trunc(tmp_path, monkeypatch):
-    # Truncating an existing artifact to zero on open makes its close start
-    # a writeback on ext4; each artifact is opened through os.open without
-    # O_TRUNC and cut to length after it is written.
-    real_open = os.open
-    flags_by_path = {}
+    # Truncating an existing artifact to zero, on open or by ftruncate, makes
+    # its close start a writeback on ext4; each artifact is opened through
+    # os.open without O_TRUNC and cut to length after all of it is written.
+    real_open, real_ftruncate = os.open, os.ftruncate
+    flags_by_path, cuts = {}, []
 
     def spy(path, flags, *args, **kwargs):
         flags_by_path[os.fspath(path)] = flags
         return real_open(path, flags, *args, **kwargs)
 
+    def cut_spy(fd, length):
+        cuts.append(length)
+        return real_ftruncate(fd, length)
+
     monkeypatch.setattr(os, "open", spy)
+    monkeypatch.setattr(os, "ftruncate", cut_spy)
     code, out = run_cli(tmp_path, *_REWRITES["kt-svg"][1])
     assert code == 0
     artifacts = {f"{out}{suffix}" for suffix in (".csv", ".json", ".svg")}
     assert artifacts <= flags_by_path.keys()
     assert [p for p in sorted(artifacts) if flags_by_path[p] & os.O_TRUNC] == []
+    assert sorted(cuts) == sorted(Path(p).stat().st_size for p in artifacts)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("chunk failed"),
+                                   OSError(errno.ENOSPC, "No space left on device")])
+def test_failed_rewrite_leaves_no_old_tail(tmp_path, error):
+    # the file is cut where the new bytes end also when a chunk raises, so a
+    # failed rewrite is short instead of ending in the old file's rows
+    prefix = tmp_path / "out"
+    Path(f"{prefix}.csv").write_text("old\n" * 8000)
+    written = ["new\n" * 3000, "newer\n" * 10]
+
+    def rows():
+        yield from written
+        raise error
+
+    with pytest.raises(ConfigError if isinstance(error, OSError) else RuntimeError):
+        commands.write_artifacts(prefix, {".csv": rows()})
+    assert Path(f"{prefix}.csv").read_text() == "".join(written)
+
+
+@pytest.mark.skipif(not Path(os.devnull).is_char_device(), reason="no null device")
+def test_cli_artifact_linked_to_a_device(tmp_path):
+    # a device has no length to cut; a truncating open ignores it too
+    link = tmp_path / "out.csv"
+    link.symlink_to(os.devnull)
+    code, out = run_cli(tmp_path, "limits", "--family", "power(x, y)", "--N", "8")
+    assert code == 0
+    assert link.is_symlink()
+    assert json.loads(Path(f"{out}.json").read_text())["schema_version"]
 
 
 def test_cli_unwritable_paths_exit_2(tmp_path, capsys):
