@@ -162,11 +162,8 @@ def _sequence_artifacts(job: Job, seq, value_name: str, js: str, window,
 def _cmd_family(job: Job) -> tuple[int, dict, str]:
     fam = job.family()
     N = job.number("N")
-    cache = job.cache()
-    rows = []
-    for n in range(N + 1):
-        text, length = rio.cached_member_row(fam, n, cache)
-        rows.append([n, f"({text})", length if length != INFINITE else "INFINITE"])
+    rows = [[n, f"({text})", length if length != INFINITE else "INFINITE"]
+            for n, (text, length) in enumerate(rio.member_rows(fam, N, job.cache()))]
     csv = rio.render_csv(["n", "ideal", "length"], rows)
     js = rio.render_json("family eval", {"family": fam.label(), "N": N},
                          {"rows": rows})

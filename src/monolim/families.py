@@ -248,10 +248,18 @@ class PowerSpec(FamilySpec):
         return hull_region(self.ideal)
 
     def member(self, n):
-        """I^(n-1) * I when I^(n-1) is memoized: one product instead of a
-        fresh power."""
-        prev = self._members.get(n - 1)
-        return self.ideal.power(n) if prev is None else prev * self.ideal
+        """I^n multiplied up by I from the highest memoized power below n,
+        or from I, memoizing each step: one product per step, where a fresh
+        power by squaring would multiply ever larger squares."""
+        if n == 1:
+            return self.ideal
+        members, k = self._members, n - 1
+        while k > 1 and k not in members:
+            k -= 1
+        power = members.get(k, self.ideal)
+        for k in range(k + 1, n + 1):
+            power = members[k] = power * self.ideal
+        return power
 
     def label(self):
         return f"power({format_ideal(self.ideal)})"
@@ -347,46 +355,62 @@ def _ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
-def _count_outside(rows) -> int:
-    """#{a >= 0 : <w, a> < t for some (w, t) in rows}.
+def _count_outside(weights, ts, table, i: int = 0) -> int:
+    """#{a >= 0 : <w_j, a> < t_j for some row j with t_j > 0}, counted over
+    the coordinates from ``i`` on, for the rows' weight vectors ``weights``
+    (all positive) and right-hand sides ``ts``.  ``table`` is the
+    :func:`_comparison_table` of the rows.
 
-    ``rows`` is nonempty and every weight and every t is a positive integer.
-    Slices along the first coordinate x < max ceil(t / w_1); each slice is
-    the same count in one dimension less with right-hand sides t - w_1 * x.
+    Slices along coordinate i at x < max ceil(t / w_i); each slice is the
+    same count from coordinate i + 1 on, with right-hand sides t - w_i * x.
+    A row whose side drops to t <= 0 is met on the whole slice and is
+    skipped there.
     """
-    d = len(rows[0][0])
-    if d == 2:
-        return _count_outside_2d(rows)
-    width = max(_ceil_div(t, w[0]) for w, t in rows)
-    if d == 1:
+    d = len(weights[0])
+    if i == d - 2:
+        return _count_outside_2d(table, ts)
+    width = max(_ceil_div(t, w[i]) for w, t in zip(weights, ts) if t > 0)
+    if i == d - 1:
         return width
     total = 0
     for x in range(width):
-        total += _count_outside([(w[1:], t - w[0] * x)
-                                 for w, t in rows if t > w[0] * x])
+        total += _count_outside(weights, [t - w[i] * x for w, t in zip(weights, ts)],
+                                table, i + 1)
     return total
 
 
-def _count_outside_2d(rows) -> int:
-    """The d = 2 case: the sum over x < width of max_j ceil((t_j - u_j*x) / v_j).
+def _comparison_table(weights) -> list:
+    """For each row j with last two weights (u, v): (u, v, entries), one
+    entry (i, c, q, tie) for every other row i with last two weights (p, q),
+    where c = u*q - p*v and tie = 1 when row i comes first.  These depend on
+    the weights alone, so one table serves every right-hand side."""
+    last = [w[-2:] for w in weights]
+    return [(u, v, [(i, u * q - p * v, q, int(i < j))
+                    for i, (p, q) in enumerate(last) if i != j])
+            for j, (u, v) in enumerate(last)]
 
-    On 0 <= x < width some t_j - u_j*x is positive, so the maximum needs no
-    clipping at 0, and ceil(max) = max(ceil).  Each row is the maximum on an
-    integer interval of x (ties go to the lowest index), cut out by one
-    comparison with every other row, and its ceilings there are one
+
+def _count_outside_2d(table, ts) -> int:
+    """The count over the last two coordinates: the sum over x >= 0 of
+    max_j ceil((t_j - u_j*x) / v_j), clipped at 0, over the rows with t_j > 0.
+
+    Row j is the maximum on an integer interval of x (ties go to the lowest
+    index), cut out by one comparison with every other row, and positive
+    there while x < ceil(t_j / u_j).  Its ceilings on that interval are one
     ``floor_sum``: O(k^2 log t) for k rows.
     """
-    width = max(_ceil_div(t, u) for (u, _), t in rows)
     total = 0
-    for j, ((u, v), t) in enumerate(rows):
-        lo, hi = 0, width - 1
-        for i, ((p, q), s) in enumerate(rows):
-            if i == j:
+    for (u, v, entries), t in zip(table, ts):
+        if t <= 0:
+            continue
+        lo, hi = 0, (t - 1) // u
+        for i, c, q, tie in entries:
+            s = ts[i]
+            if s <= 0:
                 continue
             # (t - u*x)/v >= (s - p*x)/q, strictly when row i comes first,
             # is c*x <= r:
-            c = u * q - p * v
-            r = t * q - s * v - (i < j)
+            r = t * q - s * v - tie
             if c > 0:
                 hi = min(hi, r // c)
             elif c < 0:
@@ -442,10 +466,24 @@ class ValuationSpec(FamilySpec):
             for weights, t in constraints))
 
     def member(self, n):
-        """Generated by the floor point of every column of
-        :meth:`column_floors`; ``from_gens`` keeps the minimal ones."""
-        return MonomialIdeal.from_gens(self.ring, [
-            col + (floor,) for col, floor in self.column_floors(n).items()])
+        """Generated by the floor points of the columns of
+        :meth:`column_floors`, read off with no minimalizing.  Floors never
+        grow along a coordinate, so a column's floor point is a minimal
+        generator iff each predecessor column, one step back along one of
+        the first d - 1 coordinates, is unlisted (that is, empty) or has a
+        larger floor.  Columns past the listed ones repeat a listed floor
+        and give no generator."""
+        floors = self.column_floors(n)
+        gens = []
+        for col, floor in floors.items():
+            for k, c in enumerate(col):
+                if c and floors.get(col[:k] + (c - 1,) + col[k + 1:], floor + 1) <= floor:
+                    break
+            else:
+                gens.append((*col, floor))
+        gens.sort()
+        gens.sort(key=sum)  # lex order stably re-sorted by degree: graded-lex
+        return MonomialIdeal(self.ring, tuple(gens))
 
     def contains(self, a, n):
         """<w, a> >= t*n for every scaled constraint; no member is built."""
@@ -500,16 +538,30 @@ class ValuationSpec(FamilySpec):
                 "no power of the maximal ideal fits in a non-primary ideal")
         return max((_ceil_div(s, low) for low, s in rows), default=0)
 
+    @cached_property
+    def _outside(self):
+        """The constraints with t > 0 as (weights, thresholds, comparison
+        table), built once per family; None when one of them has a zero
+        weight, so that no member is primary.  Kept beside ``_scaled``,
+        outside the fields."""
+        rows = [(w, s) for w, s in self._scaled if s]
+        if any(0 in w for w, _ in rows):
+            return None
+        weights = [w for w, _ in rows]
+        table = _comparison_table(weights) if self.ring.d > 1 else None
+        return weights, [s for _, s in rows], table
+
     def colength(self, n):
         """I_n is primary iff every constraint with t > 0 has all weights
         positive; then the standard monomials are the a >= 0 that fail some
         such constraint."""
-        rows = [(w, s * n) for w, s in self._scaled if s]
-        if not rows:
-            return 0
-        if any(0 in w for w, _ in rows):
+        outside = self._outside
+        if outside is None:
             return INFINITE
-        return _count_outside(rows)
+        weights, thresholds, table = outside
+        if not weights:
+            return 0
+        return _count_outside(weights, [s * n for s in thresholds], table)
 
     @cached_property
     def limit_region(self):

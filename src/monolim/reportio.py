@@ -72,6 +72,8 @@ def _csv_cell(cell) -> str:
     """Integers plain, rationals p/q, floats to 12 significant digits."""
     if type(cell) is int:
         return str(cell)
+    if type(cell) is str:
+        return cell
     if isinstance(cell, Fraction):
         return format_rational(cell)
     if isinstance(cell, float):
@@ -308,57 +310,79 @@ def source_digest() -> str:
 
 
 class ResultCache:
-    """Content-addressed store: (key, package version, source digest, schema,
-    n) -> canonical ideal + length (or "INFINITE").
+    """Content-addressed store with one entry per family: (package version,
+    source digest, schema, key) -> {n: (canonical ideal text, length)}, the
+    length an int or "INFINITE".
 
     Hits must be bit-identical to recomputation; the source digest keeps a
-    changed kernel from reading entries written by the old one.  Entries are
-    renamed into place whole; an unreadable or incomplete one is a miss.
+    changed kernel from reading entries written by the old one.  An entry
+    is written whole to a temporary file and renamed into place, so readers
+    see the old entry or the new one, never a torn one; of two writers of
+    one key the last wins, and the other's new rows are later misses.  An
+    entry that cannot be read or decoded is a miss, and so is a row of the
+    wrong shape or type.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str, n: int) -> Path:
+    def _path(self, key: str) -> Path:
         import hashlib
         text = (f"monolim {__version__}|source {source_digest()}"
-                f"|schema {SCHEMA_VERSION}|{key}|n={n}")
+                f"|schema {SCHEMA_VERSION}|{key}")
         return self.root / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
 
-    def get(self, key: str, n: int) -> dict | None:
+    def get(self, key: str) -> dict | None:
+        """{n: (ideal text, length)} of the rows stored under ``key`` that
+        are well formed; None when there is no readable entry."""
         import json
         try:
-            entry = json.loads(self._path(key, n).read_text())
+            entry = json.loads(self._path(key).read_text())
         except (OSError, ValueError):
             return None
-        if isinstance(entry, dict) and {"ideal", "length"} <= entry.keys():
-            return entry
-        return None
+        if not isinstance(entry, dict):
+            return None
+        rows = {}
+        for n, row in entry.items():
+            if not (n.isdecimal() and n.isascii() and isinstance(row, list)
+                    and len(row) == 2):
+                continue
+            text, length = row
+            if length == "INFINITE":
+                length = INFINITE
+            elif type(length) is not int or length < 0:
+                continue
+            if type(text) is str:
+                rows[int(n)] = text, length
+        return rows
 
-    def put(self, key: str, n: int, ideal_text: str, length) -> None:
+    def put(self, key: str, rows: dict) -> None:
+        """Store ``rows``, {n: (ideal text, length)}, as the whole entry."""
         import json
-        payload = {
-            "ideal": ideal_text,
-            "length": "INFINITE" if length == INFINITE else length,
-            "n": n,
-        }
-        path = self._path(key, n)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        payload = {str(n): [text, "INFINITE" if length == INFINITE else length]
+                   for n, (text, length) in rows.items()}
+        path = self._path(key)
+        tmp = path.with_suffix(f".{os.getpid()}.{id(self):x}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
-def cached_member_row(family, n: int, cache: ResultCache | None):
-    """(ideal text, length) for I_n, going through the cache when present."""
+def member_rows(family, N: int, cache: ResultCache | None) -> list[tuple]:
+    """(ideal text, length) of I_n for n = 0..N.  With a cache, its one entry
+    for the family is read once, only the missing n are computed, and if
+    any were, the union is written back once."""
     key = ",".join(family.ring.var_names) + "|" + family.label()  # labels omit the ring
+    stored = {}
     if cache is not None:
-        hit = cache.get(key, n)
-        if hit is not None:
-            length = INFINITE if hit["length"] == "INFINITE" else hit["length"]
-            return hit["ideal"], length
-    text = format_ideal(family.member_ideal(n))
-    length = family.length(n)
-    if cache is not None:
-        cache.put(key, n, text, length)
-    return text, length
+        stored = cache.get(key) or {}
+    missing = [n for n in range(N + 1) if n not in stored]
+    for n in missing:
+        stored[n] = format_ideal(family.member_ideal(n)), family.length(n)
+    if cache is not None and missing:
+        cache.put(key, stored)
+    return [stored[n] for n in range(N + 1)]

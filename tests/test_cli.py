@@ -32,7 +32,7 @@ from monolim.reportio import (
     render_csv,
     ring_from_config,
 )
-from monolim.lattice import AmbientRing, format_ideal, parse_ideal
+from monolim.lattice import INFINITE, AmbientRing, MonomialIdeal, format_ideal, parse_ideal
 from monolim.families import ProductSpec, ValuationSpec
 from monolim.semigroup import SemigroupPredicate
 
@@ -529,7 +529,7 @@ def test_cli_torn_cache_entry_is_a_miss(tmp_path):
     args = ["family", "eval", "--family", "power(x^2, x*y, y^3)", "--N", "4"]
     code, _ = run_cli(tmp_path / "first", *args, "--cache-dir", str(cache))
     assert code == 0
-    entry = max(cache.glob("*.json"), key=lambda p: p.stat().st_size)
+    (entry,) = cache.glob("*.json")
     data = entry.read_bytes()
     entry.write_bytes(data[: len(data) // 2])
     code, warm = run_cli(tmp_path / "warm", *args, "--cache-dir", str(cache))
@@ -539,7 +539,70 @@ def test_cli_torn_cache_entry_is_a_miss(tmp_path):
     for suffix in (".csv", ".json"):
         assert Path(f"{warm}{suffix}").read_bytes() == Path(f"{cold}{suffix}").read_bytes()
     assert entry.read_bytes() == data
-    assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 5
+    assert sorted(p.suffix for p in cache.iterdir()) == [".json"]
+
+
+def test_cli_wrong_typed_cache_row_is_recomputed(tmp_path):
+    # a length edited to the string "4" must not be served: the warm JSON
+    # would print it quoted
+    cache = tmp_path / "cache"
+    args = ["family", "eval", "--family", "power(x^2, x*y, y^3)", "--N", "4"]
+    code, _ = run_cli(tmp_path / "first", *args, "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = cache.glob("*.json")
+    data = entry.read_text()
+    rows = json.loads(data)
+    for bad in (["x^2, x*y, y^3", "4"], ["x^2, x*y, y^3", True], [7, 4]):
+        rows["1"] = bad
+        entry.write_text(json.dumps(rows, sort_keys=True))
+        code, warm = run_cli(tmp_path / "warm", *args, "--cache-dir", str(cache))
+        assert code == 0
+        code, cold = run_cli(tmp_path / "cold", *args)
+        assert code == 0
+        for suffix in (".csv", ".json"):
+            assert Path(f"{warm}{suffix}").read_bytes() == \
+                Path(f"{cold}{suffix}").read_bytes(), bad
+        assert entry.read_text() == data
+
+
+def test_cli_cache_extends_one_entry_per_family(tmp_path, monkeypatch):
+    # N = 20 and then N = 30 on one cache: the second run reads rows 0..20,
+    # walks I up to I^30 one product per step with no fresh power, and
+    # merges rows 21..30 into the same entry
+    cache = tmp_path / "cache"
+    args = ["family", "eval", "--ring", "x,y,z", "--family", "power(x^2, y^3, z^2, x*y*z)"]
+    code, _ = run_cli(tmp_path / "n20", *args, "--N", "20", "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = cache.glob("*.json")
+    assert sorted(map(int, json.loads(entry.read_text()))) == list(range(21))
+    products = []
+    multiply = MonomialIdeal.multiply
+
+    def counting_multiply(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    def no_power(self, k):
+        raise AssertionError(f"fresh power {k}")
+
+    monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
+    monkeypatch.setattr(MonomialIdeal, "__mul__", counting_multiply)
+    monkeypatch.setattr(MonomialIdeal, "power", no_power)
+    code, warm = run_cli(tmp_path / "n30", *args, "--N", "30", "--cache-dir", str(cache))
+    assert code == 0
+    # 29 products build I^2..I^30, and one J * I decides the closed-form length
+    assert len(products) <= 30
+    monkeypatch.undo()
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+    assert sorted(map(int, json.loads(entry.read_text()))) == list(range(31))
+    code, cold = run_cli(tmp_path / "cold", *args, "--N", "30")
+    assert code == 0
+    for suffix in (".csv", ".json"):
+        assert Path(f"{warm}{suffix}").read_bytes() == Path(f"{cold}{suffix}").read_bytes()
+    # a shorter run is served from the entry and leaves it as it is
+    data = entry.read_bytes()
+    code, _ = run_cli(tmp_path / "n5", *args, "--N", "5", "--cache-dir", str(cache))
+    assert code == 0 and entry.read_bytes() == data
 
 
 def test_cli_table_beyond_range_exits_2(tmp_path):
@@ -1168,33 +1231,96 @@ def test_cli_nonprimary_limits_exits_2(tmp_path):
 
 def test_result_cache_roundtrip(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    cache.put("label", 3, "x^3", 6)
-    assert cache.get("label", 3) == {"ideal": "x^3", "length": 6, "n": 3}
-    assert cache.get("label", 4) is None
-    cache.put("label", 0, "1", float("inf"))
-    assert cache.get("label", 0)["length"] == "INFINITE"
+    assert cache.get("label") is None
+    cache.put("label", {3: ("x^3", 6)})
+    assert cache.get("label") == {3: ("x^3", 6)}
+    assert cache.get("other") is None
+    cache.put("label", {0: ("1", float("inf")), 3: ("x^3", 6)})
+    assert cache.get("label") == {0: ("1", INFINITE), 3: ("x^3", 6)}
+    (entry,) = (tmp_path / "c").iterdir()
+    assert json.loads(entry.read_text()) == {"0": ["1", "INFINITE"], "3": ["x^3", 6]}
 
 
 def test_result_cache_unreadable_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    cache.put("label", 3, "x^3", 6)
+    cache.put("label", {3: ("x^3", 6)})
     (entry,) = (tmp_path / "c").iterdir()
-    for broken in (b'{"n": 3, "length": 6}', b"[]", b"\xff\xfe", b""):
+    for broken in (b'{"3": ["x^3", 6]', b"[]", b"\xff\xfe", b""):
         entry.write_bytes(broken)
-        assert cache.get("label", 3) is None
+        assert cache.get("label") is None
+    # a row of the wrong shape or type is a miss, and the others are served
+    for row in ('{"n": 3, "length": 6}', '["x^3"]', '["x^3", 6, 3]', '["x^3", "6"]',
+                '["x^3", true]', '["x^3", -1]', '["x^3", 6.0]', '["x^3", null]',
+                '[3, 6]', '[null, 6]', '"x^3"'):
+        entry.write_text('{"2": ["x^2", 3], "3": %s}' % row)
+        assert cache.get("label") == {2: ("x^2", 3)}, row
+    for n in ("-3", "x", "", "3.0", "\u0663"):
+        entry.write_text(json.dumps({"2": ["x^2", 3], n: ["x^3", 6]}))
+        assert cache.get("label") == {2: ("x^2", 3)}, n
 
 
 def test_result_cache_is_keyed_by_source_digest(tmp_path, monkeypatch):
     assert reportio.source_digest() == reportio.source_digest()
     cache = ResultCache(tmp_path / "c")
-    cache.put("label", 3, "x^3", 6)
-    assert cache.get("label", 3) is not None
+    cache.put("label", {3: ("x^3", 6)})
+    assert cache.get("label") is not None
     monkeypatch.setattr(reportio, "source_digest", lambda: "0" * 64)
-    assert cache.get("label", 3) is None
-    cache.put("label", 3, "x^3", 6)
-    assert cache.get("label", 3) is not None
+    assert cache.get("label") is None
+    cache.put("label", {3: ("x^3", 6)})
+    assert cache.get("label") is not None
     monkeypatch.undo()
     assert len(list((tmp_path / "c").iterdir())) == 2
+
+
+def test_result_cache_failed_put_leaves_no_temporary_file(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path / "c")
+    cache.put("label", {3: ("x^3", 6)})
+    (entry,) = (tmp_path / "c").iterdir()
+    data = entry.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(errno.ENOSPC, "no space left")
+
+    monkeypatch.setattr(reportio.os, "replace", refuse)
+    with pytest.raises(OSError):
+        cache.put("label", {3: ("x^3", 6), 4: ("x^4", 10)})
+    monkeypatch.undo()
+    assert list((tmp_path / "c").iterdir()) == [entry]
+    assert entry.read_bytes() == data
+
+
+def test_result_cache_concurrent_writers_never_tear_the_entry(tmp_path):
+    # two caches on one directory write the same key from two threads; each
+    # write adds rows, so a writer can lose the other's rows (a later miss),
+    # but a reader sees a whole entry every time
+    import threading
+    root = tmp_path / "c"
+    caches = ResultCache(root), ResultCache(root)
+    torn = []
+    switch = sys.getswitchinterval()
+
+    def write(cache, offset):
+        for k in range(60):
+            rows = cache.get("label") or {}
+            rows[2 * k + offset] = ("x" * 500, k)
+            cache.put("label", rows)
+            if cache.get("label") is None:
+                torn.append(k)
+
+    threads = [threading.Thread(target=write, args=(c, i)) for i, c in enumerate(caches)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert torn == []
+    assert [p.suffix for p in root.iterdir()] == [".json"]
+    rows = caches[0].get("label")
+    assert rows and all(text == "x" * 500 for text, _ in rows.values())
 
 
 

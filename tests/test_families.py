@@ -13,7 +13,7 @@ from conftest import (
     timed,
     valuation_specs,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monolim import (
@@ -382,7 +382,8 @@ def test_power_members_in_order_take_one_power(R2, monkeypatch):
     I = parse_ideal(R2, "x^3, x*y, y^2")
     fam = PowerSpec(I)
     members = [fam.member_ideal(n) for n in range(1, 11)]
-    assert calls == [1]
+    # I_1 is I itself and each later member one product: no fresh power
+    assert calls == []
     monkeypatch.undo()
     assert members == [I ** n for n in range(1, 11)]
 
@@ -458,13 +459,29 @@ def test_family_length_infinite_for_nonprimary(R2):
 
 
 @settings(max_examples=180, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(valuation_specs))
+@given(st.sampled_from([2, 3, 4]).flatmap(valuation_specs))
+# slices past x = 0 drop the first row in d = 3 and d = 4, leaving the
+# shared d = 2 count fewer rows than the family has
+@example(ValuationSpec.make(AmbientRing.default(3), [((3, 1, 1), 1), ((1, 1, 1), 2)]))
+@example(ValuationSpec.make(AmbientRing.default(4),
+                            [((2, 1, 1, 1), 1), ((1, Fraction(1, 2), 1, 2), 2)]))
 def test_valuation_kernels_match_the_oracles(spec):
-    # the d = 3 oracle scans a box of side O(n)
-    for n in range(7 if spec.ring.d == 2 else 4):
+    # the d = 3 and d = 4 oracles scan a box of side O(n)
+    for n in range({2: 7, 3: 4, 4: 2}[spec.ring.d]):
         assert spec.member(n).gens == oracle_valuation_member(spec, n).gens
         if n:
             assert spec.colength(n) == oracle_valuation_length(spec, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]).flatmap(valuation_specs), st.integers(0, 4))
+@example(ValuationSpec.make(AmbientRing.default(3), [((0, Fraction(1, 2), 1), Fraction(3, 2)),
+                                                    ((1, 0, 0), 0)]), 2)
+@example(ValuationSpec.make(AmbientRing.default(4), [((1, 0, 2, 0), 1), ((0, 3, 0, 1), 2)]), 3)
+def test_valuation_member_is_the_minimalized_column_floors(spec, n):
+    floors = spec.column_floors(n)
+    assert spec.member(n) == MonomialIdeal.from_gens(
+        spec.ring, [(*col, floor) for col, floor in floors.items()])
 
 
 @st.composite
