@@ -37,6 +37,7 @@ from .lattice import (
     containment_order,
     quotient_dim,
     rel_length,
+    saturation_gap,
 )
 from .roots import root_sum_at_least
 
@@ -275,13 +276,7 @@ def epsilon_module(E: MonomialModule, N: int) -> EpsilonReport:
     for k, piece in E.pieces(N):
         if k == 0:
             continue
-        total = 0
-        for comp in piece.values():
-            gap = rel_length(comp.saturation(), comp)
-            if gap == INFINITE:
-                raise MonolimError(f"component of degree {k} has unbounded gap")
-            total += gap
-        entries.append((k, total))
+        entries.append((k, sum(map(saturation_gap, piece.values()))))
     seq = LengthSequence(tuple(entries), deg)
     est = estimate_limit(seq)
     return EpsilonReport(est, est.point_estimate * factorial(deg), seq, deg, e)
@@ -296,14 +291,17 @@ dimension s; the estimate and samples are None for a zero module."""
 def _module_multiplicity(outer: MonomialIdeal, inner: MonomialIdeal,
                          s: int) -> int:
     """e_s(outer/inner): the sum over |S| = s of its lengths at the primes
-    (x_j : j not in S), each counted in the other d - s variables by cutting
-    both localizations down with (x_j : j in S)."""
+    (x_j : j not in S).  Each is counted in the d - s kept variables: cut by
+    (x_j : j in S), the localization R_S is k[x_kept], where both ideals
+    are their restrictions.  For s = d no variable is kept: the one prime is
+    (0), where outer/inner localizes to the fraction field if inner is zero
+    and outer is not, and to 0 otherwise, so the term is 1 or 0."""
     d = outer.ring.d
+    if s == d:
+        return int(inner.is_zero and not outer.is_zero)
     total = 0
     for axes in combinations(range(d), s):
-        cut = MonomialIdeal.from_gens(
-            outer.ring, [tuple(int(i == j) for i in range(d)) for j in axes])
-        term = rel_length(outer.localize(axes) + cut, inner.localize(axes) + cut)
+        term = rel_length(outer.restrict(axes), inner.restrict(axes))
         if term == INFINITE:
             raise MonolimError(f"module has dimension above {s}")
         total += term

@@ -453,17 +453,22 @@ class ValuationSpec(FamilySpec):
                 raise FamilySpecError("thresholds must be nonnegative")
         scaled = []
         for weights, threshold in self.constraints:
-            values = [Fraction(c) for c in (*weights, threshold)]
+            values = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                      for c in (*weights, threshold)]
             scale = math.lcm(*(c.denominator for c in values))
-            ints = [int(c * scale) for c in values]
+            ints = [c.numerator * (scale // c.denominator) for c in values]
             scaled.append((tuple(ints[:-1]), ints[-1]))
         object.__setattr__(self, "_scaled", tuple(scaled))
 
     @staticmethod
     def make(ring, constraints) -> "ValuationSpec":
+        """The spec of ``constraints``, each number made a ``Fraction``
+        unless it already is one."""
+        def exact(c):
+            return c if isinstance(c, Fraction) else Fraction(c)
+
         return ValuationSpec(ring, tuple(
-            (tuple(Fraction(w) for w in weights), Fraction(t))
-            for weights, t in constraints))
+            (tuple(map(exact, weights)), exact(t)) for weights, t in constraints))
 
     def member(self, n):
         """Generated by the floor points of the columns of

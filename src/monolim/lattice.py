@@ -16,7 +16,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from functools import cached_property, reduce
-from operator import and_, attrgetter, itemgetter
+from operator import and_, attrgetter, itemgetter, lt
 
 from .errors import (
     DimensionMismatchError,
@@ -313,19 +313,21 @@ class MonomialIdeal(Value):
     # -- arithmetic --------------------------------------------------------
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """I * J from the |I|*|J| generator sums.
+        """I * J from the distinct generator sums.
 
         The larger generator list is transposed into coordinate columns
         once; each generator h of the smaller one shifts the columns by h
-        and ``zip`` rebuilds the sums, one shifted copy per h.
+        and ``zip`` rebuilds the sums, one shifted copy per h.  Powers
+        repeat many sums, so they are collected in a set and each distinct
+        point is minimalized once.
         """
         self._check_ring(other)
         small, large = sorted((self.gens, other.gens), key=len)
         columns = tuple(zip(*large))
-        sums: list[Exponent] = []
+        sums: set[Exponent] = set()
         for h in small:
-            sums += zip(*[map(c.__add__, col) if c else col
-                          for c, col in zip(h, columns)])
+            sums.update(zip(*[map(c.__add__, col) if c else col
+                              for c, col in zip(h, columns)]))
         return MonomialIdeal(self.ring, _minimal_antichain(sums, self.ring.d))
 
     __mul__ = multiply
@@ -381,17 +383,37 @@ class MonomialIdeal(Value):
             result = part if result is None else result & part
         return result
 
+    def _projection(self, kept: list[int]) -> tuple[Exponent, ...]:
+        # The minimal projections onto the kept coordinates, graded-lex.
+        projected = zip(*[map(itemgetter(j), self.gens) for j in kept])
+        return _minimal_antichain(list(projected), len(kept))
+
+    def restrict(self, axes) -> "MonomialIdeal":
+        """I localized at the prime of the variables not in ``axes``, as an
+        ideal of the ring of those kept variables: R_S / I_S with S = axes
+        is k[x_kept] / restrict(S).
+
+        The inverted coordinates drop out, so the minimal generators are the
+        minimal projections onto the k kept coordinates.  One minimalize in
+        k variables: O(n log n) for k <= 3 (a ``min``, or the 2-D or 3-D
+        sweep), the last-axis walk of :func:`_slices` for more.  ``axes``
+        must leave a variable kept; the zero ideal stays zero."""
+        axes = set(axes)
+        ring = self.ring
+        kept = [j for j in range(ring.d) if j not in axes]
+        if not kept:
+            raise MonolimError("restriction keeps no variable")
+        sub = AmbientRing(len(kept), tuple([ring.var_names[j] for j in kept]))
+        return MonomialIdeal(sub, self._projection(kept))
+
     def localize(self, axes) -> "MonomialIdeal":
         """I : (prod_{j in axes} x_j)^infinity, the generators with those
         coordinates set to 0: I localized at the prime of the other variables.
 
-        The zeroed coordinates are equal in every generator, so the minimal
-        zeroed generators are the minimal projections onto the k kept
-        coordinates with the zeros put back, and the projections keep the
-        graded-lex order.  One minimalize in k variables: O(n log n) for
-        k <= 3 (a ``min``, or the 2-D or 3-D sweep), the last-axis walk of
-        :func:`_slices` for more.  Every axis gives the unit ideal, and the
-        zero ideal stays zero."""
+        The generators of :meth:`restrict` with the zeros put back; inserting
+        coordinates that are 0 in every generator keeps the graded-lex
+        order.  Every axis gives the unit ideal, and the zero ideal stays
+        zero."""
         axes = set(axes)
         if not axes or self.is_zero:
             return self
@@ -399,27 +421,29 @@ class MonomialIdeal(Value):
         kept = [j for j in range(d) if j not in axes]
         if not kept:
             return MonomialIdeal.unit(self.ring)
-        projected = zip(*[map(itemgetter(j), self.gens) for j in kept])
-        minimal = _minimal_antichain(list(projected), len(kept))
         # a kept point q with a 0 appended: axis j reads q[k] if it is the
         # k-th kept axis, else the appended 0.  The tuple is built from a
         # list: tuple() of a generator shrinks a 10-slot tuple, so on
         # repeated calls freed tuples pile up in CPython's free lists.
         back = itemgetter(*[kept.index(j) if j in kept else len(kept) for j in range(d)])
-        return MonomialIdeal(self.ring, tuple([back(q + (0,)) for q in minimal]))
+        return MonomialIdeal(self.ring, tuple([back(q + (0,))
+                                               for q in self._projection(kept)]))
 
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """I : J^infinity, the least fixpoint of repeated colon by J.
 
         Computed in closed form: the stable colon by a single monomial x^h
         is the localization at the support of h, and saturation by J is the
-        intersection of these over the generators h of J.
+        intersection of these over the generators h of J.  A localization
+        that is the unit ideal leaves the intersection as it is, so it is
+        skipped; when all are, the saturation is the unit ideal.
         """
         self._check_ring(other)
         if other.is_zero:
             raise ZeroIdealError("saturation by the zero ideal is undefined")
-        return reduce(and_, (
-            self.localize(j for j, c in enumerate(h) if c) for h in other.gens))
+        parts = [part for part in (self.localize(j for j, c in enumerate(h) if c)
+                                   for h in other.gens) if not part.is_unit]
+        return reduce(and_, parts) if parts else MonomialIdeal.unit(self.ring)
 
     def saturation(self) -> "MonomialIdeal":
         """I^sat = I : m^infinity."""
@@ -483,6 +507,45 @@ def _standard_monomials(gens, d: int) -> tuple[int, int]:
     return count, top
 
 
+def _box_colength(gens, tops) -> int:
+    """Colength of (gens) + (x_j^tops_j : all j), with no ideal built.
+
+    ``gens`` is a minimal antichain.  The box power b_j = x_j^tops_j is
+    divided by a generator g iff g = x_j^c with c <= tops_j, and b_j divides
+    g iff g_j >= tops_j.  So the box powers that no generator divides,
+    with the generators that none of those divides, are already the
+    minimal antichain of the sum, and it holds a pure power of every
+    variable.  A unit generator, or a zero top, gives 0.
+    """
+    if not all(tops) or (gens and not any(gens[0])):
+        return 0
+    d = len(tops)
+    caps = list(tops)  # the kept box powers; INFINITE where b_j is divided
+    for g in gens:
+        if g.count(0) == d - 1:
+            j = g.index(max(g))
+            if g[j] <= tops[j]:
+                caps[j] = INFINITE
+    box = [tuple(t if i == j else 0 for i in range(d))
+           for j, t in enumerate(caps) if t != INFINITE]
+    return _standard_monomials(box + [g for g in gens if all(map(lt, g, caps))], d)[0]
+
+
+def saturation_gap(ideal: MonomialIdeal) -> int:
+    """l(I^sat / I), the length of H^0_m(R/I); 0 when I^sat = I.
+
+    I lies in I^sat and the quotient has finite length by definition, so
+    neither is tested.  The gap is counted in the box of I's largest
+    exponents M_j, as in :func:`rel_length`: (I^sat)_{x_j} = I_{x_j}, so a
+    point of I^sat with a_j >= M_j lies in I.
+    """
+    sat = ideal.saturation()
+    if sat == ideal:
+        return 0
+    tops = [max(col) for col in zip(*ideal.gens)]
+    return _box_colength(ideal.gens, tops) - _box_colength(sat.gens, tops)
+
+
 def quotient_dim(outer: MonomialIdeal, inner: MonomialIdeal) -> int:
     """Krull dimension of outer/inner (inner <= outer; -1 if equal): the
     largest |S| whose prime (x_j : j not in S) has localizations that differ.
@@ -526,12 +589,8 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
         return ci - co
     if quotient_dim(outer, inner) > 0:
         return INFINITE
-    d = outer.ring.d
     tops = [max(col) for col in zip(*inner.gens)]
-    box = MonomialIdeal.from_gens(
-        outer.ring, [tuple(t if i == j else 0 for i in range(d))
-                     for j, t in enumerate(tops)])
-    return (inner + box).colength() - (outer + box).colength()
+    return _box_colength(inner.gens, tops) - _box_colength(outer.gens, tops)
 
 
 def length_mod_power(outer: MonomialIdeal, inner: MonomialIdeal, k: int) -> int:

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -39,6 +39,7 @@ from monolim import (
     teissier_check,
     volume_equals_multiplicity,
 )
+from monolim import asymptotics, lattice
 from monolim.asymptotics import _module_multiplicity
 from monolim.errors import EstimateError, InclusionError, MonolimError, NotPrimaryError
 from monolim.lattice import quotient_dim
@@ -400,8 +401,12 @@ def _check_module_multiplicity(outer, inner, k):
 # In random runs of these shapes the Hilbert-Samuel differences were constant
 # from k = 9 on in d = 3 (exponents up to 3) and from k = 3 on in d = 4
 # (squarefree); the oracle's last 10 differences end at k.
+_R3 = AmbientRing.default(3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_modules(3, 3, 3))
+@example(case=(MonomialIdeal.unit(_R3), parse_ideal(_R3, "x")))  # s + 1 = d keeps no variable
 def test_module_multiplicity_matches_the_difference_kernel_3d(case):
     _check_module_multiplicity(*case, k=22)
 
@@ -410,6 +415,42 @@ def test_module_multiplicity_matches_the_difference_kernel_3d(case):
 @given(_modules(4, 1, 2))
 def test_module_multiplicity_matches_the_difference_kernel_4d(case):
     _check_module_multiplicity(*case, k=13)
+
+
+def test_epsilon_counts_gaps_with_no_containment_or_dimension_test(R3, monkeypatch):
+    # J ⊆ J^sat and the finite length of J^sat / J hold by definition
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "quotient_dim",
+                        counting("quotient_dim", lattice.quotient_dim))
+    monkeypatch.setattr(MonomialIdeal, "issubset",
+                        counting("issubset", MonomialIdeal.issubset))
+    report = epsilon_ideal(parse_ideal(R3, "x^2, x*y, y*z"), 10)
+    assert report.epsilon == Fraction(139, 270)
+    assert report.samples.entries[-1] == (10, 95)
+    assert calls == []
+
+
+def test_symbolic_terms_are_counted_in_the_kept_variables(R3, monkeypatch):
+    # each term of e_s is a length in the d - s variables the prime keeps
+    rings = []
+
+    def recording_rel_length(outer, inner):
+        rings.append((outer.ring.d, inner.ring.d))
+        return rel_length(outer, inner)
+
+    monkeypatch.setattr(asymptotics, "rel_length", recording_rel_length)
+    report = symbolic_multiplicity(parse_ideal(R3, "x*y, y*z, x*z"),
+                                   parse_ideal(R3, "x, y"), 8)
+    assert report.s == 1 and report.estimate.point_estimate == Fraction(1, 2)
+    assert report.samples.entries[-1] == (8, 36)
+    assert rings and set(rings) == {(2, 2)}
 
 
 def test_symbolic_zero_module(R2):

@@ -146,6 +146,35 @@ def test_valuation_is_graded_and_filtration(R2):
     assert verify_filtration(fam, 10).passed
 
 
+def test_valuation_spec_builds_each_number_once(R2, R3, monkeypatch):
+    # parsing makes one Fraction per number; the spec converts none of them
+    # again and scales each constraint from numerators and denominators
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    cases = (  # ring, text and its count of numbers, constraints, scaled, label
+        (R3, "valuation(2,1,1 >= 2; 1,3,1 >= 1)", 8, [((2, 1, 1), 2), ((1, 3, 1), 1)],
+         (((2, 1, 1), 2), ((1, 3, 1), 1)), "valuation((2,1,1)>=2; (1,3,1)>=1)"),
+        (R2, "valuation(1/2,1 >= 1; 2/3,3/4 >= 5/6)", 6,
+         [((Fraction(1, 2), 1), 1), ((Fraction(2, 3), Fraction(3, 4)), Fraction(5, 6))],
+         (((1, 2), 2), ((8, 9), 10)), "valuation((1/2,1)>=1; (2/3,3/4)>=5/6)"),
+    )
+    for ring, text, count, constraints, scaled, label in cases:
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        made.clear()
+        spec = parse_family_spec(ring, text)
+        monkeypatch.undo()
+        assert len(made) <= count
+        assert spec._scaled == scaled
+        assert spec.label() == label
+        assert spec == ValuationSpec.make(ring, constraints)
+        assert hash(spec) == hash(ValuationSpec.make(ring, constraints))
+
+
 def test_valuation_rejects_bad_weights(R2):
     with pytest.raises(FamilySpecError):
         ValuationSpec.make(R2, [((-1, 2), 1)])

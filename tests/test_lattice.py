@@ -37,10 +37,11 @@ from monolim import (
     parse_ideal,
     rel_length,
 )
-from monolim.lattice import quotient_dim
+from monolim.lattice import _box_colength, quotient_dim, saturation_gap
 from monolim.errors import (
     DimensionMismatchError,
     InclusionError,
+    MonolimError,
     RingMismatchError,
     ZeroIdealError,
 )
@@ -551,12 +552,29 @@ def _ideal_pairs(draw):
 @given(_ideal_pairs())
 def test_localize_and_issubset_match_the_oracles(case):
     # every set of axes, the empty one and all of them included, against the
-    # zero-and-minimalize localization and the pairwise containment scan
+    # zero-and-minimalize localization and the pairwise containment scan;
+    # the restriction to the kept variables is the localization with the
+    # zeros taken out, and its colength is counted in the kept ring
     ring, I1, I2 = case
     for ideal in (I1, I2):
         for r in range(ring.d + 1):
             for axes in itertools.combinations(range(ring.d), r):
-                assert ideal.localize(axes).gens == oracle_localize(ideal, axes).gens
+                local = ideal.localize(axes)
+                assert local.gens == oracle_localize(ideal, axes).gens
+                kept = [j for j in range(ring.d) if j not in axes]
+                if not kept:
+                    with pytest.raises(MonolimError):
+                        ideal.restrict(axes)
+                    continue
+                restricted = ideal.restrict(axes)
+                assert restricted.ring == AmbientRing(
+                    len(kept), tuple(ring.var_names[j] for j in kept))
+                back = [tuple(q[kept.index(j)] if j in kept else 0
+                              for j in range(ring.d)) for q in restricted.gens]
+                assert tuple(back) == local.gens
+                expected = oracle_colength(restricted)
+                assert restricted.colength() == \
+                    (INFINITE if expected is None else expected)
     assert I1.issubset(I2) == oracle_issubset(I1, I2)
     assert I2.issubset(I1) == oracle_issubset(I2, I1)
     assert I1.issubset(I1)
@@ -726,3 +744,63 @@ def test_finite_rel_length_localizes_once_per_singleton(monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "localize", counting_localize)
     assert rel_length(outer, inner) == 2 ** 4 - 1 ** 4
     assert len(calls) == 10
+
+
+@st.composite
+def _gap_ideals(draw):
+    """An ideal in d = 1 to 4: random, its square, primary, one that does
+    not involve some variable, zero or the unit ideal."""
+    d = draw(st.integers(1, 4))
+    ring = AmbientRing.default(d)
+    kind = draw(st.sampled_from(("random", "square", "primary", "missing",
+                                 "zero", "unit")))
+    if kind in ("zero", "unit"):
+        return getattr(MonomialIdeal, kind)(ring)
+    top = _MAX_EXP[d]
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * d), min_size=1,
+                         max_size=6))
+    if kind == "primary":
+        gens += [tuple(top if i == j else 0 for i in range(d)) for j in range(d)]
+    if kind == "missing":
+        j = draw(st.integers(0, d - 1))
+        gens = [g[:j] + (0,) + g[j + 1:] for g in gens]
+    ideal = minimalize(ring, gens)
+    return ideal * ideal if kind == "square" else ideal
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gap_ideals())
+def test_saturation_gap_matches_rel_length(ideal):
+    # the gap counted with no containment or dimension test against the
+    # checked relative length
+    assert saturation_gap(ideal) == rel_length(ideal.saturation(), ideal)
+
+
+@st.composite
+def _box_cases(draw):
+    """A minimal antichain in d = 1 to 4, zero and unit included, whose pure
+    powers lie above or below the box, and box tops of which one may be 0."""
+    d = draw(st.integers(1, 4))
+    ring = AmbientRing.default(d)
+    top = _MAX_EXP[d]
+    tops = draw(st.lists(st.integers(1, top), min_size=d, max_size=d))
+    if draw(st.booleans()):
+        tops[draw(st.integers(0, d - 1))] = 0
+    kind = draw(st.sampled_from(("random", "random", "zero", "unit")))
+    if kind != "random":
+        return getattr(MonomialIdeal, kind)(ring), tops
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top + 2)] * d), max_size=6))
+    for j in draw(st.lists(st.integers(0, d - 1), max_size=d)):
+        c = draw(st.integers(1, top + 2))
+        gens.append(tuple(c if i == j else 0 for i in range(d)))
+    return minimalize(ring, gens), tops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_cases())
+def test_box_colength_matches_the_sum_with_the_box(case):
+    ideal, tops = case
+    d = ideal.ring.d
+    box = minimalize(ideal.ring, [tuple(t if i == j else 0 for i in range(d))
+                                  for j, t in enumerate(tops)])
+    assert _box_colength(ideal.gens, tops) == (ideal + box).colength()
