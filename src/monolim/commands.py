@@ -19,7 +19,7 @@ from . import asymptotics as asy
 from . import reportio as rio
 from .convex import hull_region, kt_check, minkowski_sum
 from .errors import ConfigError
-from .families import FamilySpec, verify_filtration, verify_graded
+from .families import FamilySpec, MaxPowerSpec, verify_filtration, verify_graded
 from .lattice import INFINITE, AmbientRing, format_ideal, parse_ideal
 from .semigroup import (
     SemigroupPredicate,
@@ -381,8 +381,7 @@ def _cmd_kt(job: Job) -> tuple[int, dict, str]:
 
 def _cmd_counterexample(job: Job) -> tuple[int, dict, str]:
     which = job.args.which
-    ring = job.ring()
-    fam = rio.parse_family_spec(ring, f"maxpower({which})")
+    fam = MaxPowerSpec(job.ring(), which)
     N = job.number("N", 64)
     S = asy.length_sequence(fam, N + 1)
     rows = [[r.n, fam.exponent(r.n), length, r.decrease if which == "sigma" else r.increase]

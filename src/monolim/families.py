@@ -21,7 +21,7 @@ from functools import cached_property
 from math import comb
 from operator import mul
 
-from .convex import ConvexRegion, hull_region, minkowski_sum, region
+from .convex import ConvexRegion, covol, hull_region, minkowski_sum, region
 from .errors import (
     DimensionMismatchError,
     FamilyRangeError,
@@ -176,21 +176,25 @@ class FamilySpec(Value):
 class PowerSpec(FamilySpec):
     """I_n = I^n for a fixed nonzero ideal I.
 
-    When d <= 2 and I is primary and integrally closed, I^n is the set of
-    lattice points of n * NP(I) (Zariski): the family is its closure, and a
-    length costs O(k^2 log n) for k Newton-polygon edges.  Otherwise, in
-    any d, a primary I whose pure powers J = (x_1^a_1, ..., x_d^a_d) are a
-    reduction with I^2 = J * I has, for every n >= 1,
+    A primary I of multiplicity e = d! * covol(NP(I)) has, for every n >= 1,
 
-        l(R/I^n) = e * C(n+d-1, d) - (e - l(R/I)) * C(n+d-2, d-1),  e = a_1...a_d
+        l(R/I^n) = e * C(n+d-1, d) - (e - l(R/I)) * C(n+d-2, d-1)
 
-    (Huneke 1987, Ooishi 1987).  J is a reduction iff NP(J) = NP(I), that
-    is, every generator g has sum_i g_i * e/a_i >= e: O(k d) integer
-    operations for k generators.  The second test compares the memoized
-    I^2, which the walk would build next anyway, with J * I.  Ideals that
-    fail either test, such as x^4, x^3*y, y^4 (reduction number 2) and
-    x^200, y^200, z^200, x*y*z (no monomial reduction), build I^n for each
-    length, one product per n.
+    iff l(R/I^2) = e + d * l(R/I).  Monomial colengths do not depend on the
+    field, so take it infinite: then I has a minimal reduction J generated
+    by a regular sequence of length d, so l(R/J) = e, and J/JI is
+    (J/J^2) / I(J/J^2) = (R/I)^d.  Hence l(R/JI) = e + d * l(R/I), which is
+    at least l(R/I^2) as JI <= I^2, with equality iff I^2 = JI: I has
+    reduction number at most one, and then the formula holds (Huneke 1987,
+    Ooishi 1987).  The test needs only the covolume and l(R/I^2), so a
+    length costs O(1) and no I^n past I^2 is built.  When d <= 2 and I is
+    integrally closed, I^n is the set of lattice points of n * NP(I)
+    (Zariski): the family is its closure, whose count gives l(R/I^2) with
+    no member built, and which answers membership and column floors.  Such
+    an I has reduction number at most one (Lipman-Teissier), so its lengths
+    come from the formula.  Other ideals, such as x^4, x^3*y, y^4 and
+    x^200, y^200, z^200, x*y*z, build I^n for each length, one product per
+    n.
     """
 
     _fields = ("ideal",)
@@ -217,25 +221,20 @@ class PowerSpec(FamilySpec):
 
     @cached_property
     def closed_form(self):
-        """(e, l(R/I)), the two numbers of the closed-form length, when the
-        pure powers J of I are a reduction with I^2 = J * I; else None."""
+        """(e, l(R/I)), the two numbers of the closed-form length, when I is
+        primary and l(R/I^2) = e + d * l(R/I); else None.  l(R/I^2) is the
+        closure's count when there is one, else I^2's colength."""
         I = self.ideal
-        if not I.is_primary or I.is_unit:
+        if not I.is_primary:
             return None
-        pure = I.pure_powers()
-        e = math.prod(pure)
-        scales = [e // a for a in pure]
-        if any(sum(map(mul, g, scales)) < e for g in I.gens):
-            return None
-        d = self.ring.d
-        J = MonomialIdeal.from_gens(self.ring, [
-            tuple(a if k == j else 0 for k in range(d)) for j, a in enumerate(pure)])
-        return (e, I.colength()) if self.member_ideal(2) == J * I else None
+        d, first = self.ring.d, I.colength()
+        e = math.factorial(d) * covol(self.limit_region)
+        return (int(e), first) if super().colength(2) == e + d * first else None
 
     def colength(self, n):
-        """The closure's count, else the :attr:`closed_form`, else the member
+        """The :attr:`closed_form`, else the closure's count or the member
         walk."""
-        closed_form = None if self.closure else self.closed_form
+        closed_form = self.closed_form
         if closed_form is None:
             return super().colength(n)
         e, first = closed_form

@@ -577,17 +577,16 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
     generators f of inner: for a in outer with a_j >= M_j, a with a_j set to
     0 lies in outer localized at x_j, which is inner localized at x_j, so
     some f divides a off axis j, and f_j <= M_j <= a_j.  Truncating both
-    ideals by the box loses none of the count.
+    ideals by the box loses none of the count.  A primary inner needs no
+    dimension test: its pure powers divide every box power, and the count is
+    l(R/inner) - l(R/outer).
     """
     outer._check_ring(inner)
     if not inner.issubset(outer):
         raise InclusionError("inner ideal is not contained in the outer ideal")
     if inner == outer:
         return 0
-    co, ci = outer.colength(), inner.colength()
-    if co != INFINITE and ci != INFINITE:
-        return ci - co
-    if quotient_dim(outer, inner) > 0:
+    if not inner.is_primary and quotient_dim(outer, inner) > 0:
         return INFINITE
     tops = [max(col) for col in zip(*inner.gens)]
     return _box_colength(inner.gens, tops) - _box_colength(outer.gens, tops)

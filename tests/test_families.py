@@ -1,6 +1,7 @@
 """Family constructors, exponent sequences, and the graded/filtration checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -8,6 +9,7 @@ from math import comb
 import pytest
 from conftest import (
     oracle_colength,
+    oracle_covol,
     oracle_valuation_length,
     oracle_valuation_member,
     timed,
@@ -31,6 +33,7 @@ from monolim import (
     TableSpec,
     ValuationSpec,
     containment_order,
+    hull_region,
     length_sequence,
     log_exponent,
     parse_ideal,
@@ -673,19 +676,21 @@ def test_power_lengths_count_the_newton_polygon_when_integrally_closed(R2):
         floors = fam.column_floors(3)
         assert all(fam.contains(tuple(3 * c for c in g), 3) for g in ideal.gens)
         assert not fam.contains((0,) * ideal.ring.d, 3)
-        assert fam.closure is not None and not fam._members
+        assert fam.closure is not None and fam.closed_form and not fam._members
         assert _same_floor_runs(floors, fam.member_ideal(3))
-    # x*y and x*y^2 lie in the closures.  x^2, y^2 is its own reduction, so
-    # its lengths come from the closed form, which reads I^2 only; the others
-    # have no monomial reduction or reduction number 2: each length builds
-    # its member
-    fam = PowerSpec(parse_ideal(R2, "x^2, y^2"))
-    assert fam.length(3) == (fam.ideal ** 3).colength()
-    assert fam.closure is None and fam.closed_form == (4, 4) and list(fam._members) == [2]
-    for text in ("x^4, x^2*y, y^3", "x^4, x^3*y, y^4"):
+    # x*y and x*y^2 lie in the closures.  x^2, y^2 is its own reduction, and
+    # x^4, x^2*y, y^3 has reduction number one with no monomial reduction:
+    # their lengths come from the closed form, which reads I^2 only.
+    # x^4, x^3*y, y^4 has a larger reduction number: each length builds its
+    # member
+    for text, closed_form in (("x^2, y^2", (4, 4)), ("x^4, x^2*y, y^3", (10, 8))):
         fam = PowerSpec(parse_ideal(R2, text))
         assert fam.length(3) == (fam.ideal ** 3).colength()
-        assert fam.closure is None and fam.closed_form is None and 3 in fam._members
+        assert fam.closure is None and fam.closed_form == closed_form
+        assert list(fam._members) == [2]
+    fam = PowerSpec(parse_ideal(R2, "x^4, x^3*y, y^4"))
+    assert fam.length(3) == (fam.ideal ** 3).colength()
+    assert fam.closure is None and fam.closed_form is None and 3 in fam._members
     # not primary, d = 3, and the unit ideal (whose hull has no facet): the
     # member walk
     for fam in (PowerSpec(parse_ideal(R2, "x^2, x*y")),
@@ -704,7 +709,8 @@ def test_power_lengths_at_huge_exponents(R2):
 
 def _pure_powers_reduce(I):
     """Whether the pure powers J of a primary I are a reduction (NP(J) =
-    NP(I), in fractions) with I^2 = J * I: the closed form's two tests."""
+    NP(I), in fractions) with I^2 = J * I: a monomial reduction of number
+    one."""
     pure = I.pure_powers()
     J = MonomialIdeal.from_gens(I.ring, [
         tuple(a if k == j else 0 for k in range(len(pure))) for j, a in enumerate(pure)])
@@ -723,25 +729,85 @@ def _mixed_primary_ideals(draw, d):
     return MonomialIdeal.from_gens(AmbientRing.default(d), gens)
 
 
+def _reduction_number_one(I):
+    """The length identity l(R/I^2) = e + d * l(R/I), on the box counts and
+    the Fraction covolume."""
+    d = I.ring.d
+    e = math.factorial(d) * oracle_covol(hull_region(I))
+    return oracle_colength(I * I) == e + d * oracle_colength(I)
+
+
+def _check_closed_form_lengths(I, N):
+    """The closed form exists iff the length identity holds, and lengths
+    n < N equal the member walk and the box count."""
+    fam = PowerSpec(I)
+    assert (fam.closed_form is not None) == _reduction_number_one(I)
+    member = I
+    for n in range(1, N):
+        assert fam.length(n) == member.colength() == oracle_colength(member)
+        member = member * I
+    return fam
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(2, 5).flatmap(_mixed_primary_ideals))
 def test_closed_form_power_lengths_match_the_walk_and_the_box_count(I):
-    # both tests pass on most draws; the rest fall back to the d <= 2
-    # closure or the member walk
+    # the identity holds on most draws, and on every monomial reduction of
+    # number one; the rest fall back to the d <= 2 closure or the member walk
+    if _pure_powers_reduce(I):
+        assert PowerSpec(I).closed_form is not None
+    _check_closed_form_lengths(I, {2: 7, 3: 5, 4: 3, 5: 2}[I.ring.d])
+
+
+@pytest.mark.parametrize("d, text, closed_form", [
+    (2, "x^4, x^2*y, y^3", (10, 8)),
+    (3, "x^4, y^4, z^4, x*y^2", (48, 40)),
+    (4, "w^2, y^2, x*z, z^3, x^4", (28, 24)),
+])
+def test_closed_form_without_a_monomial_reduction(d, text, closed_form):
+    # x^2*y, x*y^2 and x*z lie below the pure powers' simplex, so J is no
+    # reduction; I^2 = K * I for a reduction K that is not monomial
+    fam = _check_closed_form_lengths(parse_ideal(AmbientRing.default(d), text), 7 - d)
+    assert fam.closed_form == closed_form and list(fam._members) == [2]
+
+
+@st.composite
+def _ideals_below_the_simplex(draw, d):
+    """Pure powers x_j^a_j, 2 <= a_j <= 4 (3 in d = 4), one generator g with
+    sum_j g_j / a_j < 1, so that the pure powers are no reduction, and up to
+    two more generators inside their box."""
+    pure = [draw(st.integers(2, 3 if d > 3 else 4)) for _ in range(d)]
+    box = st.tuples(*[st.integers(0, a - 1) for a in pure]).filter(any)
+    below = box.filter(lambda g: sum(Fraction(c, a) for c, a in zip(g, pure)) < 1)
+    gens = [tuple(a if k == j else 0 for k in range(d)) for j, a in enumerate(pure)]
+    gens += [draw(below), *draw(st.lists(box, max_size=2))]
+    return MonomialIdeal.from_gens(AmbientRing.default(d), gens)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(2, 4).flatmap(_ideals_below_the_simplex))
+def test_closed_form_holds_without_a_monomial_reduction(I):
+    _check_closed_form_lengths(I, 7 - I.ring.d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_primary_ideals(2))
+def test_closed_power_families_have_the_closed_form(I):
+    # integrally closed in d = 2 gives reduction number at most one
+    # (Lipman-Teissier)
     fam = PowerSpec(I)
-    d = I.ring.d
-    assert (fam.closed_form is not None) == _pure_powers_reduce(I)
-    member = I
-    for n in range(1, {2: 7, 3: 5, 4: 3, 5: 2}[d]):
-        assert fam.length(n) == member.colength() == oracle_colength(member)
-        member = member * I
+    if fam.closure is not None:
+        assert fam.closed_form is not None
+        assert [fam.length(n) for n in range(1, 6)] == \
+            [fam.closure.length(n) for n in range(1, 6)]
+        assert not fam._members
 
 
-def test_closed_form_declines_without_a_monomial_reduction_of_number_one(R2, R3):
+def test_closed_form_declines_above_reduction_number_one(R2, R3):
     for ring, text, builds_square in (
             (R2, "x^4, x^3*y, y^4", True),  # x^6*y^2 is in I^2, not in J * I
             (R3, "x^3, y^3, z^3, x^2*y, x*y*z", True),  # likewise x^3*y^2*z
-            (R3, "x^200, y^200, z^200, x*y*z", False),  # 3/200 < 1: no I^2 built
+            (R3, "x^200, y^200, z^200, x*y*z", True),  # no monomial reduction
             (R2, "x^2, x*y", False),  # not primary
             (R3, "x*y, y*z, x*z", False)):
         fam = PowerSpec(parse_ideal(ring, text))
@@ -750,7 +816,8 @@ def test_closed_form_declines_without_a_monomial_reduction_of_number_one(R2, R3)
         I = fam.ideal
         assert [fam.length(n) for n in range(1, 5)] == \
             [(I ** n).colength() for n in range(1, 5)]
-        if builds_square:  # boxes of side 6 and 8: the box count agrees too
+        if builds_square and max(I.pure_powers()) < 200:
+            # boxes of side 6 and 8: the box count agrees too
             assert fam.length(2) == oracle_colength(I ** 2)
         assert (fam.length(3) == INFINITE) == (not I.is_primary)
 
@@ -763,6 +830,12 @@ def test_closed_form_power_lengths_in_budget(R3):
     I = fam.ideal
     assert lengths[:6] == [(I ** n).colength() for n in range(1, 7)]
     assert lengths[-1] == 16200600 and fam.closed_form == (12, 10)
+    # x*y^2 lies below the pure powers' simplex; the walk took 13.6 s
+    fam = PowerSpec(parse_ideal(R3, "x^4, y^4, z^4, x*y^2"))
+    lengths = timed(lambda: [fam.length(n) for n in range(1, 201)], 0.5)
+    I = fam.ideal
+    assert lengths[:4] == [(I ** n).colength() for n in range(1, 5)]
+    assert lengths[-1] == 64802400 and fam.closed_form == (48, 40)
     # and the test is exponent-free: at E = 10^7 it passes, and the walk agrees
     E = 10 ** 7
     fam = PowerSpec(parse_ideal(R3, f"x^{E}, y^{E}, z^{E}, x^{E // 2}*y^{E // 2}"))
