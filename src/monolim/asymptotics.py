@@ -35,7 +35,7 @@ from .lattice import (
     MonomialModule,
     Value,
     containment_order,
-    quotient_dim,
+    quotient_length,
     rel_length,
     saturation_gap,
 )
@@ -288,24 +288,29 @@ SymbolicReport.__doc__ = """Limit of e_m(I_n(J)/I^n) / n^(d-s) with the detected
 dimension s; the estimate and samples are None for a zero module."""
 
 
-def _module_multiplicity(outer: MonomialIdeal, inner: MonomialIdeal,
-                         s: int) -> int:
-    """e_s(outer/inner): the sum over |S| = s of its lengths at the primes
-    (x_j : j not in S).  Each is counted in the d - s kept variables: cut by
-    (x_j : j in S), the localization R_S is k[x_kept], where both ideals
-    are their restrictions.  For s = d no variable is kept: the one prime is
-    (0), where outer/inner localizes to the fraction field if inner is zero
-    and outer is not, and to 0 otherwise, so the term is 1 or 0."""
+def _module_multiplicity(outer: MonomialIdeal, inner: MonomialIdeal) -> tuple[int, int]:
+    """(s, e_s) of M = outer/inner (inner <= outer): its dimension s and
+    the sum e_s of its lengths at the primes P_S = (x_j : j not in S) with
+    |S| = s; (-1, 0) if M = 0.  M_{P_S} is counted in the kept variables:
+    inverting (x_j : j in S) makes R_S k[x_kept], where both ideals are
+    their restrictions.  s is the largest |S| at which these differ, so the
+    scan runs down the sizes and stops at the first that holds one.  Each
+    term is finite: M is Z^d-graded, so a minimal prime of Supp M inside
+    P_S is some P_T with T containing S, and dim R/P_T = |T| <= s = |S|
+    gives P_T = P_S.  So P_S is minimal in Supp M, M_{P_S} has finite
+    length, and :func:`quotient_length` counts it unchecked.  For s = d the
+    one prime is (0), where M localizes to the fraction field iff inner is
+    zero and outer is not, so e_d = 1."""
     d = outer.ring.d
-    if s == d:
-        return int(inner.is_zero and not outer.is_zero)
-    total = 0
-    for axes in combinations(range(d), s):
-        term = rel_length(outer.restrict(axes), inner.restrict(axes))
-        if term == INFINITE:
-            raise MonolimError(f"module has dimension above {s}")
-        total += term
-    return total
+    if inner.is_zero and not outer.is_zero:
+        return d, 1
+    for r in range(d - 1, -1, -1):
+        pairs = [(outer.restrict(axes), inner.restrict(axes))
+                 for axes in combinations(range(d), r)]
+        terms = [quotient_length(o, i) for o, i in pairs if o != i]
+        if terms:
+            return r, sum(terms)
+    return -1, 0
 
 
 def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
@@ -314,15 +319,21 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
 
     e_m is exact by the associativity formula (Matsumura, Commutative Ring
     Theory, §14): the sum of the lengths at the monomial primes of dimension s.
+    s is the dimension at the samples n = 2..5; a member of smaller
+    dimension counts 0, and one of larger dimension is an error.
     """
     if I.ring != J.ring:
         raise MonolimError("ideals live in different rings")
     d = I.ring.d
     symbolic = SymbolicSpec(I, J)
     powers = symbolic.powers
+
+    def count(n: int) -> tuple[int, int]:
+        return _module_multiplicity(symbolic.member_ideal(n), powers.member_ideal(n))
+
     samples = [n for n in (2, 3, 4, 5) if n <= N] or [1]
-    dims = {quotient_dim(symbolic.member_ideal(n), powers.member_ideal(n))
-            for n in samples}
+    counts = {n: count(n) for n in samples}
+    dims = {s_n for s_n, _ in counts.values()}
     if dims == {-1}:
         return SymbolicReport(0, None, None, zero_module=True)
     dims.discard(-1)
@@ -331,8 +342,10 @@ def symbolic_multiplicity(I: MonomialIdeal, J: MonomialIdeal,
     s = dims.pop()
     entries = []
     for n in range(1, N + 1):
-        entries.append((n, _module_multiplicity(
-            symbolic.member_ideal(n), powers.member_ideal(n), s)))
+        s_n, e_n = counts.get(n) or count(n)
+        if s_n > s:
+            raise MonolimError(f"module has dimension above {s}")
+        entries.append((n, e_n if s_n == s else 0))
     seq = LengthSequence(tuple(entries), d - s)
     return SymbolicReport(s, estimate_limit(seq), seq)
 

@@ -333,22 +333,16 @@ class MonomialIdeal(Value):
     __mul__ = multiply
 
     def power(self, k: int) -> "MonomialIdeal":
-        """Binary exponentiation from the base at the lowest set bit of k,
-        so I^k takes (bit length - 1) squarings and (set bits - 1) other
-        products; I^0 is the unit ideal."""
+        """I^k as k - 1 products by I, the chain ``PowerSpec.member`` takes;
+        I^0 is the unit ideal.  Squaring is slower: it multiplies ever
+        larger squares."""
         if k < 0:
             raise MonolimError("negative power")
         if not k:
             return MonomialIdeal.unit(self.ring)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        while k := k >> 1:
-            base = base * base
-            if k & 1:
-                result = result * base
+        result = self
+        for _ in range(k - 1):
+            result = result * self
         return result
 
     __pow__ = power
@@ -531,36 +525,23 @@ def _box_colength(gens, tops) -> int:
     return _standard_monomials(box + [g for g in gens if all(map(lt, g, caps))], d)[0]
 
 
-def saturation_gap(ideal: MonomialIdeal) -> int:
-    """l(I^sat / I), the length of H^0_m(R/I); 0 when I^sat = I.
+def quotient_length(outer: MonomialIdeal, inner: MonomialIdeal) -> int:
+    """l(outer / inner) for a nonzero inner <= outer with a finite quotient,
+    neither tested.  The count lies in the box a_j < M_j = max_f f_j over
+    the generators f of inner: for a in outer with a_j >= M_j, a with a_j
+    set to 0 lies in outer localized at x_j, which is inner localized at
+    x_j, so some f divides a off axis j, and f_j <= M_j <= a_j."""
+    tops = [max(col) for col in zip(*inner.gens)]
+    return _box_colength(inner.gens, tops) - _box_colength(outer.gens, tops)
 
-    I lies in I^sat and the quotient has finite length by definition, so
-    neither is tested.  The gap is counted in the box of I's largest
-    exponents M_j, as in :func:`rel_length`: (I^sat)_{x_j} = I_{x_j}, so a
-    point of I^sat with a_j >= M_j lies in I.
-    """
+
+def saturation_gap(ideal: MonomialIdeal) -> int:
+    """l(I^sat / I), the length of H^0_m(R/I); 0 when I^sat = I.  I lies in
+    I^sat and the quotient has finite length by definition."""
     sat = ideal.saturation()
     if sat == ideal:
         return 0
-    tops = [max(col) for col in zip(*ideal.gens)]
-    return _box_colength(ideal.gens, tops) - _box_colength(sat.gens, tops)
-
-
-def quotient_dim(outer: MonomialIdeal, inner: MonomialIdeal) -> int:
-    """Krull dimension of outer/inner (inner <= outer; -1 if equal): the
-    largest |S| whose prime (x_j : j not in S) has localizations that differ.
-
-    Localizing at S is localizing at T inside S and then at S minus T, so
-    where the localizations agree at T they agree at S: the sets S at which
-    they differ are closed under subsets.  The scan runs up the sizes and
-    stops at the first size r at which every r-subset agrees.
-    """
-    d = outer.ring.d
-    for r in range(d + 1):
-        if all(outer.localize(axes) == inner.localize(axes)
-               for axes in itertools.combinations(range(d), r)):
-            return r - 1
-    return d
+    return quotient_length(sat, ideal)
 
 
 def minimalize(ring: AmbientRing, gens) -> MonomialIdeal:
@@ -573,12 +554,11 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
 
     The count is finite iff outer / inner has dimension 0, that is, iff its
     localizations at the primes (x_j : j not in S), S nonempty, all vanish.
-    Then the counted exponents lie in the box a_j < M_j = max_f f_j over the
-    generators f of inner: for a in outer with a_j >= M_j, a with a_j set to
-    0 lies in outer localized at x_j, which is inner localized at x_j, so
-    some f divides a off axis j, and f_j <= M_j <= a_j.  Truncating both
-    ideals by the box loses none of the count.  A primary inner needs no
-    dimension test: its pure powers divide every box power, and the count is
+    Localizing at S is localizing at T inside S and then at S minus T, so
+    the sets S at which the localizations differ are closed under subsets,
+    and it is enough to compare the singletons.  A zero inner leaves outer
+    itself, of dimension d.  A primary inner needs no test: its pure powers
+    divide every box power of :func:`quotient_length`, and the count is
     l(R/inner) - l(R/outer).
     """
     outer._check_ring(inner)
@@ -586,10 +566,10 @@ def rel_length(outer: MonomialIdeal, inner: MonomialIdeal):
         raise InclusionError("inner ideal is not contained in the outer ideal")
     if inner == outer:
         return 0
-    if not inner.is_primary and quotient_dim(outer, inner) > 0:
+    if not inner.is_primary and (inner.is_zero or any(
+            outer.restrict((j,)) != inner.restrict((j,)) for j in range(inner.ring.d))):
         return INFINITE
-    tops = [max(col) for col in zip(*inner.gens)]
-    return _box_colength(inner.gens, tops) - _box_colength(outer.gens, tops)
+    return quotient_length(outer, inner)
 
 
 def length_mod_power(outer: MonomialIdeal, inner: MonomialIdeal, k: int) -> int:

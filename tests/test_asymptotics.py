@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    oracle_dim_quotient,
     oracle_estimate_limit,
     oracle_module_multiplicity,
     random_primary_ideal,
@@ -22,6 +23,7 @@ from monolim import (
     MonomialIdeal,
     MonomialModule,
     PowerSpec,
+    SymbolicSpec,
     ValuationSpec,
     difference_profile,
     epsilon_ideal,
@@ -42,7 +44,6 @@ from monolim import (
 from monolim import asymptotics, lattice
 from monolim.asymptotics import _module_multiplicity
 from monolim.errors import EstimateError, InclusionError, MonolimError, NotPrimaryError
-from monolim.lattice import quotient_dim
 
 
 def test_length_sequence_power_of_maximal(R2):
@@ -385,17 +386,13 @@ def _modules(draw, d: int, top: int, gens: int):
 
 
 def _check_module_multiplicity(outer, inner, k):
-    s = quotient_dim(outer, inner)
+    s, e = _module_multiplicity(outer, inner)
+    assert s == oracle_dim_quotient(inner.colon(outer))
     if s < 0:
+        assert e == 0
         return
-    e = _module_multiplicity(outer, inner, s)
     assert e == oracle_module_multiplicity(outer, inner, s, k)
     assert e > 0
-    if s < outer.ring.d:
-        assert _module_multiplicity(outer, inner, s + 1) == 0
-    if s > 0:
-        with pytest.raises(MonolimError):
-            _module_multiplicity(outer, inner, s - 1)
 
 
 # In random runs of these shapes the Hilbert-Samuel differences were constant
@@ -406,7 +403,7 @@ _R3 = AmbientRing.default(3)
 
 @settings(max_examples=60, deadline=None)
 @given(_modules(3, 3, 3))
-@example(case=(MonomialIdeal.unit(_R3), parse_ideal(_R3, "x")))  # s + 1 = d keeps no variable
+@example(case=(MonomialIdeal.unit(_R3), parse_ideal(_R3, "x")))  # s + 1 = d, the scan's first size
 def test_module_multiplicity_matches_the_difference_kernel_3d(case):
     _check_module_multiplicity(*case, k=22)
 
@@ -427,8 +424,7 @@ def test_epsilon_counts_gaps_with_no_containment_or_dimension_test(R3, monkeypat
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(lattice, "quotient_dim",
-                        counting("quotient_dim", lattice.quotient_dim))
+    monkeypatch.setattr(lattice, "rel_length", counting("rel_length", lattice.rel_length))
     monkeypatch.setattr(MonomialIdeal, "issubset",
                         counting("issubset", MonomialIdeal.issubset))
     report = epsilon_ideal(parse_ideal(R3, "x^2, x*y, y*z"), 10)
@@ -437,20 +433,78 @@ def test_epsilon_counts_gaps_with_no_containment_or_dimension_test(R3, monkeypat
     assert calls == []
 
 
-def test_symbolic_terms_are_counted_in_the_kept_variables(R3, monkeypatch):
-    # each term of e_s is a length in the d - s variables the prime keeps
-    rings = []
+def test_symbolic_terms_are_counted_unchecked_in_the_kept_variables(R3, monkeypatch):
+    # each term of e_s is a length in the d - s variables the prime keeps,
+    # and its containment and finiteness hold by construction
+    calls, rings = [], []
 
-    def recording_rel_length(outer, inner):
-        rings.append((outer.ring.d, inner.ring.d))
+    def counting_issubset(self, other):
+        calls.append("issubset")
+        return issubset(self, other)
+
+    def counting_rel_length(outer, inner):
+        calls.append("rel_length")
         return rel_length(outer, inner)
 
-    monkeypatch.setattr(asymptotics, "rel_length", recording_rel_length)
+    def recording_quotient_length(outer, inner):
+        rings.append((outer.ring.d, inner.ring.d))
+        return quotient_length(outer, inner)
+
+    issubset, quotient_length = MonomialIdeal.issubset, asymptotics.quotient_length
+    monkeypatch.setattr(MonomialIdeal, "issubset", counting_issubset)
+    monkeypatch.setattr(asymptotics, "rel_length", counting_rel_length)
+    monkeypatch.setattr(lattice, "rel_length", counting_rel_length)
+    monkeypatch.setattr(asymptotics, "quotient_length", recording_quotient_length)
     report = symbolic_multiplicity(parse_ideal(R3, "x*y, y*z, x*z"),
                                    parse_ideal(R3, "x, y"), 8)
     assert report.s == 1 and report.estimate.point_estimate == Fraction(1, 2)
     assert report.samples.entries[-1] == (8, 36)
+    assert calls == []
     assert rings and set(rings) == {(2, 2)}
+
+
+@pytest.mark.parametrize("s_n", [0, 2])
+def test_symbolic_counts_each_member_at_the_sample_dimension(R3, monkeypatch, s_n):
+    # s comes from the samples n = 2..5: a later member of smaller dimension
+    # counts 0, and one of larger dimension is an error
+    I, J = parse_ideal(R3, "x*y, y*z, x*z"), parse_ideal(R3, "x, y")
+    member = SymbolicSpec(I, J).member_ideal(7)
+    module_multiplicity = asymptotics._module_multiplicity
+
+    def faked(outer, inner):
+        s, e = module_multiplicity(outer, inner)
+        return (s_n, e + 1) if outer == member else (s, e)
+
+    monkeypatch.setattr(asymptotics, "_module_multiplicity", faked)
+    if s_n < 1:
+        entries = symbolic_multiplicity(I, J, 8).samples.entries
+        assert entries[6:] == ((7, 0), (8, 36))
+    else:
+        with pytest.raises(MonolimError, match="module has dimension above 1"):
+            symbolic_multiplicity(I, J, 8)
+
+
+@st.composite
+def _ideals(draw):
+    """A nonzero ideal in d = 2 or 3 variables with exponents up to 3, or
+    its product with m, whose powers are mostly not saturated."""
+    d = draw(st.integers(2, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4))
+    ideal = MonomialIdeal.from_gens(AmbientRing.default(d), gens)
+    return ideal * MonomialIdeal.maximal(ideal.ring) if draw(st.booleans()) else ideal
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ideals())
+def test_symbolic_at_the_maximal_ideal_is_epsilon(ideal):
+    # (I^n : m^inf) / I^n has finite length, so its symbolic multiplicity is
+    # e_0, the saturation gap that epsilon counts
+    epsilon = epsilon_ideal(ideal, 8)
+    report = symbolic_multiplicity(ideal, MonomialIdeal.maximal(ideal.ring), 8)
+    if report.zero_module:
+        assert [v for n, v in epsilon.samples.entries if 2 <= n <= 5] == [0] * 4
+    else:
+        assert report.s == 0 and report.samples == epsilon.samples
 
 
 def test_symbolic_zero_module(R2):
